@@ -234,6 +234,8 @@ def _detector_kwargs(args) -> dict:
 
 def cmd_run(args) -> int:
     t0 = time.perf_counter()
+    if args.budget is not None and args.budget < 0:
+        raise ParameterError(f"--budget must be >= 0, got {args.budget}")
     seed = _master_seed(args)
     inst = read_instance(args.instance)
     cert = read_certificate(args.cert) if args.cert else None

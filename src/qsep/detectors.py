@@ -9,8 +9,13 @@ edge over which it was first reached (None for a walk start). Arriving
 at a recorded element over a different edge certifies a collision;
 arriving over the same edge, or at a recorded start, just ends the walk
 (cycle closure). Certificate walkers and the multi-scale walker share
-that map across walks; the per-attempt battery gives every attempt a
-fresh map, which is what the exact enumerator models.
+that map across walks. The per-attempt battery gives every attempt a
+fresh record instead, which is what the exact enumerator models: the
+attempt's trajectory plus an open-addressed table of its positions, so
+the predecessor of a recorded element is the trajectory entry before
+it. The battery is vectorised across lanes, one numpy pass per lockstep
+round, and sends the same queries in the same order as one Python step
+per lane would.
 """
 
 from __future__ import annotations
@@ -63,13 +68,14 @@ class _Budget:
         return self._oracle.count - self._start
 
     def remaining(self):
+        """Queries left, never negative; None when neither side is bounded."""
         vals = []
         if self._limit is not None:
             vals.append(self._limit - self.spent())
         hard = self._oracle.remaining()
         if hard is not None:
             vals.append(hard)
-        return min(vals) if vals else None
+        return max(0, min(vals)) if vals else None
 
     def allows(self, k: int) -> bool:
         rem = self.remaining()
@@ -104,12 +110,24 @@ _MISSING = object()
 _GO = ("go", None)
 _STOP = ("stop", None)
 
+_HASH_MULT = 0x9E3779B1  # odd, about 2^32 / golden ratio (Fibonacci hashing)
+
 
 def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
                               batch: int = 512, budget=None) -> dict:
-    """Run independent single walk attempts at scale t, each with a fresh
-    predecessor map, in lockstep batches. Per-attempt statistics match the
-    exact all-starts enumeration."""
+    """Run independent single walk attempts at scale t in lockstep batches.
+
+    Each round sends one query per live lane, in ascending lane order, in
+    one query_function_many call. A lane holds its current walk in a row
+    of a (lanes, min(2^t, n) + 1) trajectory array, and a fresh open-
+    addressed table of trajectory positions (cleared when the lane
+    respawns) answers "did this attempt already reach y?" in O(1).
+    Reaching the walk's start again ends the attempt; reaching any later
+    element certifies a collision with that element's predecessor.
+    Finished lanes respawn in ascending lane order from one upfront draw
+    of starts. Per-attempt statistics match the exact all-starts
+    enumeration.
+    """
     rng = _rng(seed)
     bud = _Budget(oracle, budget)
     n = oracle.n
@@ -117,56 +135,77 @@ def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
     starts = rng.integers(0, n, size=attempts)
 
     lanes = min(batch, attempts)
-    front = [0] * lanes
-    steps = [0] * lanes
-    preds: list[dict] = [dict() for _ in range(lanes)]
-    next_attempt = 0
-    live: list[int] = []
+    width = min(cap, n) + 1  # positions stored in a table stay below width - 1
+    bits = (4 * (width - 1) - 1).bit_length()  # load factor at most 1/4
+    size = 1 << bits
+    mask = size - 1
+    traj = np.empty((lanes, width), dtype=np.int32 if n < (1 << 31) else np.int64)
+    table = np.full((lanes, size), -1,
+                    dtype=np.int16 if width <= (1 << 15) else np.int32)
+    flat_traj, flat_table = traj.reshape(-1), table.reshape(-1)
+    steps = np.zeros(lanes, dtype=np.int64)
 
-    def spawn(lane: int) -> bool:
-        nonlocal next_attempt
-        if next_attempt >= attempts:
-            return False
-        s = int(starts[next_attempt])
-        next_attempt += 1
-        front[lane] = s
-        steps[lane] = 0
-        preds[lane] = {s: None}
-        return True
+    def home(keys):
+        return ((keys * _HASH_MULT) & 0xFFFFFFFF) >> (32 - bits)
 
-    for lane in range(lanes):
-        if spawn(lane):
-            live.append(lane)
+    def spawn(new, xs):
+        traj[new, 0] = xs
+        steps[new] = 0
+        table[new] = -1
+        table[new, home(xs)] = 0
+
+    live = np.arange(lanes)
+    spawn(live, starts[:lanes])
+    next_attempt = lanes
 
     successes = 0
     finished = 0
     sample_witnesses: list[Witness] = []
     truncated = False
-    while live:
+    while len(live):
         rem = bud.remaining()
         if rem is not None and rem < len(live):
             live = live[:rem]
             truncated = True
-            if not live:
+            if not len(live):
                 break
-        ys = oracle.query_function_many([front[k] for k in live]).tolist()
-        nxt_live = []
-        for lane, y in zip(live, ys):
-            u = front[lane]
-            steps[lane] += 1
-            kind, prev = _arrival(preds[lane], u, y)
-            if kind == "go" and steps[lane] < cap:
-                front[lane] = y
-                nxt_live.append(lane)
-                continue
-            if kind == "found":
-                successes += 1
-                if len(sample_witnesses) < 32:
-                    sample_witnesses.append(Witness("collision", (u, prev, y)))
-            finished += 1
-            if spawn(lane):
-                nxt_live.append(lane)
-        live = nxt_live
+        row = live * width
+        us = flat_traj[row + steps[live]]
+        ys = oracle.query_function_many(us)
+        # linear probing within each lane's row: pos ends as y's position
+        # in the walk, or -1 with `at` on the free entry where y goes
+        at = live * size + home(ys)
+        pos = flat_table[at]
+        pend = np.flatnonzero((pos >= 0) & (flat_traj[row + pos] != ys))
+        while len(pend):
+            nxt = at[pend] + 1
+            nxt -= ((nxt & mask) == 0) * size
+            at[pend] = nxt
+            p = flat_table[nxt]
+            pos[pend] = p
+            pend = pend[(p >= 0) & (flat_traj[row[pend] + p] != ys[pend])]
+
+        step = steps[live] + 1
+        go = (pos < 0) & (step < cap)
+        g, sg = live[go], step[go]
+        traj[g, sg] = ys[go]
+        flat_table[at[go]] = sg
+        steps[g] = sg
+
+        done = np.flatnonzero(~go)
+        hits = done[pos[done] > 0]
+        successes += len(hits)
+        for i in hits[:32 - len(sample_witnesses)].tolist():
+            prev = flat_traj[row[i] + pos[i] - 1]
+            sample_witnesses.append(
+                Witness("collision", (int(us[i]), int(prev), int(ys[i]))))
+        finished += len(done)
+        k = min(len(done), attempts - next_attempt)
+        if k:
+            spawn(live[done[:k]], starts[next_attempt:next_attempt + k])
+            next_attempt += k
+            go[done[:k]] = True
+        live = live[go]
 
     return {
         "attempts": finished,

@@ -110,22 +110,14 @@ def exact_cert_expectation(instance, t=None) -> CertExpectation:
     far = jumps[-1]  # 2^levels >= 2n steps: on-cycle for every start
 
     on_cycle = np.zeros(n, dtype=bool)
-    on_cycle[np.unique(far)] = True
-    cyc_len = np.zeros(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    raw = instance.succ
-    for c in np.flatnonzero(on_cycle).tolist():
-        if seen[c]:
-            continue
-        ring = [c]
-        seen[c] = True
-        x = int(raw[c])
-        while x != c:
-            ring.append(x)
-            seen[x] = True
-            x = int(raw[x])
-        cyc_len[ring] = len(ring)
-    sigma = cyc_len[far]
+    on_cycle[far] = True
+    # label[x]: least element within 2^(levels+1) steps of x; on a cycle that
+    # is the cycle's least element, so on-cycle label counts are cycle lengths
+    label = np.arange(n, dtype=dtype)
+    for jump in jumps:
+        label = np.minimum(label, label[jump])
+    cyc_len = np.bincount(label[on_cycle], minlength=n)
+    sigma = cyc_len[label[far]]
 
     tau = np.zeros(n, dtype=np.int64)
     cur = np.arange(n, dtype=dtype)

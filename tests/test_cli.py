@@ -141,6 +141,15 @@ class TestRun:
             "--detector", "cert-claw", "--seed", "1")
         assert code == 3 and "function oracle" in err
 
+    def test_negative_budget_exits_2(self, collision_files, capsys):
+        inst, cert = collision_files
+        capsys.readouterr()
+        code, _, err = run_cli(
+            capsys, "run", "--instance", str(inst), "--cert", str(cert),
+            "--detector", "cert-collision", "--seed", "1", "--budget", "-5")
+        assert code == 2 and "Traceback" not in err
+        assert err.strip().splitlines() == ["error: --budget must be >= 0, got -5"]
+
     def test_missing_instance_exits_4(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "run", "--instance", str(tmp_path / "missing.json"),

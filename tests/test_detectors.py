@@ -1,6 +1,7 @@
 """Detector behavior: worked examples, soundness, budgets, oracle purity."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from qsep import (
     uniform_probe_baseline,
     validate_witness,
 )
+from qsep.detectors import _Budget, _arrival
 from qsep.oracle import FunctionInstance, _unrelabel_witness, graph_from_edges
 
 PAR = ScaleParams(i_min=2, i_max=5)
@@ -145,6 +147,179 @@ class TestCollisionDetectors:
                                               seed=42, budget=budget)
             assert out.status == "BudgetExceeded"
             assert out.queries <= budget
+
+
+def _reference_battery(oracle, t, attempts, seed=None, batch=512,
+                       budget=None):
+    """The battery as first written: one predecessor dict per lane, one
+    Python step per arrival. Kept as the specification the vectorised
+    battery must reproduce exactly (result and transcript)."""
+    rng = np.random.default_rng(seed)
+    bud = _Budget(oracle, budget)
+    n = oracle.n
+    cap = 1 << int(t)
+    starts = rng.integers(0, n, size=attempts)
+
+    lanes = min(batch, attempts)
+    front = [0] * lanes
+    steps = [0] * lanes
+    preds = [dict() for _ in range(lanes)]
+    next_attempt = 0
+    live = []
+
+    def spawn(lane):
+        nonlocal next_attempt
+        if next_attempt >= attempts:
+            return False
+        s = int(starts[next_attempt])
+        next_attempt += 1
+        front[lane] = s
+        steps[lane] = 0
+        preds[lane] = {s: None}
+        return True
+
+    for lane in range(lanes):
+        if spawn(lane):
+            live.append(lane)
+
+    successes = 0
+    finished = 0
+    sample_witnesses = []
+    truncated = False
+    while live:
+        rem = bud.remaining()
+        if rem is not None and rem < len(live):
+            live = live[:rem]
+            truncated = True
+            if not live:
+                break
+        ys = oracle.query_function_many([front[k] for k in live]).tolist()
+        nxt_live = []
+        for lane, y in zip(live, ys):
+            u = front[lane]
+            steps[lane] += 1
+            kind, prev = _arrival(preds[lane], u, y)
+            if kind == "go" and steps[lane] < cap:
+                front[lane] = y
+                nxt_live.append(lane)
+                continue
+            if kind == "found":
+                successes += 1
+                if len(sample_witnesses) < 32:
+                    sample_witnesses.append(Witness("collision", (u, prev, y)))
+            finished += 1
+            if spawn(lane):
+                nxt_live.append(lane)
+        live = nxt_live
+
+    return {
+        "attempts": finished,
+        "successes": successes,
+        "queries": bud.spent(),
+        "success_rate": successes / finished if finished else 0.0,
+        "witnesses": sample_witnesses,
+        "truncated": truncated,
+    }
+
+
+def _battery_run(fn, inst, relabel_seed, **kw):
+    o = CountedOracle(inst, relabel_seed=relabel_seed)
+    return fn(o, **kw), list(o.iter_transcript())
+
+
+def _scalar_expectation(succ, t):
+    """The exact enumerator's definition, one start at a time: the walk
+    from x costs min(tau + sigma, 2^t) and succeeds iff tau >= 1 and
+    tau + sigma <= 2^t (tau: distance to the cycle, sigma: its length)."""
+    n, cap = len(succ), 1 << t
+    cost = good = 0
+    for x in range(n):
+        first = {}
+        y = x
+        while y not in first:
+            first[y] = len(first)
+            y = int(succ[y])
+        tau, sigma = first[y], len(first) - first[y]
+        cost += min(tau + sigma, cap)
+        good += tau >= 1 and tau + sigma <= cap
+    return (Fraction(good, n), Fraction(cost, n),
+            Fraction(cost, good) if good else None)
+
+
+class TestBatteryDifferential:
+    """The vectorised battery against the per-lane-dict reference."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        return gen_collision_function(4096, PAR, seed=3)[0]
+
+    @pytest.mark.parametrize("t", [2, 5, 8])
+    @pytest.mark.parametrize("batch", [1, 7, 512, 1500])
+    def test_matches_reference(self, instance, t, batch):
+        for relabel_seed in (None, 4):
+            kw = dict(t=t, attempts=1500, seed=t * 100 + batch, batch=batch)
+            ref = _battery_run(_reference_battery, instance, relabel_seed, **kw)
+            got = _battery_run(collision_attempt_battery, instance,
+                               relabel_seed, **kw)
+            assert got == ref
+            assert got[0]["attempts"] == 1500 and not got[0]["truncated"]
+
+    @pytest.mark.parametrize("t", [2, 5, 8])
+    def test_matches_reference_under_budget(self, instance, t):
+        for batch in (1, 7, 512):
+            kw = dict(t=t, attempts=20000, seed=1, batch=batch, budget=500)
+            ref = _battery_run(_reference_battery, instance, 9, **kw)
+            got = _battery_run(collision_attempt_battery, instance, 9, **kw)
+            assert got == ref
+            assert got[0]["truncated"] and got[0]["queries"] == 500
+
+    def test_matches_reference_on_random_functions(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 3, 17, 1000):
+            inst = FunctionInstance(n=n, succ=rng.integers(0, n, n),
+                                    meta=None, info={})
+            for t in (0, 1, 3, 11):
+                kw = dict(t=t, attempts=300, seed=n + t, batch=13)
+                assert (_battery_run(collision_attempt_battery, inst, None, **kw)
+                        == _battery_run(_reference_battery, inst, None, **kw))
+
+    def test_exact_enumerator_matches_scalar_walks(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 17, 1000):
+            for succ in (rng.integers(0, n, n), rng.permutation(n)):
+                inst = FunctionInstance(n=n, succ=succ, meta=None, info={})
+                for t in (0, 2, 6, 12):
+                    e = exact_cert_expectation(inst, t)
+                    assert ((e.success_prob, e.cost_per_attempt, e.expected_total)
+                            == _scalar_expectation(succ, t)), (n, t)
+
+
+class TestNegativeBudget:
+    """A negative budget allows nothing: no detector may spend a query."""
+
+    def test_every_clipping_detector_spends_nothing(self):
+        fn, fc, _ = gen_collision_function(4096, PAR, seed=3)
+        fp, fpc, _ = gen_fixedpoint_function(4096, FixedPointParams(), seed=7)
+        star, stc, _ = gen_star_graph(2048, "triangle", seed=9)
+        runs = [
+            (fn, lambda o: collision_attempt_battery(o, fc.payload["t"], 200,
+                                                     seed=1, budget=-5)),
+            (fn, lambda o: cert_collision_search(o, fc, seed=1, budget=-5)),
+            (fn, lambda o: multiscale_collision_search(o, 2, 5, seed=1,
+                                                       budget=-5)),
+            (fp, lambda o: cert_fixedpoint_search(o, fpc, seed=1, budget=-5)),
+            (fp, lambda o: uniform_probe_baseline(o, "fixed-point", seed=1,
+                                                  budget=-5)),
+            (star, lambda o: cert_star_search(o, stc, seed=1, budget=-5)),
+        ]
+        for inst, run in runs:
+            o = CountedOracle(inst)
+            res = run(o)
+            if isinstance(res, dict):
+                assert res["queries"] == 0 and res["truncated"]
+            else:
+                assert res.status == "BudgetExceeded" and res.queries == 0
+            assert o.count == 0
 
 
 class TestClawDetector:
