@@ -191,8 +191,3 @@ class AdversarySession:
         # pre-resolution order matches the final CSR: forward first
         lst = [int(x) for x in (self._nxt[v], self._prv[v]) if x >= 0]
         return lst[i]
-
-
-def gen_online_claw_session(n: int, params: ScaleParams, seed=None) -> AdversarySession:
-    """Convenience constructor mirroring the offline generator signature."""
-    return AdversarySession(n, params, seed)

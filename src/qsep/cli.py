@@ -34,6 +34,7 @@ from qsep.generators import (
     gen_starpath_graph,
 )
 from qsep.harness import (
+    CERT_KINDS,
     DETECTORS,
     SeparationPoint,
     TrialConfig,
@@ -154,6 +155,8 @@ def cmd_gen(args) -> int:
     seed = _master_seed(args)
     construction = _ALIASES.get(args.construction, args.construction)
     n = args.n
+    if n < 1:
+        raise ParameterError(f"--n must be >= 1, got {n}")
     if construction == "collision-fn":
         filler = "cycles" if args.no_fixed_points else "fixed"
         inst, cert, meta = gen_collision_function(
@@ -210,8 +213,6 @@ def cmd_gen(args) -> int:
 
 def _detector_kwargs(args) -> dict:
     kw = {}
-    if args.budget is not None:
-        kw["budget"] = args.budget
     if args.detector == "multiscale":
         lo, hi = _parse_scales(args.scales or "2..8")
         kw["i_min"], kw["i_max"] = lo, hi
@@ -239,6 +240,11 @@ def cmd_run(args) -> int:
     seed = _master_seed(args)
     inst = read_instance(args.instance)
     cert = read_certificate(args.cert) if args.cert else None
+    kinds = CERT_KINDS.get(args.detector)
+    if kinds and (cert is None or cert.kind not in kinds):
+        got = "no --cert" if cert is None else f"a {cert.kind} certificate"
+        raise ParameterError(f"{args.detector} needs a {' or '.join(kinds)} "
+                             f"certificate, got {got}")
     if args.corrupt_cert:
         if cert is None:
             raise ParameterError("--corrupt-cert needs --cert")

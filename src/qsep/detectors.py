@@ -16,6 +16,10 @@ the predecessor of a recorded element is the trajectory entry before
 it. The battery is vectorised across lanes, one numpy pass per lockstep
 round, and sends the same queries in the same order as one Python step
 per lane would.
+
+Budgets live on the oracle only. A query the budget cannot pay for is
+refused uncounted; lockstep batches are clipped to what it still pays
+for, and multi-query steps are refused whole, before their first query.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from qsep.oracle import Certificate, Witness
+from qsep.oracle import BudgetExceeded, Certificate, Witness
 
 FOUND = "Found"
 EXHAUSTED = "Exhausted"
@@ -56,36 +60,22 @@ class SearchOutcome:
         }
 
 
-class _Budget:
-    """Combined view of a caller budget and the oracle's own hard budget."""
-
-    def __init__(self, oracle, budget):
-        self._oracle = oracle
-        self._limit = budget
-        self._start = oracle.count
-
-    def spent(self) -> int:
-        return self._oracle.count - self._start
-
-    def remaining(self):
-        """Queries left, never negative; None when neither side is bounded."""
-        vals = []
-        if self._limit is not None:
-            vals.append(self._limit - self.spent())
-        hard = self._oracle.remaining()
-        if hard is not None:
-            vals.append(hard)
-        return max(0, min(vals)) if vals else None
-
-    def allows(self, k: int) -> bool:
-        rem = self.remaining()
-        return rem is None or rem >= k
+def _clip(oracle, batch):
+    """The prefix of a lockstep batch that the oracle's budget still pays
+    for; BudgetExceeded when it pays for none of it."""
+    rem = oracle.remaining()
+    if rem is None or rem >= len(batch):
+        return batch
+    if rem == 0:
+        raise BudgetExceeded("budget spent")
+    return batch[:rem]
 
 
-def _rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def _need(oracle, k: int) -> None:
+    """Refuse a k-query step before any of it is spent."""
+    rem = oracle.remaining()
+    if rem is not None and rem < k:
+        raise BudgetExceeded(f"{k} queries needed, {rem} left")
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +104,7 @@ _HASH_MULT = 0x9E3779B1  # odd, about 2^32 / golden ratio (Fibonacci hashing)
 
 
 def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
-                              batch: int = 512, budget=None) -> dict:
+                              batch: int = 512) -> dict:
     """Run independent single walk attempts at scale t in lockstep batches.
 
     Each round sends one query per live lane, in ascending lane order, in
@@ -128,8 +118,8 @@ def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
     of starts. Per-attempt statistics match the exact all-starts
     enumeration.
     """
-    rng = _rng(seed)
-    bud = _Budget(oracle, budget)
+    rng = np.random.default_rng(seed)
+    q0 = oracle.count
     n = oracle.n
     cap = 1 << int(t)
     starts = rng.integers(0, n, size=attempts)
@@ -163,7 +153,7 @@ def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
     sample_witnesses: list[Witness] = []
     truncated = False
     while len(live):
-        rem = bud.remaining()
+        rem = oracle.remaining()
         if rem is not None and rem < len(live):
             live = live[:rem]
             truncated = True
@@ -210,20 +200,20 @@ def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
     return {
         "attempts": finished,
         "successes": successes,
-        "queries": bud.spent(),
+        "queries": oracle.count - q0,
         "success_rate": successes / finished if finished else 0.0,
         "witnesses": sample_witnesses,
         "truncated": truncated,
     }
 
 
-def cert_collision_search(oracle, cert: Certificate, seed=None, budget=None,
+def cert_collision_search(oracle, cert: Certificate, seed=None,
                           batch: int = 16, max_attempts=None) -> SearchOutcome:
     """Walk forward up to 2^t steps per attempt at the certified scale t,
     sharing the predecessor map across attempts."""
     t = int(cert.payload["t"])
-    rng = _rng(seed)
-    bud = _Budget(oracle, budget)
+    rng = np.random.default_rng(seed)
+    q0 = oracle.count
     n = oracle.n
     cap = 1 << t
 
@@ -232,6 +222,9 @@ def cert_collision_search(oracle, cert: Certificate, seed=None, budget=None,
     steps = [0] * batch
     attempts = 0
     live: list[int] = []
+
+    def out(status, w=None):
+        return SearchOutcome(status, w, oracle.count - q0, attempts, {"t": t})
 
     def spawn(lane: int) -> bool:
         nonlocal attempts
@@ -248,39 +241,36 @@ def cert_collision_search(oracle, cert: Certificate, seed=None, budget=None,
         if spawn(lane):
             live.append(lane)
 
-    while live:
-        rem = bud.remaining()
-        if rem is not None and rem < len(live):
-            live = live[:rem]
-            if not live:
-                return SearchOutcome(BUDGET_EXCEEDED, None, bud.spent(), attempts,
-                                     {"t": t})
-        ys = oracle.query_function_many([front[k] for k in live]).tolist()
-        nxt_live = []
-        for lane, y in zip(live, ys):
-            u = front[lane]
-            steps[lane] += 1
-            kind, prev = _arrival(pred, u, y)
-            if kind == "found":
-                w = Witness("collision", (u, prev, y))
-                return SearchOutcome(FOUND, w, bud.spent(), attempts, {"t": t})
-            if kind == "go" and steps[lane] < cap:
-                front[lane] = y
-                nxt_live.append(lane)
-            elif spawn(lane):
-                nxt_live.append(lane)
-        live = nxt_live
-    return SearchOutcome(EXHAUSTED, None, bud.spent(), attempts, {"t": t})
+    try:
+        while live:
+            live = _clip(oracle, live)
+            ys = oracle.query_function_many([front[k] for k in live]).tolist()
+            nxt_live = []
+            for lane, y in zip(live, ys):
+                u = front[lane]
+                steps[lane] += 1
+                kind, prev = _arrival(pred, u, y)
+                if kind == "found":
+                    return out(FOUND, Witness("collision", (u, prev, y)))
+                if kind == "go" and steps[lane] < cap:
+                    front[lane] = y
+                    nxt_live.append(lane)
+                elif spawn(lane):
+                    nxt_live.append(lane)
+            live = nxt_live
+    except BudgetExceeded:
+        return out(BUDGET_EXCEEDED)
+    return out(EXHAUSTED)
 
 
 def multiscale_collision_search(oracle, i_min: int, i_max: int, seed=None,
-                                budget=None, max_attempts=None) -> SearchOutcome:
+                                max_attempts=None) -> SearchOutcome:
     """One walk per scale in strict round-robin, lowest scale first, one
     step per walk per round. A walk restarts at a fresh uniform element
     when it reaches 2^i steps or a terminal arrival. All walks share the
     predecessor map, so cross-walk arrivals certify collisions too."""
-    rng = _rng(seed)
-    bud = _Budget(oracle, budget)
+    rng = np.random.default_rng(seed)
+    q0 = oracle.count
     n = oracle.n
     scales = list(range(int(i_min), int(i_max) + 1))
     caps = [1 << i for i in scales]
@@ -290,6 +280,10 @@ def multiscale_collision_search(oracle, i_min: int, i_max: int, seed=None,
     front = [0] * s
     steps = [0] * s
     attempts = 0
+
+    def out(status, w=None):
+        return SearchOutcome(status, w, oracle.count - q0, attempts,
+                             {"scales": scales})
 
     def spawn(lane: int) -> bool:
         nonlocal attempts
@@ -303,94 +297,86 @@ def multiscale_collision_search(oracle, i_min: int, i_max: int, seed=None,
         return True
 
     lanes = [lane for lane in range(s) if spawn(lane)]
-    while lanes:
-        rem = bud.remaining()
-        if rem is not None and rem < len(lanes):
-            lanes = lanes[:rem]
-            if not lanes:
-                return SearchOutcome(BUDGET_EXCEEDED, None, bud.spent(), attempts,
-                                     {"scales": scales})
-        ys = oracle.query_function_many([front[k] for k in lanes]).tolist()
-        nxt = []
-        for lane, y in zip(lanes, ys):
-            u = front[lane]
-            steps[lane] += 1
-            kind, prev = _arrival(pred, u, y)
-            if kind == "found":
-                w = Witness("collision", (u, prev, y))
-                return SearchOutcome(FOUND, w, bud.spent(), attempts,
-                                     {"scales": scales})
-            if kind == "go" and steps[lane] < caps[lane]:
-                front[lane] = y
-                nxt.append(lane)
-            elif spawn(lane):
-                nxt.append(lane)
-        lanes = nxt
-    return SearchOutcome(EXHAUSTED, None, bud.spent(), attempts, {"scales": scales})
+    try:
+        while lanes:
+            lanes = _clip(oracle, lanes)
+            ys = oracle.query_function_many([front[k] for k in lanes]).tolist()
+            nxt = []
+            for lane, y in zip(lanes, ys):
+                u = front[lane]
+                steps[lane] += 1
+                kind, prev = _arrival(pred, u, y)
+                if kind == "found":
+                    return out(FOUND, Witness("collision", (u, prev, y)))
+                if kind == "go" and steps[lane] < caps[lane]:
+                    front[lane] = y
+                    nxt.append(lane)
+                elif spawn(lane):
+                    nxt.append(lane)
+            lanes = nxt
+    except BudgetExceeded:
+        return out(BUDGET_EXCEEDED)
+    return out(EXHAUSTED)
 
 
 # ---------------------------------------------------------------------------
 # claw walker
 
 
-def cert_claw_search(oracle, cert: Certificate, seed=None, budget=None,
+def cert_claw_search(oracle, cert: Certificate, seed=None,
                      max_attempts=None) -> SearchOutcome:
     """Chain-walk up to 2^t steps from uniform starts until a degree-3
     vertex appears, then report it with three of its neighbors."""
     t = int(cert.payload["t"])
-    rng = _rng(seed)
-    bud = _Budget(oracle, budget)
+    rng = np.random.default_rng(seed)
+    q0 = oracle.count
     n = oracle.n
     cap = 1 << t
     attempts = 0
 
     def out(status, w=None):
-        return SearchOutcome(status, w, bud.spent(), attempts, {"t": t})
+        return SearchOutcome(status, w, oracle.count - q0, attempts, {"t": t})
 
-    while max_attempts is None or attempts < max_attempts:
-        if not bud.allows(1):
-            return out(BUDGET_EXCEEDED)
-        attempts += 1
-        v = int(rng.integers(n))
-        d = oracle.query_degree(v)
-        if d >= 3:
-            if not bud.allows(3):
-                return out(BUDGET_EXCEEDED)
-            leaves = tuple(oracle.query_neighbor(v, j) for j in range(3))
-            return out(FOUND, Witness("claw", (v, *leaves)))
-        if d == 0:
-            continue
-        prev = None
-        cur = v
-        for _ in range(cap):
-            # pick the forward neighbor
-            if not bud.allows(2):
-                return out(BUDGET_EXCEEDED)
-            if d == 1:
-                nxt = oracle.query_neighbor(cur, 0)
-                if nxt == prev:
-                    break  # dead end
-            else:
-                if prev is None:
-                    nxt = oracle.query_neighbor(cur, int(rng.integers(2)))
-                else:
+    def claw_at(v):
+        _need(oracle, 3)
+        leaves = tuple(oracle.query_neighbor(v, j) for j in range(3))
+        return out(FOUND, Witness("claw", (v, *leaves)))
+
+    try:
+        while max_attempts is None or attempts < max_attempts:
+            _need(oracle, 1)
+            attempts += 1
+            v = int(rng.integers(n))
+            d = oracle.query_degree(v)
+            if d >= 3:
+                return claw_at(v)
+            if d == 0:
+                continue
+            prev = None
+            cur = v
+            for _ in range(cap):
+                # pick the forward neighbor
+                _need(oracle, 2)
+                if d == 1:
                     nxt = oracle.query_neighbor(cur, 0)
                     if nxt == prev:
-                        if not bud.allows(1):
-                            return out(BUDGET_EXCEEDED)
-                        nxt = oracle.query_neighbor(cur, 1)
-            if not bud.allows(1):
-                return out(BUDGET_EXCEEDED)
-            prev, cur = cur, nxt
-            d = oracle.query_degree(cur)
-            if d >= 3:
-                if not bud.allows(3):
-                    return out(BUDGET_EXCEEDED)
-                leaves = tuple(oracle.query_neighbor(cur, j) for j in range(3))
-                return out(FOUND, Witness("claw", (cur, *leaves)))
-            if d == 1:
-                # path end; one more probe confirms the dead end next loop
-                continue
+                        break  # dead end
+                else:
+                    if prev is None:
+                        nxt = oracle.query_neighbor(cur, int(rng.integers(2)))
+                    else:
+                        nxt = oracle.query_neighbor(cur, 0)
+                        if nxt == prev:
+                            nxt = oracle.query_neighbor(cur, 1)
+                prev, cur = cur, nxt
+                d = oracle.query_degree(cur)
+                if d >= 3:
+                    return claw_at(cur)
+                if d == 1:
+                    # path end; one more probe confirms the dead end next loop
+                    continue
+    except BudgetExceeded:
+        return out(BUDGET_EXCEEDED)
     return out(EXHAUSTED)
 
 
@@ -398,31 +384,27 @@ def cert_claw_search(oracle, cert: Certificate, seed=None, budget=None,
 # fixed-point search via prime-spaced intersections
 
 
-def _fixed_walk_batch(oracle, starts, length, bud):
+def _fixed_walk_batch(oracle, starts, length):
     """Advance all walks `length` steps in lockstep, recording trajectories.
-    Returns (traj, fp, truncated): traj is (lanes, length+1) with -1 padding,
-    fp is a fixed-point witness element or None."""
+    Returns (traj, fp): traj is (lanes, length+1) with -1 padding, fp is a
+    fixed-point witness element or None."""
     lanes = len(starts)
     traj = np.full((lanes, length + 1), -1, dtype=np.int64)
     traj[:, 0] = starts
     active = np.arange(lanes)
     for r in range(length):
-        rem = bud.remaining()
-        if rem is not None and rem < len(active):
-            active = active[:rem]
-            if len(active) == 0:
-                return traj, None, True
+        active = _clip(oracle, active)
         fronts = traj[active, r]
         ys = oracle.query_function_many(fronts)
         traj[active, r + 1] = ys
         hit = np.flatnonzero(ys == fronts)
         if len(hit):
-            return traj, int(fronts[hit[0]]), False
-    return traj, None, False
+            return traj, int(fronts[hit[0]])
+    return traj, None
 
 
 def cert_fixedpoint_search(oracle, cert: Certificate, seed=None, C: float = 2.0,
-                           budget=None, max_iterations: int = 64) -> SearchOutcome:
+                           max_iterations: int = 64) -> SearchOutcome:
     """Short walks, long walks, then follow long walks whose meeting
     pattern with the short walks is spaced by a certified prime.
 
@@ -445,8 +427,8 @@ def cert_fixedpoint_search(oracle, cert: Certificate, seed=None, C: float = 2.0,
     iterations without a fixed point the outcome is Exhausted.
     """
     primes = [int(p) for p in cert.payload["primes"]]
-    rng = _rng(seed)
-    bud = _Budget(oracle, budget)
+    rng = np.random.default_rng(seed)
+    q0 = oracle.count
     n = oracle.n
     rt4 = max(1, math.ceil(n ** 0.25))
     rt2 = max(1, math.ceil(math.sqrt(n)))
@@ -459,69 +441,64 @@ def cert_fixedpoint_search(oracle, cert: Certificate, seed=None, C: float = 2.0,
              "false_follow_queries": 0, "found_via": None}
 
     def out(status, w=None):
-        return SearchOutcome(status, w, bud.spent(), iterations,
+        return SearchOutcome(status, w, oracle.count - q0, iterations,
                              {"C": C, "primes": primes, **stats})
 
-    while iterations < max_iterations:
-        iterations += 1
-        short_traj, fp, trunc = _fixed_walk_batch(
-            oracle, rng.integers(0, n, size=k_short), len_short, bud)
-        if fp is not None:
-            stats["found_via"] = "walk"
-            return out(FOUND, Witness("fixed-point", (fp,)))
-        if trunc:
-            return out(BUDGET_EXCEEDED)
-        long_traj, fp, trunc = _fixed_walk_batch(
-            oracle, rng.integers(0, n, size=k_long), len_long, bud)
-        if fp is not None:
-            stats["found_via"] = "walk"
-            return out(FOUND, Witness("fixed-point", (fp,)))
-        if trunc:
-            return out(BUDGET_EXCEEDED)
+    try:
+        while iterations < max_iterations:
+            iterations += 1
+            short_traj, fp = _fixed_walk_batch(
+                oracle, rng.integers(0, n, size=k_short), len_short)
+            if fp is None:
+                long_traj, fp = _fixed_walk_batch(
+                    oracle, rng.integers(0, n, size=k_long), len_long)
+            if fp is not None:
+                stats["found_via"] = "walk"
+                return out(FOUND, Witness("fixed-point", (fp,)))
 
-        safe = np.where(short_traj >= 0, short_traj, 0)
-        for row in long_traj:
-            row = row[row >= 0]
-            if len(row) == 0:
-                continue
-            # first-occurrence positions along this long walk
-            pos[row[::-1]] = np.arange(len(row) - 1, -1, -1)
-            hits = np.where(short_traj >= 0, pos[safe], -1)
-            masked = np.where(hits >= 0, hits, np.iinfo(np.int64).max)
-            first = masked.min(axis=1)
-            js = first[first < np.iinfo(np.int64).max]
-            pos[row] = -1
-            if len(js) < 4:
-                continue
-            # prime signature: several short walks first-met in one residue
-            # class, and that class dominates (feeder entries sit p apart,
-            # so host-cycle intersections concentrate; a plain cycle
-            # spreads them uniformly)
-            need = max(4, math.ceil(2 * len(js) / 3))
-            if not any(np.bincount(js % p).max() >= need
-                       for p in primes if p > 1):
-                continue
-            # follow this long walk to termination
-            stats["triggers"] += 1
-            seen = set(row.tolist())
-            cur = int(row[-1])
-            spent = 0
-            while True:
-                if not bud.allows(1):
-                    return out(BUDGET_EXCEEDED)
-                y = oracle.query_function(cur)
-                spent += 1
-                stats["follow_queries"] += 1
-                if y == cur:
-                    stats["found_via"] = "follow"
-                    return out(FOUND, Witness("fixed-point", (cur,)))
-                if y in seen:
-                    # closed a cycle without a fixed point: mismatch
-                    stats["false_follows"] += 1
-                    stats["false_follow_queries"] += spent
-                    break
-                seen.add(y)
-                cur = y
+            safe = np.where(short_traj >= 0, short_traj, 0)
+            for row in long_traj:
+                row = row[row >= 0]
+                if len(row) == 0:
+                    continue
+                # first-occurrence positions along this long walk
+                pos[row[::-1]] = np.arange(len(row) - 1, -1, -1)
+                hits = np.where(short_traj >= 0, pos[safe], -1)
+                masked = np.where(hits >= 0, hits, np.iinfo(np.int64).max)
+                first = masked.min(axis=1)
+                js = first[first < np.iinfo(np.int64).max]
+                pos[row] = -1
+                if len(js) < 4:
+                    continue
+                # prime signature: several short walks first-met in one residue
+                # class, and that class dominates (feeder entries sit p apart,
+                # so host-cycle intersections concentrate; a plain cycle
+                # spreads them uniformly)
+                need = max(4, math.ceil(2 * len(js) / 3))
+                if not any(np.bincount(js % p).max() >= need
+                           for p in primes if p > 1):
+                    continue
+                # follow this long walk to termination
+                stats["triggers"] += 1
+                seen = set(row.tolist())
+                cur = int(row[-1])
+                spent = 0
+                while True:
+                    y = oracle.query_function(cur)
+                    spent += 1
+                    stats["follow_queries"] += 1
+                    if y == cur:
+                        stats["found_via"] = "follow"
+                        return out(FOUND, Witness("fixed-point", (cur,)))
+                    if y in seen:
+                        # closed a cycle without a fixed point: mismatch
+                        stats["false_follows"] += 1
+                        stats["false_follow_queries"] += spent
+                        break
+                    seen.add(y)
+                    cur = y
+    except BudgetExceeded:
+        return out(BUDGET_EXCEEDED)
     return out(EXHAUSTED)
 
 
@@ -529,71 +506,55 @@ def cert_fixedpoint_search(oracle, cert: Certificate, seed=None, C: float = 2.0,
 # star search guided by the certified degree set
 
 
-def cert_star_search(oracle, cert: Certificate, seed=None, budget=None,
+def cert_star_search(oracle, cert: Certificate, seed=None,
                      sample_factor: float = 2.0) -> SearchOutcome:
     """Sample for leaves, hop to their centers, keep centers whose degree
     is certified, then enumerate their leaves and assemble the planted
     clique among leaves of matching degree."""
     degrees = sorted(int(d) for d in cert.payload["degrees"])
     h = len(degrees)
-    rng = _rng(seed)
-    bud = _Budget(oracle, budget)
+    rng = np.random.default_rng(seed)
+    q0 = oracle.count
     n = oracle.n
     q = math.ceil(sample_factor * math.sqrt(n) * math.log2(max(n, 2)))
-
-    def clipped(batch):
-        rem = bud.remaining()
-        if rem is not None and len(batch) > rem:
-            return batch[:rem], True
-        return batch, False
-
-    samples = rng.integers(0, n, size=q)
-    samples, trunc = clipped(samples)
-    attempts = len(samples)
+    attempts = 0
 
     def out(status, w=None):
-        return SearchOutcome(status, w, bud.spent(), attempts,
+        return SearchOutcome(status, w, oracle.count - q0, attempts,
                              {"certified-degrees": degrees})
 
-    if trunc and len(samples) == 0:
-        return out(BUDGET_EXCEEDED)
-    ds = oracle.query_degree_many(samples)
-    leaves = samples[ds == 1]
-    if len(leaves) == 0:
-        return out(EXHAUSTED)
-    leaves, trunc = clipped(leaves)
-    if len(leaves) == 0:
-        return out(BUDGET_EXCEEDED)
-    centers = np.unique(oracle.query_neighbor_many(leaves, np.zeros(len(leaves),
-                                                                    dtype=np.int64)))
-    centers, trunc = clipped(centers)
-    if len(centers) == 0:
-        return out(BUDGET_EXCEEDED)
-    cds = oracle.query_degree_many(centers)
-    good = centers[np.isin(cds, degrees)]
-    good_deg = cds[np.isin(cds, degrees)]
-    if h == 0 or len(good) == 0:
-        return out(EXHAUSTED)
+    try:
+        samples = _clip(oracle, rng.integers(0, n, size=q))
+        attempts = len(samples)
+        ds = oracle.query_degree_many(samples)
+        leaves = samples[ds == 1]
+        if len(leaves) == 0:
+            return out(EXHAUSTED)
+        leaves = _clip(oracle, leaves)
+        centers = np.unique(oracle.query_neighbor_many(
+            leaves, np.zeros(len(leaves), dtype=np.int64)))
+        centers = _clip(oracle, centers)
+        cds = oracle.query_degree_many(centers)
+        good = centers[np.isin(cds, degrees)]
+        good_deg = cds[np.isin(cds, degrees)]
+        if h == 0 or len(good) == 0:
+            return out(EXHAUSTED)
 
-    flagged = []
-    for g, dg in zip(good.tolist(), good_deg.tolist()):
-        if not bud.allows(int(dg)):
-            return out(BUDGET_EXCEEDED)
-        nbrs = oracle.query_neighbor_many(np.full(dg, g, dtype=np.int64),
-                                          np.arange(dg, dtype=np.int64))
-        if not bud.allows(len(nbrs)):
-            return out(BUDGET_EXCEEDED)
-        nds = oracle.query_degree_many(nbrs)
-        flagged.extend(int(x) for x in nbrs[nds == h])
-    if len(flagged) < h:
-        return out(EXHAUSTED)
+        flagged = []
+        for g, dg in zip(good.tolist(), good_deg.tolist()):
+            nbrs = oracle.query_neighbor_many(np.full(dg, g, dtype=np.int64),
+                                              np.arange(dg, dtype=np.int64))
+            nds = oracle.query_degree_many(nbrs)
+            flagged.extend(int(x) for x in nbrs[nds == h])
+        if len(flagged) < h:
+            return out(EXHAUSTED)
 
-    adj = {}
-    for x in flagged:
-        if not bud.allows(h):
-            return out(BUDGET_EXCEEDED)
-        adj[x] = set(oracle.query_neighbor_many(
-            np.full(h, x, dtype=np.int64), np.arange(h, dtype=np.int64)).tolist())
+        adj = {}
+        for x in flagged:
+            adj[x] = set(oracle.query_neighbor_many(
+                np.full(h, x, dtype=np.int64), np.arange(h, dtype=np.int64)).tolist())
+    except BudgetExceeded:
+        return out(BUDGET_EXCEEDED)
     for group in combinations(sorted(flagged), h):
         if all(b in adj[a] for a, b in combinations(group, 2)):
             return out(FOUND, Witness("clique", tuple(group)))
@@ -604,33 +565,20 @@ def cert_star_search(oracle, cert: Certificate, seed=None, budget=None,
 # backbone-indexed k-star search
 
 
-def cert_starpath_search(oracle, cert: Certificate, seed=None,
-                         budget=None) -> SearchOutcome:
+def cert_starpath_search(oracle, cert: Certificate, seed=None) -> SearchOutcome:
     """Navigate to the backbone, count to the certified column, and sweep
     its hanging path for the planted high-degree center."""
     k = int(cert.payload["k"])
     k_star = int(cert.payload["index"])
-    rng = _rng(seed)
-    bud = _Budget(oracle, budget)
+    rng = np.random.default_rng(seed)
+    q0 = oracle.count
     n = oracle.n
-    state = {"attempts": 0}
+    attempts = 0
+    deg, nbr = oracle.query_degree, oracle.query_neighbor
 
     def out(status, w=None):
-        return SearchOutcome(status, w, bud.spent(), state["attempts"],
+        return SearchOutcome(status, w, oracle.count - q0, attempts,
                              {"index": k_star, "k": k})
-
-    class _Stop(Exception):
-        pass
-
-    def deg(v):
-        if not bud.allows(1):
-            raise _Stop
-        return oracle.query_degree(v)
-
-    def nbr(v, i):
-        if not bud.allows(1):
-            raise _Stop
-        return oracle.query_neighbor(v, i)
 
     def neighbors(v, d):
         return [nbr(v, j) for j in range(d)]
@@ -715,13 +663,13 @@ def cert_starpath_search(oracle, cert: Certificate, seed=None,
                 return  # back on the backbone; stop
 
     try:
-        state["attempts"] = 1
+        attempts = 1
         junction = None
         for _ in range(8):
             junction = walk_to_junction(int(rng.integers(n)))
             if junction is not None:
                 break
-            state["attempts"] += 1
+            attempts += 1
         if junction is None:
             return out(EXHAUSTED)
 
@@ -781,7 +729,7 @@ def cert_starpath_search(oracle, cert: Certificate, seed=None,
         return out(EXHAUSTED)
     except _FoundStar as hit:
         return out(FOUND, hit.w)
-    except _Stop:
+    except BudgetExceeded:
         return out(BUDGET_EXCEEDED)
 
 
@@ -789,149 +737,138 @@ def cert_starpath_search(oracle, cert: Certificate, seed=None,
 # certificate-free baselines
 
 
-def path_k_search(oracle, k: int, seed=None, budget=None) -> SearchOutcome:
+def path_k_search(oracle, k: int, seed=None) -> SearchOutcome:
     """Walk k steps from each start (drawn without replacement); Found when
     the k+1 visited elements are distinct."""
-    rng = _rng(seed)
-    bud = _Budget(oracle, budget)
+    rng = np.random.default_rng(seed)
+    q0 = oracle.count
     n = oracle.n
     attempts = 0
-    for x in rng.permutation(n).tolist():
-        attempts += 1
-        visited = [x]
-        seen = {x}
-        for _ in range(k):
-            if not bud.allows(1):
-                return SearchOutcome(BUDGET_EXCEEDED, None, bud.spent(), attempts, {})
-            y = oracle.query_function(visited[-1])
-            if y in seen:
-                break
-            visited.append(y)
-            seen.add(y)
-        if len(visited) == k + 1:
-            w = Witness("path", tuple(visited))
-            return SearchOutcome(FOUND, w, bud.spent(), attempts, {})
-    return SearchOutcome(EXHAUSTED, None, bud.spent(), attempts, {})
+
+    def out(status, w=None):
+        return SearchOutcome(status, w, oracle.count - q0, attempts, {})
+
+    try:
+        for x in rng.permutation(n).tolist():
+            attempts += 1
+            visited = [x]
+            seen = {x}
+            for _ in range(k):
+                y = oracle.query_function(visited[-1])
+                if y in seen:
+                    break
+                visited.append(y)
+                seen.add(y)
+            if len(visited) == k + 1:
+                return out(FOUND, Witness("path", tuple(visited)))
+    except BudgetExceeded:
+        return out(BUDGET_EXCEEDED)
+    return out(EXHAUSTED)
 
 
-def edge_wedge_search(oracle, target: str, seed=None, budget=None,
+def edge_wedge_search(oracle, target: str, seed=None,
                       max_attempts=None) -> SearchOutcome:
     """Uniform sampling with replacement; local degree/neighbor probes."""
     if target not in ("edge", "wedge"):
         raise ValueError(f"target must be 'edge' or 'wedge', got {target!r}")
-    rng = _rng(seed)
-    bud = _Budget(oracle, budget)
+    rng = np.random.default_rng(seed)
+    q0 = oracle.count
     n = oracle.n
     attempts = 0
-    while max_attempts is None or attempts < max_attempts:
-        if not bud.allows(1):
-            return SearchOutcome(BUDGET_EXCEEDED, None, bud.spent(), attempts, {})
-        attempts += 1
-        v = int(rng.integers(n))
-        d = oracle.query_degree(v)
-        if target == "edge":
-            if d >= 1:
-                if not bud.allows(1):
-                    return SearchOutcome(BUDGET_EXCEEDED, None, bud.spent(),
-                                         attempts, {})
+
+    def out(status, w=None):
+        return SearchOutcome(status, w, oracle.count - q0, attempts, {})
+
+    try:
+        while max_attempts is None or attempts < max_attempts:
+            _need(oracle, 1)
+            attempts += 1
+            v = int(rng.integers(n))
+            d = oracle.query_degree(v)
+            if target == "edge":
+                if d >= 1:
+                    w = oracle.query_neighbor(v, 0)
+                    return out(FOUND, Witness("edge", (v, w)))
+                continue
+            if d >= 2:
+                _need(oracle, 2)
+                a = oracle.query_neighbor(v, 0)
+                b = oracle.query_neighbor(v, 1)
+                return out(FOUND, Witness("wedge", (v, a, b)))
+            if d == 1:
+                _need(oracle, 2)
                 w = oracle.query_neighbor(v, 0)
-                return SearchOutcome(FOUND, Witness("edge", (v, w)), bud.spent(),
-                                     attempts, {})
-            continue
-        if d >= 2:
-            if not bud.allows(2):
-                return SearchOutcome(BUDGET_EXCEEDED, None, bud.spent(), attempts, {})
-            a = oracle.query_neighbor(v, 0)
-            b = oracle.query_neighbor(v, 1)
-            return SearchOutcome(FOUND, Witness("wedge", (v, a, b)), bud.spent(),
-                                 attempts, {})
-        if d == 1:
-            if not bud.allows(2):
-                return SearchOutcome(BUDGET_EXCEEDED, None, bud.spent(), attempts, {})
-            w = oracle.query_neighbor(v, 0)
-            dw = oracle.query_degree(w)
-            if dw >= 2:
-                if not bud.allows(2):
-                    return SearchOutcome(BUDGET_EXCEEDED, None, bud.spent(),
-                                         attempts, {})
-                a = oracle.query_neighbor(w, 0)
-                b = oracle.query_neighbor(w, 1)
-                return SearchOutcome(FOUND, Witness("wedge", (w, a, b)), bud.spent(),
-                                     attempts, {})
-    return SearchOutcome(EXHAUSTED, None, bud.spent(), attempts, {})
+                dw = oracle.query_degree(w)
+                if dw >= 2:
+                    _need(oracle, 2)
+                    a = oracle.query_neighbor(w, 0)
+                    b = oracle.query_neighbor(w, 1)
+                    return out(FOUND, Witness("wedge", (w, a, b)))
+    except BudgetExceeded:
+        return out(BUDGET_EXCEEDED)
+    return out(EXHAUSTED)
 
 
-def uniform_probe_baseline(oracle, target: str, seed=None, budget=None,
+def uniform_probe_baseline(oracle, target: str, seed=None,
                            k: int | None = None, chunk: int = 256) -> SearchOutcome:
-    """Sample elements without replacement; verify the target locally."""
-    rng = _rng(seed)
-    bud = _Budget(oracle, budget)
+    """Sample elements without replacement; verify the target locally.
+
+    The chunked targets report Exhausted only after probing all n
+    elements; a budget that cuts the probing short is BudgetExceeded."""
+    rng = np.random.default_rng(seed)
+    q0 = oracle.count
     n = oracle.n
     order = rng.permutation(n)
     attempts = 0
 
     def out(status, w=None):
-        return SearchOutcome(status, w, bud.spent(), attempts, {"target": target})
+        return SearchOutcome(status, w, oracle.count - q0, attempts, {"target": target})
 
-    if target == "fixed-point":
+    def chunks():
+        nonlocal attempts
         for lo in range(0, n, chunk):
-            xs = order[lo:lo + chunk]
-            rem = bud.remaining()
-            if rem is not None and rem < len(xs):
-                xs = xs[:rem]
-                if len(xs) == 0:
-                    return out(BUDGET_EXCEEDED)
-            ys = oracle.query_function_many(xs)
+            xs = _clip(oracle, order[lo:lo + chunk])
             attempts += len(xs)
-            hits = np.flatnonzero(ys == xs)
-            if len(hits):
-                x = int(xs[hits[0]])
-                attempts -= len(xs) - int(hits[0]) - 1  # samples after the hit
-                return out(FOUND, Witness("fixed-point", (x,)))
-        return out(EXHAUSTED)
+            yield xs
 
-    if target == "k-star":
-        if k is None:
-            raise ValueError("k-star target needs k")
-        for lo in range(0, n, chunk):
-            xs = order[lo:lo + chunk]
-            rem = bud.remaining()
-            if rem is not None and rem < len(xs):
-                xs = xs[:rem]
-                if len(xs) == 0:
-                    return out(BUDGET_EXCEEDED)
-            ds = oracle.query_degree_many(xs)
-            attempts += len(xs)
-            for j in np.flatnonzero(ds >= k):
-                v = int(xs[j])
-                d = int(ds[j])
-                if not bud.allows(2 * d):
-                    return out(BUDGET_EXCEEDED)
-                nbrs = oracle.query_neighbor_many(np.full(d, v, dtype=np.int64),
-                                                  np.arange(d, dtype=np.int64))
-                nds = oracle.query_degree_many(nbrs)
-                pend = nbrs[nds == 1]
-                if len(pend) >= k:
-                    w = Witness("k-star", (v, *(int(x) for x in pend[:k])))
-                    return out(FOUND, w)
-        return out(EXHAUSTED)
-
-    if target in ("edge", "wedge"):
-        need = 1 if target == "edge" else 2
-        for x in order.tolist():
-            if not bud.allows(1):
-                return out(BUDGET_EXCEEDED)
-            attempts += 1
-            d = oracle.query_degree(x)
-            if d >= need:
-                if not bud.allows(need):
-                    return out(BUDGET_EXCEEDED)
-                ns = [oracle.query_neighbor(x, j) for j in range(need)]
-                kind = "edge" if target == "edge" else "wedge"
-                return out(FOUND, Witness(kind, (x, *ns)))
-        return out(EXHAUSTED)
-
-    raise ValueError(f"unsupported target {target!r}")
+    try:
+        if target == "fixed-point":
+            for xs in chunks():
+                hits = np.flatnonzero(oracle.query_function_many(xs) == xs)
+                if len(hits):
+                    attempts -= len(xs) - int(hits[0]) - 1  # samples after the hit
+                    return out(FOUND, Witness("fixed-point", (int(xs[hits[0]]),)))
+        elif target == "k-star":
+            if k is None:
+                raise ValueError("k-star target needs k")
+            for xs in chunks():
+                ds = oracle.query_degree_many(xs)
+                for j in np.flatnonzero(ds >= k):
+                    v = int(xs[j])
+                    d = int(ds[j])
+                    _need(oracle, 2 * d)
+                    nbrs = oracle.query_neighbor_many(np.full(d, v, dtype=np.int64),
+                                                      np.arange(d, dtype=np.int64))
+                    nds = oracle.query_degree_many(nbrs)
+                    pend = nbrs[nds == 1]
+                    if len(pend) >= k:
+                        w = Witness("k-star", (v, *(int(x) for x in pend[:k])))
+                        return out(FOUND, w)
+        elif target in ("edge", "wedge"):
+            need = 1 if target == "edge" else 2
+            for x in order.tolist():
+                _need(oracle, 1)
+                attempts += 1
+                d = oracle.query_degree(x)
+                if d >= need:
+                    _need(oracle, need)
+                    ns = [oracle.query_neighbor(x, j) for j in range(need)]
+                    return out(FOUND, Witness(target, (x, *ns)))
+        else:
+            raise ValueError(f"unsupported target {target!r}")
+    except BudgetExceeded:
+        return out(BUDGET_EXCEEDED)
+    return out(EXHAUSTED if attempts == n else BUDGET_EXCEEDED)
 
 
 # ---------------------------------------------------------------------------
@@ -1036,7 +973,7 @@ def _next_prime(p: int) -> int:
 def corrupt_certificate(cert: Certificate, seed=None, scale_window=None,
                         index_range=None) -> Certificate:
     """Produce a well-formed certificate that is wrong for its instance."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     kind, payload = cert.kind, dict(cert.payload)
     if kind in ("CollisionScale", "ClawScale"):
         t = int(payload["t"])

@@ -48,12 +48,6 @@ class PrimeShortageError(ParameterError):
     """The prime window holds fewer primes than cycles needed."""
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _seed_repr(seed):
     return int(seed) if isinstance(seed, (int, np.integer)) else None
 
@@ -219,7 +213,7 @@ def gen_collision_function(n: int, params: ScaleParams, seed,
     All other paths close into cycles. Leftovers become fixed points, or
     2-/3-cycles under filler="cycles".
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     table = scale_table(n, params, witness_overhead=0)
     sigma = rng.permutation(n).astype(np.int64)
     t = int(rng.integers(params.i_min, params.i_max + 1)) if t_override is None \
@@ -357,7 +351,7 @@ def gen_claw_graph(n: int, params: ScaleParams, seed,
                    b_override: int | None = None,
                    t_override: int | None = None):
     """Undirected multi-scale instance whose good scale carries 2*b_t claws."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     table = scale_table(n, params, witness_overhead=_CLAW_OVERHEAD)
     sigma = rng.permutation(n).astype(np.int64)
     t = int(rng.integers(params.i_min, params.i_max + 1)) if t_override is None \
@@ -428,10 +422,13 @@ def gen_fixedpoint_function(n: int, params: FixedPointParams,
                              "is wired up")
     if params.T < 1:
         raise ParameterError("T must be >= 1")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     q4 = n ** 0.25
     cycle_len = params.cycle_len if params.cycle_len is not None else int(n ** 0.75)
     feeder_len = params.feeder_len if params.feeder_len is not None else max(1, int(q4))
+    if cycle_len < 1 or feeder_len < 1:
+        raise ParameterError(f"cycle_len and feeder_len must be >= 1, got "
+                             f"{cycle_len} and {feeder_len}")
     lo = params.prime_lo if params.prime_lo is not None else q4 / 4
     hi = params.prime_hi if params.prime_hi is not None else q4 / 2
     n_raw = int(params.alpha * q4 / math.log2(n))
@@ -583,7 +580,7 @@ def gen_star_graph(n: int, h_spec, seed):
         raise ParameterError(f"clique size {h} exceeds star count {s}")
     if h and degrees[0] <= h:
         raise ParameterError("clique degree would collide with center degrees")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     sigma = rng.permutation(n).astype(np.int64)
     centers = sigma[:s]
     leaves = sigma[s:]
@@ -647,7 +644,7 @@ def gen_starpath_graph(n: int, k: int, seed):
         raise ParameterError(f"n = {n} too small for the backbone layout")
     q, r = divmod(hang_total, s)
 
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     sigma = rng.permutation(n).astype(np.int64)
     v0 = int(sigma[0])
     backbone = sigma[1:s + 1]

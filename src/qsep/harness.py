@@ -20,14 +20,12 @@ import hashlib
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from qsep.detectors import (
-    BUDGET_EXCEEDED,
-    EXHAUSTED,
     FOUND,
     cert_claw_search,
     cert_collision_search,
@@ -50,6 +48,7 @@ from qsep.generators import (
 )
 from qsep.oracle import (
     CountedOracle,
+    _jsonable,
     _unrelabel_witness,
     canonical_json,
     validate_witness,
@@ -260,71 +259,38 @@ GENERATORS = {
 }
 
 
-def _det_cert_collision(oracle, cert, seed, **kw):
-    return cert_collision_search(oracle, cert, seed=seed, **kw)
-
-
-def _det_multiscale(oracle, cert, seed, **kw):
-    return multiscale_collision_search(oracle, seed=seed, **kw)
-
-
-def _det_cert_claw(oracle, cert, seed, **kw):
-    return cert_claw_search(oracle, cert, seed=seed, **kw)
-
-
-def _det_cert_fixedpoint(oracle, cert, seed, **kw):
-    return cert_fixedpoint_search(oracle, cert, seed=seed, **kw)
-
-
-def _det_cert_star(oracle, cert, seed, **kw):
-    return cert_star_search(oracle, cert, seed=seed, **kw)
-
-
-def _det_cert_starpath(oracle, cert, seed, **kw):
-    return cert_starpath_search(oracle, cert, seed=seed, **kw)
-
-
-def _det_path_k(oracle, cert, seed, **kw):
-    return path_k_search(oracle, seed=seed, **kw)
-
-
-def _det_edge_wedge(oracle, cert, seed, **kw):
-    return edge_wedge_search(oracle, seed=seed, **kw)
-
-
-def _det_uniform_probe(oracle, cert, seed, **kw):
-    return uniform_probe_baseline(oracle, seed=seed, **kw)
+def _certless(search):
+    """Give a certificate-free search the (oracle, cert, seed) signature."""
+    def run(oracle, cert, seed, **kw):
+        return search(oracle, seed=seed, **kw)
+    return run
 
 
 DETECTORS = {
-    "cert-collision": _det_cert_collision,
-    "multiscale": _det_multiscale,
-    "cert-claw": _det_cert_claw,
-    "cert-fixedpoint": _det_cert_fixedpoint,
-    "cert-star": _det_cert_star,
-    "cert-starpath": _det_cert_starpath,
-    "path-k": _det_path_k,
-    "edge-wedge": _det_edge_wedge,
-    "uniform-probe": _det_uniform_probe,
+    "cert-collision": cert_collision_search,
+    "multiscale": _certless(multiscale_collision_search),
+    "cert-claw": cert_claw_search,
+    "cert-fixedpoint": cert_fixedpoint_search,
+    "cert-star": cert_star_search,
+    "cert-starpath": cert_starpath_search,
+    "path-k": _certless(path_k_search),
+    "edge-wedge": _certless(edge_wedge_search),
+    "uniform-probe": _certless(uniform_probe_baseline),
+}
+
+# certificate kinds each certificate detector reads; the two scale kinds
+# share the payload {"t"}
+CERT_KINDS = {
+    "cert-collision": ("CollisionScale", "ClawScale"),
+    "cert-claw": ("CollisionScale", "ClawScale"),
+    "cert-fixedpoint": ("FixedPointPrimes",),
+    "cert-star": ("StarDegrees",),
+    "cert-starpath": ("BackboneIndex",),
 }
 
 
 # ---------------------------------------------------------------------------
 # trial running
-
-
-def _jsonable(obj):
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
 
 
 @dataclass
@@ -341,7 +307,7 @@ class TrialConfig:
     point: int = 0
 
     def config_hash(self) -> str:
-        blob = canonical_json(_jsonable(self)).encode()
+        blob = canonical_json(self).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -393,39 +359,37 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _trial(row: dict, instance, cert, rel_seed, budget, det_kwargs,
+           det_ss) -> dict:
+    """Run row["detector"] once on a fresh oracle over `instance`, check
+    its query accounting and witness, and return `row` with the outcome."""
+    oracle = CountedOracle(instance, relabel_seed=rel_seed, budget=budget)
+    out = DETECTORS[row["detector"]](oracle, cert, np.random.default_rng(det_ss),
+                                     **det_kwargs)
+    if out.queries != oracle.count:
+        raise RuntimeError(
+            f"query accounting drift: outcome {out.queries} vs oracle {oracle.count}")
+    if out.found and not validate_witness(
+            instance, _unrelabel_witness(oracle, out.witness)):
+        raise RuntimeError(
+            f"{row['detector']} returned an invalid witness on trial {row['trial']} "
+            f"(config {row['config']}, seed {row['seed']}, n {row['n']})")
+    scales = instance.meta.extras.get("scales")
+    return {**row, "s": len(scales) if scales is not None else "",
+            "status": out.status, "queries": out.queries}
+
+
 def _run_single_trial(config: TrialConfig, trial: int) -> dict:
     ss = np.random.SeedSequence([config.master_seed, config.point, trial])
     gen_ss, rel_ss, det_ss = ss.spawn(3)
     instance, cert = GENERATORS[config.generator](
         config.n, np.random.default_rng(gen_ss), **config.gen_kwargs)
-    oracle = CountedOracle(
-        instance,
-        relabel_seed=_seed_int(rel_ss) if config.relabel else None,
-        budget=config.budget,
-    )
-    outcome = DETECTORS[config.detector](
-        oracle, cert, np.random.default_rng(det_ss), **config.det_kwargs)
-    if outcome.queries != oracle.count:
-        raise RuntimeError(
-            f"query accounting drift: outcome {outcome.queries} vs oracle {oracle.count}")
-    if outcome.found:
-        raw = _unrelabel_witness(oracle, outcome.witness)
-        if not validate_witness(instance, raw):
-            raise RuntimeError(
-                f"{config.detector} returned an invalid witness on trial {trial} "
-                f"(seed {config.master_seed}, n {config.n})")
-    scales = instance.meta.extras.get("scales")
-    return {
-        "config": config.config_hash(),
-        "generator": config.generator,
-        "detector": config.detector,
-        "n": config.n,
-        "s": len(scales) if scales is not None else "",
-        "trial": trial,
-        "seed": config.master_seed,
-        "status": outcome.status,
-        "queries": outcome.queries,
-    }
+    row = {"config": config.config_hash(), "generator": config.generator,
+           "detector": config.detector, "n": config.n, "trial": trial,
+           "seed": config.master_seed}
+    return _trial(row, instance, cert,
+                  _seed_int(rel_ss) if config.relabel else None,
+                  config.budget, config.det_kwargs, det_ss)
 
 
 def _trial_worker(args):
@@ -506,27 +470,10 @@ def _sep_pair(point: SeparationPoint, point_idx: int, trial: int,
     rel_seed = _seed_int(rel_ss)
 
     def one(detector, det_kwargs, det_ss):
-        oracle = CountedOracle(instance, relabel_seed=rel_seed, budget=budget)
-        out = DETECTORS[detector](oracle, cert, np.random.default_rng(det_ss),
-                                  **det_kwargs)
-        if out.found:
-            raw = _unrelabel_witness(oracle, out.witness)
-            if not validate_witness(instance, raw):
-                raise RuntimeError(
-                    f"{detector} returned an invalid witness "
-                    f"(point {point_idx}, trial {trial}, seed {master_seed})")
-        scales = instance.meta.extras.get("scales")
-        return {
-            "config": f"sep-{master_seed}-{point_idx}",
-            "generator": point.generator,
-            "detector": detector,
-            "n": point.n,
-            "s": len(scales) if scales is not None else "",
-            "trial": tag,
-            "seed": master_seed,
-            "status": out.status,
-            "queries": out.queries,
-        }
+        row = {"config": f"sep-{master_seed}-{point_idx}",
+               "generator": point.generator, "detector": detector,
+               "n": point.n, "trial": tag, "seed": master_seed}
+        return _trial(row, instance, cert, rel_seed, budget, det_kwargs, det_ss)
 
     row_c = one(point.cert_detector, point.cert_kwargs, cert_ss)
     if pilot:
@@ -642,5 +589,5 @@ def read_trials_csv(path) -> list[dict]:
 
 def write_report_json(path, obj) -> None:
     with open(path, "w") as fh:
-        fh.write(canonical_json(_jsonable(obj)))
+        fh.write(canonical_json(obj))
         fh.write("\n")

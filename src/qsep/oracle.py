@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Iterator
 
 import numpy as np
@@ -416,7 +416,8 @@ class CountedOracle:
         return self._count
 
     def remaining(self) -> int | None:
-        return None if self.budget is None else self.budget - self._count
+        """Queries the budget still pays for, never negative; None if unbounded."""
+        return None if self.budget is None else max(0, self.budget - self._count)
 
     def _charge(self, k: int = 1) -> None:
         if self.budget is not None and self._count + k > self.budget:
@@ -575,7 +576,14 @@ def _unrelabel_witness(oracle: CountedOracle, w: Witness) -> Witness:
 # file format
 
 
+_PLAIN = frozenset((int, float, str, bool, type(None)))
+
+
 def _jsonable(obj):
+    if type(obj) in _PLAIN:  # most leaves; skips the checks below
+        return obj
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

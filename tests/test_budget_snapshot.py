@@ -1,0 +1,193 @@
+"""Pinned budget behaviour: every detector on a grid of oracle budgets.
+
+``budget_snapshot.json`` holds, for each (setup, budget, relabel) triple,
+the detector's result (status, queries, attempts, witness, details; the
+battery's result dict), the oracle's final count and a sha256 of its
+transcript. It was recorded at commit 346c08c, where each detector still
+took its own ``budget=`` argument; the replay puts the same budget on the
+``CountedOracle``. The grid reaches every clipping rule (a batch cut in
+the middle, a budget smaller than one lockstep round) and every early
+refusal (claw's 2- and 3-query steps, edge-wedge's pairs, uniform-probe's
+2*d star checks), so a change to how budgets are spent shows up here.
+Besides the fixed BUDGETS, each (setup, relabel) pair is cut one and two
+queries before its unbudgeted run ends, which lands inside its last step.
+
+The recording is kept as made. MENDED lists the entries whose status
+differs from it on purpose.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from qsep import (
+    Certificate,
+    CountedOracle,
+    FixedPointParams,
+    ScaleParams,
+    cert_claw_search,
+    cert_collision_search,
+    cert_fixedpoint_search,
+    cert_star_search,
+    cert_starpath_search,
+    collision_attempt_battery,
+    corrupt_certificate,
+    edge_wedge_search,
+    gen_claw_graph,
+    gen_collision_function,
+    gen_fixedpoint_function,
+    gen_star_graph,
+    gen_starpath_graph,
+    multiscale_collision_search,
+    path_k_search,
+    uniform_probe_baseline,
+)
+from qsep.oracle import FunctionInstance, Witness, canonical_json, graph_from_edges
+
+SNAPSHOT = Path(__file__).with_name("budget_snapshot.json")
+
+BUDGETS = (None, -5, 0, 1, 2, 3, 4, 5, 7, 10, 17, 31, 100, 257, 500, 777,
+           1000, 2500, 6000, 20000, 60000)
+RELABEL_SEED = 7
+SETUP_NAMES = (
+    "battery", "battery-wide", "cert-collision", "cert-collision-free",
+    "multiscale", "multiscale-free", "cert-claw", "cert-claw-free",
+    "cert-fixedpoint", "cert-fixedpoint-follow", "cert-star",
+    "cert-star-corrupt", "cert-starpath", "cert-starpath-corrupt", "path-k",
+    "edge-wedge-edge", "edge-wedge-wedge", "uniform-fixed-point",
+    "uniform-fixed-point-ring", "uniform-k-star", "uniform-wedge")
+
+# uniform-probe reported Exhausted when the budget clipped its last chunk
+# short of the end; having probed only part of the domain it now reports
+# BudgetExceeded, with the same queries, attempts and transcript
+MENDED = {("uniform-fixed-point-ring", budget, relabel): "BudgetExceeded"
+          for budget in (4094, 4095) for relabel in (False, True)}
+
+
+def grid_budgets(unbudgeted: int) -> list:
+    """BUDGETS plus cuts one and two queries short of an unbudgeted run."""
+    cuts = [b for b in (unbudgeted - 1, unbudgeted - 2) if b not in BUDGETS]
+    return list(BUDGETS) + cuts
+
+
+def setups() -> dict:
+    """name -> (instance, detector, positional args, keyword args)."""
+    par = ScaleParams(i_min=2, i_max=5)
+    fn, fc, _ = gen_collision_function(4096, par, seed=3)
+    free, _, _ = gen_collision_function(1024, ScaleParams(2, 4), seed=1,
+                                        b_override=0)
+    claw, clc, _ = gen_claw_graph(4096, par, seed=7)
+    claw_free, _, _ = gen_claw_graph(1024, ScaleParams(2, 4), seed=3,
+                                     b_override=0)
+    fp, fpc, _ = gen_fixedpoint_function(4096, FixedPointParams(), seed=2)
+    fp_long, fplc, _ = gen_fixedpoint_function(
+        1 << 14, FixedPointParams(cycle_len=1 << 11, feeder_len=8), seed=9)
+    star, stc, _ = gen_star_graph(2048, "triangle", seed=9)
+    sp, spc, _ = gen_starpath_graph(4096, 4, seed=29)
+    ring = FunctionInstance(n=4096, succ=[(i + 1) % 4096 for i in range(4096)],
+                            meta=None, info={})
+    sparse = graph_from_edges(64, [(0, 1), (1, 2)])
+    return {
+        "battery": (fn, collision_attempt_battery, (fc.payload["t"], 3000),
+                    {"seed": 1, "batch": 100}),
+        "battery-wide": (fn, collision_attempt_battery, (5, 6000),
+                         {"seed": 2, "batch": 512}),
+        "cert-collision": (fn, cert_collision_search, (fc,), {"seed": 1}),
+        "cert-collision-free": (free, cert_collision_search,
+                                (Certificate("CollisionScale", {"t": 3}),),
+                                {"seed": 0, "max_attempts": 3000}),
+        "multiscale": (fn, multiscale_collision_search, (2, 5), {"seed": 1}),
+        "multiscale-free": (free, multiscale_collision_search, (2, 4),
+                            {"seed": 42, "max_attempts": 2000}),
+        "cert-claw": (claw, cert_claw_search, (clc,), {"seed": 123}),
+        "cert-claw-free": (claw_free, cert_claw_search,
+                           (Certificate("ClawScale", {"t": 3}),),
+                           {"seed": 1, "max_attempts": 300}),
+        "cert-fixedpoint": (fp, cert_fixedpoint_search, (fpc,), {"seed": 3}),
+        "cert-fixedpoint-follow": (fp_long, cert_fixedpoint_search, (fplc,),
+                                   {"seed": 1, "max_iterations": 8}),
+        "cert-star": (star, cert_star_search, (stc,), {"seed": 1}),
+        "cert-star-corrupt": (star, cert_star_search,
+                              (corrupt_certificate(stc),), {"seed": 1}),
+        "cert-starpath": (sp, cert_starpath_search, (spc,), {"seed": 5}),
+        "cert-starpath-corrupt": (sp, cert_starpath_search,
+                                  (corrupt_certificate(spc, seed=3,
+                                                       index_range=64),),
+                                  {"seed": 3}),
+        "path-k": (fn, path_k_search, (12,), {"seed": 1}),
+        "edge-wedge-edge": (sparse, edge_wedge_search, ("edge",), {"seed": 1}),
+        "edge-wedge-wedge": (sparse, edge_wedge_search, ("wedge",),
+                             {"seed": 3, "max_attempts": 500}),
+        "uniform-fixed-point": (fp, uniform_probe_baseline, ("fixed-point",),
+                                {"seed": 1}),
+        "uniform-fixed-point-ring": (ring, uniform_probe_baseline,
+                                     ("fixed-point",), {"seed": 0, "chunk": 32}),
+        "uniform-k-star": (sp, uniform_probe_baseline, ("k-star",),
+                           {"seed": 2, "k": 4}),
+        "uniform-wedge": (sparse, uniform_probe_baseline, ("wedge",),
+                          {"seed": 1}),
+    }
+
+
+def _plain(obj):
+    if isinstance(obj, Witness):
+        return {"kind": obj.kind, "vertices": list(obj.vertices)}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_plain(v) for v in obj]
+    return obj
+
+
+def summarize(result, oracle) -> dict:
+    """The pinned record of one detector call."""
+    res = result if isinstance(result, dict) else result.to_jsonable()
+    transcript = repr(list(oracle.iter_transcript())).encode()
+    return {
+        "result": json.loads(canonical_json(_plain(res))),
+        "count": oracle.count,
+        "transcript": hashlib.sha256(transcript).hexdigest(),
+    }
+
+
+def replay(setup, budget, relabel) -> dict:
+    inst, fn, args, kwargs = setup
+    oracle = CountedOracle(inst, relabel_seed=RELABEL_SEED if relabel else None,
+                           budget=budget)
+    return summarize(fn(oracle, *args, **kwargs), oracle)
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    rows = json.loads(SNAPSHOT.read_text())
+    table = {}
+    for row in rows:
+        table.setdefault(row["setup"], []).append(row)
+    return table
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return setups()
+
+
+def test_snapshot_covers_the_grid(recorded, grid):
+    assert sorted(recorded) == sorted(grid) == sorted(SETUP_NAMES)
+    for rows in recorded.values():
+        for relabel in (False, True):
+            mine = [r for r in rows if r["relabel"] == relabel]
+            full = next(r["count"] for r in mine if r["budget"] is None)
+            assert [r["budget"] for r in mine] == grid_budgets(full)
+
+
+@pytest.mark.parametrize("name", SETUP_NAMES)
+def test_budget_replay_matches_snapshot(name, recorded, grid):
+    for row in recorded[name]:
+        got = replay(grid[name], row["budget"], row["relabel"])
+        want = {k: row[k] for k in ("result", "count", "transcript")}
+        status = MENDED.get((name, row["budget"], row["relabel"]))
+        if status is not None:
+            want["result"] = {**want["result"], "status": status}
+        assert got == want, (name, row["budget"], row["relabel"])

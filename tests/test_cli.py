@@ -67,6 +67,21 @@ class TestGen:
         assert code == 2
         assert "needs" in err and "> n = 64" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("fixedpoint-fn", "--n", "4096", "--cycle-len", "0"), "cycle_len"),
+        (("fixedpoint-fn", "--n", "4096", "--feeder-len", "0"), "feeder_len"),
+        (("collision-fn", "--n", "-4"), "--n must be >= 1, got -4"),
+        (("collision-fn", "--n", "0"), "--n must be >= 1, got 0")])
+    def test_bad_sizes_exit_2_without_traceback(self, tmp_path, capsys, flags,
+                                                message):
+        code, _, err = run_cli(capsys, "gen", "--construction", *flags,
+                               "--out-dir", str(tmp_path))
+        assert code == 2 and "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]
+        assert not list(tmp_path.iterdir())
+
     def test_star_triangle_declares_one_clique(self, tmp_path, capsys):
         code, lines, _ = run_cli(
             capsys, "gen", "--construction", "star", "--n", "4096",
@@ -149,6 +164,32 @@ class TestRun:
             "--detector", "cert-collision", "--seed", "1", "--budget", "-5")
         assert code == 2 and "Traceback" not in err
         assert err.strip().splitlines() == ["error: --budget must be >= 0, got -5"]
+
+    def test_cert_detector_without_cert_exits_2(self, collision_files, capsys):
+        inst, _ = collision_files
+        capsys.readouterr()
+        code, _, err = run_cli(
+            capsys, "run", "--instance", str(inst),
+            "--detector", "cert-collision", "--seed", "1")
+        assert code == 2 and "Traceback" not in err
+        assert err.strip().splitlines() == [
+            "error: cert-collision needs a CollisionScale or ClawScale "
+            "certificate, got no --cert"]
+
+    def test_wrong_certificate_kind_exits_2(self, collision_files, tmp_path,
+                                            capsys):
+        inst, _ = collision_files
+        main(["gen", "--construction", "star", "--n", "4096", "--H",
+              "triangle", "--seed", "3", "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        code, _, err = run_cli(
+            capsys, "run", "--instance", str(inst),
+            "--cert", str(tmp_path / "star-graph.certificate.json"),
+            "--detector", "cert-collision", "--seed", "1")
+        assert code == 2 and "Traceback" not in err
+        assert err.strip().splitlines() == [
+            "error: cert-collision needs a CollisionScale or ClawScale "
+            "certificate, got a StarDegrees certificate"]
 
     def test_missing_instance_exits_4(self, tmp_path, capsys):
         code, _, err = run_cli(

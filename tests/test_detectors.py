@@ -32,7 +32,7 @@ from qsep import (
     uniform_probe_baseline,
     validate_witness,
 )
-from qsep.detectors import _Budget, _arrival
+from qsep.detectors import _arrival
 from qsep.oracle import FunctionInstance, _unrelabel_witness, graph_from_edges
 
 PAR = ScaleParams(i_min=2, i_max=5)
@@ -94,9 +94,8 @@ class TestCollisionDetectors:
 
     def test_battery_budget_truncates(self):
         inst, cert, _ = gen_collision_function(4096, PAR, seed=3)
-        o = CountedOracle(inst)
-        res = collision_attempt_battery(o, cert.payload["t"], 20000, seed=1,
-                                        budget=500)
+        o = CountedOracle(inst, budget=500)
+        res = collision_attempt_battery(o, cert.payload["t"], 20000, seed=1)
         assert res["truncated"] and res["queries"] <= 500
         assert o.count == res["queries"]
 
@@ -111,9 +110,9 @@ class TestCollisionDetectors:
     def test_cert_search_respects_budget_exactly(self):
         inst, _, _ = gen_collision_function(1024, ScaleParams(2, 4), seed=1,
                                             b_override=0)
-        out = cert_collision_search(CountedOracle(inst),
+        out = cert_collision_search(CountedOracle(inst, budget=777),
                                     Certificate("CollisionScale", {"t": 3}),
-                                    seed=0, budget=777)
+                                    seed=0)
         assert out.status == "BudgetExceeded" and out.queries <= 777
 
     def test_cert_search_exhausts_on_attempt_cap(self):
@@ -143,19 +142,18 @@ class TestCollisionDetectors:
         inst, _, _ = gen_collision_function(1024, ScaleParams(2, 4), seed=1,
                                             b_override=0)
         for budget in (100, 500, 2500):
-            out = multiscale_collision_search(CountedOracle(inst), 2, 4,
-                                              seed=42, budget=budget)
+            out = multiscale_collision_search(CountedOracle(inst, budget=budget),
+                                              2, 4, seed=42)
             assert out.status == "BudgetExceeded"
             assert out.queries <= budget
 
 
-def _reference_battery(oracle, t, attempts, seed=None, batch=512,
-                       budget=None):
+def _reference_battery(oracle, t, attempts, seed=None, batch=512):
     """The battery as first written: one predecessor dict per lane, one
     Python step per arrival. Kept as the specification the vectorised
     battery must reproduce exactly (result and transcript)."""
     rng = np.random.default_rng(seed)
-    bud = _Budget(oracle, budget)
+    q0 = oracle.count
     n = oracle.n
     cap = 1 << int(t)
     starts = rng.integers(0, n, size=attempts)
@@ -187,7 +185,7 @@ def _reference_battery(oracle, t, attempts, seed=None, batch=512,
     sample_witnesses = []
     truncated = False
     while live:
-        rem = bud.remaining()
+        rem = oracle.remaining()
         if rem is not None and rem < len(live):
             live = live[:rem]
             truncated = True
@@ -215,15 +213,15 @@ def _reference_battery(oracle, t, attempts, seed=None, batch=512,
     return {
         "attempts": finished,
         "successes": successes,
-        "queries": bud.spent(),
+        "queries": oracle.count - q0,
         "success_rate": successes / finished if finished else 0.0,
         "witnesses": sample_witnesses,
         "truncated": truncated,
     }
 
 
-def _battery_run(fn, inst, relabel_seed, **kw):
-    o = CountedOracle(inst, relabel_seed=relabel_seed)
+def _battery_run(fn, inst, relabel_seed, budget=None, **kw):
+    o = CountedOracle(inst, relabel_seed=relabel_seed, budget=budget)
     return fn(o, **kw), list(o.iter_transcript())
 
 
@@ -303,17 +301,15 @@ class TestNegativeBudget:
         star, stc, _ = gen_star_graph(2048, "triangle", seed=9)
         runs = [
             (fn, lambda o: collision_attempt_battery(o, fc.payload["t"], 200,
-                                                     seed=1, budget=-5)),
-            (fn, lambda o: cert_collision_search(o, fc, seed=1, budget=-5)),
-            (fn, lambda o: multiscale_collision_search(o, 2, 5, seed=1,
-                                                       budget=-5)),
-            (fp, lambda o: cert_fixedpoint_search(o, fpc, seed=1, budget=-5)),
-            (fp, lambda o: uniform_probe_baseline(o, "fixed-point", seed=1,
-                                                  budget=-5)),
-            (star, lambda o: cert_star_search(o, stc, seed=1, budget=-5)),
+                                                     seed=1)),
+            (fn, lambda o: cert_collision_search(o, fc, seed=1)),
+            (fn, lambda o: multiscale_collision_search(o, 2, 5, seed=1)),
+            (fp, lambda o: cert_fixedpoint_search(o, fpc, seed=1)),
+            (fp, lambda o: uniform_probe_baseline(o, "fixed-point", seed=1)),
+            (star, lambda o: cert_star_search(o, stc, seed=1)),
         ]
         for inst, run in runs:
-            o = CountedOracle(inst)
+            o = CountedOracle(inst, budget=-5)
             res = run(o)
             if isinstance(res, dict):
                 assert res["queries"] == 0 and res["truncated"]
@@ -339,7 +335,7 @@ class TestClawDetector:
 
     def test_budget_honored(self):
         inst, cert, _ = gen_claw_graph(4096, PAR, seed=7)
-        out = cert_claw_search(CountedOracle(inst), cert, seed=123, budget=20)
+        out = cert_claw_search(CountedOracle(inst, budget=20), cert, seed=123)
         assert out.queries <= 20
 
 
@@ -403,8 +399,8 @@ class TestFixedpointDetector:
 
     def test_budget_honored(self):
         inst, cert, _ = gen_fixedpoint_function(4096, FixedPointParams(), seed=2)
-        out = cert_fixedpoint_search(CountedOracle(inst), cert, seed=3, C=2.0,
-                                     budget=150)
+        out = cert_fixedpoint_search(CountedOracle(inst, budget=150), cert,
+                                     seed=3, C=2.0)
         assert out.queries <= 150
 
 
@@ -460,15 +456,15 @@ class TestStarpathDetector:
         for seed in range(12):
             bad = corrupt_certificate(cert, seed=seed, index_range=s_count)
             assert bad.payload["index"] != cert.payload["index"]
-            o = CountedOracle(inst, relabel_seed=seed)
-            out = cert_starpath_search(o, bad, seed=seed,
-                                       budget=40 * math.isqrt(4096))
+            o = CountedOracle(inst, relabel_seed=seed,
+                              budget=40 * math.isqrt(4096))
+            out = cert_starpath_search(o, bad, seed=seed)
             if out.found:
                 assert validate_witness(inst, _unrelabel_witness(o, out.witness))
 
     def test_budget_honored(self):
         inst, cert, _ = gen_starpath_graph(4096, 4, seed=29)
-        out = cert_starpath_search(CountedOracle(inst), cert, seed=5, budget=30)
+        out = cert_starpath_search(CountedOracle(inst, budget=30), cert, seed=5)
         assert out.queries <= 30
         assert out.status in ("Found", "BudgetExceeded")
 
@@ -514,9 +510,32 @@ class TestUniformProbe:
     def test_budget_exceeded_status(self):
         inst = FunctionInstance(n=4096, succ=np.roll(np.arange(4096), -1),
                                 meta=None, info={})
-        out = uniform_probe_baseline(CountedOracle(inst), "fixed-point",
-                                     seed=0, budget=100, chunk=32)
+        out = uniform_probe_baseline(CountedOracle(inst, budget=100),
+                                     "fixed-point", seed=0, chunk=32)
         assert out.status == "BudgetExceeded" and out.queries <= 100
+
+    def test_budget_cut_is_not_exhausted(self):
+        # the only fixed point is the last element seed 1 probes; a budget
+        # that stops short of it must not report the search space empty
+        n = 100
+        last = int(np.random.default_rng(1).permutation(n)[-1])
+        others = np.array([x for x in range(n) if x != last])
+        succ = np.empty(n, dtype=np.int64)
+        succ[others] = np.roll(others, -1)
+        succ[last] = last
+        inst = FunctionInstance(n=n, succ=succ, meta=None, info={})
+        for budget in (10, 50, 99):
+            out = uniform_probe_baseline(CountedOracle(inst, budget=budget),
+                                         "fixed-point", seed=1)
+            assert (out.status, out.queries) == ("BudgetExceeded", budget)
+        out = uniform_probe_baseline(CountedOracle(inst, budget=100),
+                                     "fixed-point", seed=1)
+        assert out.found and out.witness.vertices == (last,)
+        g = graph_from_edges(64, [])
+        for chunk in (64, 7):
+            out = uniform_probe_baseline(CountedOracle(g, budget=40), "k-star",
+                                         seed=1, k=4, chunk=chunk)
+            assert (out.status, out.queries) == ("BudgetExceeded", 40)
 
 
 class TestBruteForce:

@@ -256,6 +256,14 @@ def test_fixedpoint_prime_shortage_and_widening():
     assert len(set(meta.extras["primes"])) == meta.extras["N"]
 
 
+@pytest.mark.parametrize("params", [
+    FixedPointParams(cycle_len=0), FixedPointParams(cycle_len=-3),
+    FixedPointParams(feeder_len=0), FixedPointParams(feeder_len=-1)])
+def test_fixedpoint_rejects_lengths_below_one(params):
+    with pytest.raises(ParameterError, match="must be >= 1"):
+        gen_fixedpoint_function(4096, params, seed=0)
+
+
 def test_fixedpoint_rejects_unknown_h_spec():
     with pytest.raises(ParameterError):
         gen_fixedpoint_function(4096, FP, h_spec="clique:3", seed=0)
