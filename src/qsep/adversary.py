@@ -42,7 +42,7 @@ class AdversarySession:
         self._seed = int(seed) if isinstance(seed, (int, np.integer)) else None
         self._rng = rng
         self._table = scale_table(n, params, witness_overhead=4)
-        sigma = rng.permutation(n).astype(np.int64)
+        sigma = rng.permutation(n)
         self._blocks, self._pool, self._spare = _carve_blocks(sigma, self._table)
 
         # partial structure: forward/backward neighbor inside a path

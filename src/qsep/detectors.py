@@ -8,8 +8,10 @@ Collision-walk bookkeeping: a predecessor map stores, per element, the
 edge over which it was first reached (None for a walk start). Arriving
 at a recorded element over a different edge certifies a collision;
 arriving over the same edge, or at a recorded start, just ends the walk
-(cycle closure). Certificate walkers and the multi-scale walker share
-that map across walks. The per-attempt battery gives every attempt a
+(cycle closure). The certificate walker and the multi-scale walker are
+one shared-map walker with a step cap per lane (2^t on each of `batch`
+lanes, or 2^i on one lane per scale i): every walk of every lane reads
+and extends the same map. The per-attempt battery gives every attempt a
 fresh record instead, which is what the exact enumerator models: the
 attempt's trajectory plus an open-addressed table of its positions, so
 the predecessor of a recorded element is the trajectory entry before
@@ -81,24 +83,6 @@ def _need(oracle, k: int) -> None:
 # ---------------------------------------------------------------------------
 # collision walkers
 
-
-def _arrival(pred: dict, u: int, y: int):
-    """Process one step u -> y against a predecessor map.
-
-    Returns ("found", witness_prev) | ("stop", None) | ("go", None).
-    """
-    prev = pred.get(y, _MISSING)
-    if prev is _MISSING:
-        pred[y] = u
-        return _GO
-    if prev is None or prev == u:
-        return _STOP
-    return ("found", prev)
-
-
-_MISSING = object()
-_GO = ("go", None)
-_STOP = ("stop", None)
 
 _HASH_MULT = 0x9E3779B1  # odd, about 2^32 / golden ratio (Fibonacci hashing)
 
@@ -207,83 +191,27 @@ def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
     }
 
 
-def cert_collision_search(oracle, cert: Certificate, seed=None,
-                          batch: int = 16, max_attempts=None) -> SearchOutcome:
-    """Walk forward up to 2^t steps per attempt at the certified scale t,
-    sharing the predecessor map across attempts."""
-    t = int(cert.payload["t"])
-    rng = np.random.default_rng(seed)
+_MISSING = object()
+
+
+def _shared_walk(oracle, caps, rng, max_attempts, details) -> SearchOutcome:
+    """One walk per lane, lane k restarting at a fresh uniform element
+    after caps[k] steps or a terminal arrival. Each round queries every
+    live lane, in lane order, in one call; all walks share one
+    predecessor map, so cross-walk arrivals certify collisions too. A
+    round the budget clips drops its last lanes, so running out of lanes
+    after that is BudgetExceeded, not Exhausted."""
     q0 = oracle.count
     n = oracle.n
-    cap = 1 << t
-
     pred: dict = {}
-    front = [0] * batch
-    steps = [0] * batch
+    get = pred.get
+    front = [0] * len(caps)
+    left = [0] * len(caps)
     attempts = 0
-    live: list[int] = []
+    clipped = False
 
     def out(status, w=None):
-        return SearchOutcome(status, w, oracle.count - q0, attempts, {"t": t})
-
-    def spawn(lane: int) -> bool:
-        nonlocal attempts
-        if max_attempts is not None and attempts >= max_attempts:
-            return False
-        s = int(rng.integers(n))
-        attempts += 1
-        front[lane] = s
-        steps[lane] = 0
-        pred.setdefault(s, None)
-        return True
-
-    for lane in range(batch):
-        if spawn(lane):
-            live.append(lane)
-
-    try:
-        while live:
-            live = _clip(oracle, live)
-            ys = oracle.query_function_many([front[k] for k in live]).tolist()
-            nxt_live = []
-            for lane, y in zip(live, ys):
-                u = front[lane]
-                steps[lane] += 1
-                kind, prev = _arrival(pred, u, y)
-                if kind == "found":
-                    return out(FOUND, Witness("collision", (u, prev, y)))
-                if kind == "go" and steps[lane] < cap:
-                    front[lane] = y
-                    nxt_live.append(lane)
-                elif spawn(lane):
-                    nxt_live.append(lane)
-            live = nxt_live
-    except BudgetExceeded:
-        return out(BUDGET_EXCEEDED)
-    return out(EXHAUSTED)
-
-
-def multiscale_collision_search(oracle, i_min: int, i_max: int, seed=None,
-                                max_attempts=None) -> SearchOutcome:
-    """One walk per scale in strict round-robin, lowest scale first, one
-    step per walk per round. A walk restarts at a fresh uniform element
-    when it reaches 2^i steps or a terminal arrival. All walks share the
-    predecessor map, so cross-walk arrivals certify collisions too."""
-    rng = np.random.default_rng(seed)
-    q0 = oracle.count
-    n = oracle.n
-    scales = list(range(int(i_min), int(i_max) + 1))
-    caps = [1 << i for i in scales]
-    s = len(scales)
-
-    pred: dict = {}
-    front = [0] * s
-    steps = [0] * s
-    attempts = 0
-
-    def out(status, w=None):
-        return SearchOutcome(status, w, oracle.count - q0, attempts,
-                             {"scales": scales})
+        return SearchOutcome(status, w, oracle.count - q0, attempts, details)
 
     def spawn(lane: int) -> bool:
         nonlocal attempts
@@ -292,31 +220,54 @@ def multiscale_collision_search(oracle, i_min: int, i_max: int, seed=None,
         x = int(rng.integers(n))
         attempts += 1
         front[lane] = x
-        steps[lane] = 0
+        left[lane] = caps[lane]
         pred.setdefault(x, None)
         return True
 
-    lanes = [lane for lane in range(s) if spawn(lane)]
+    live = [lane for lane in range(len(caps)) if spawn(lane)]
     try:
-        while lanes:
-            lanes = _clip(oracle, lanes)
-            ys = oracle.query_function_many([front[k] for k in lanes]).tolist()
-            nxt = []
-            for lane, y in zip(lanes, ys):
+        while live:
+            paid = _clip(oracle, live)
+            clipped = clipped or len(paid) < len(live)
+            ys = oracle.query_function_many([front[k] for k in paid]).tolist()
+            live = []
+            for lane, y in zip(paid, ys):
                 u = front[lane]
-                steps[lane] += 1
-                kind, prev = _arrival(pred, u, y)
-                if kind == "found":
+                prev = get(y, _MISSING)
+                if prev is _MISSING:
+                    pred[y] = u
+                    if left[lane] > 1:
+                        left[lane] -= 1
+                        front[lane] = y
+                        live.append(lane)
+                        continue
+                elif prev is not None and prev != u:
                     return out(FOUND, Witness("collision", (u, prev, y)))
-                if kind == "go" and steps[lane] < caps[lane]:
-                    front[lane] = y
-                    nxt.append(lane)
-                elif spawn(lane):
-                    nxt.append(lane)
-            lanes = nxt
+                if spawn(lane):
+                    live.append(lane)
     except BudgetExceeded:
         return out(BUDGET_EXCEEDED)
-    return out(EXHAUSTED)
+    return out(BUDGET_EXCEEDED if clipped else EXHAUSTED)
+
+
+def cert_collision_search(oracle, cert: Certificate, seed=None,
+                          batch: int = 16, max_attempts=None) -> SearchOutcome:
+    """Walk forward up to 2^t steps per attempt at the certified scale t,
+    `batch` lanes at a time, sharing the predecessor map across attempts."""
+    t = int(cert.payload["t"])
+    return _shared_walk(oracle, [1 << t] * batch, np.random.default_rng(seed),
+                        max_attempts, {"t": t})
+
+
+def multiscale_collision_search(oracle, i_min: int, i_max: int, seed=None,
+                                max_attempts=None) -> SearchOutcome:
+    """One walk per scale in strict round-robin, lowest scale first, one
+    step per walk per round; the walk at scale i restarts after 2^i
+    steps."""
+    scales = list(range(int(i_min), int(i_max) + 1))
+    return _shared_walk(oracle, [1 << i for i in scales],
+                        np.random.default_rng(seed), max_attempts,
+                        {"scales": scales})
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ def gen_collision_function(n: int, params: ScaleParams, seed,
     """
     rng = np.random.default_rng(seed)
     table = scale_table(n, params, witness_overhead=0)
-    sigma = rng.permutation(n).astype(np.int64)
+    sigma = rng.permutation(n)
     t = int(rng.integers(params.i_min, params.i_max + 1)) if t_override is None \
         else int(t_override)
     if not params.i_min <= t <= params.i_max:
@@ -244,14 +244,12 @@ def gen_collision_function(n: int, params: ScaleParams, seed,
             builder.add_blocks(KIND_CYCLE, closed.reshape(-1), block.shape[1])
 
     witness_block = blocks[j_good][:b_t]
-    m = rng.integers(1, length_t - 1, size=b_t).astype(np.int64)
+    m = rng.integers(1, length_t - 1, size=b_t)
     rows = np.arange(b_t)
     succ[witness_block[:, -1]] = witness_block[rows, m]
-    witness_locations = [
-        (int(witness_block[r, m[r] - 1]), int(witness_block[r, -1]),
-         int(witness_block[r, m[r]]))
-        for r in range(b_t)
-    ]
+    witness_locations = list(map(tuple, np.stack(
+        [witness_block[rows, m - 1], witness_block[:, -1], witness_block[rows, m]],
+        axis=1).tolist()))
 
     _close_or_fix(succ, spare, builder, filler)
 
@@ -353,7 +351,7 @@ def gen_claw_graph(n: int, params: ScaleParams, seed,
     """Undirected multi-scale instance whose good scale carries 2*b_t claws."""
     rng = np.random.default_rng(seed)
     table = scale_table(n, params, witness_overhead=_CLAW_OVERHEAD)
-    sigma = rng.permutation(n).astype(np.int64)
+    sigma = rng.permutation(n)
     t = int(rng.integers(params.i_min, params.i_max + 1)) if t_override is None \
         else int(t_override)
     if not params.i_min <= t <= params.i_max:
@@ -422,6 +420,8 @@ def gen_fixedpoint_function(n: int, params: FixedPointParams,
                              "is wired up")
     if params.T < 1:
         raise ParameterError("T must be >= 1")
+    if n < 2:
+        raise ParameterError(f"fixedpoint-fn needs n >= 2, got {n}")
     rng = np.random.default_rng(seed)
     q4 = n ** 0.25
     cycle_len = params.cycle_len if params.cycle_len is not None else int(n ** 0.75)
@@ -454,7 +454,7 @@ def gen_fixedpoint_function(n: int, params: FixedPointParams,
     if used > n:
         raise CapacityError(f"cycles and feeders need {used} > n = {n} elements")
 
-    sigma = rng.permutation(n).astype(np.int64)
+    sigma = rng.permutation(n)
     succ = np.empty(n, dtype=np.int64)
     builder = MetaBuilder()
     cursor = 0
@@ -581,7 +581,7 @@ def gen_star_graph(n: int, h_spec, seed):
     if h and degrees[0] <= h:
         raise ParameterError("clique degree would collide with center degrees")
     rng = np.random.default_rng(seed)
-    sigma = rng.permutation(n).astype(np.int64)
+    sigma = rng.permutation(n)
     centers = sigma[:s]
     leaves = sigma[s:]
 
@@ -645,7 +645,7 @@ def gen_starpath_graph(n: int, k: int, seed):
     q, r = divmod(hang_total, s)
 
     rng = np.random.default_rng(seed)
-    sigma = rng.permutation(n).astype(np.int64)
+    sigma = rng.permutation(n)
     v0 = int(sigma[0])
     backbone = sigma[1:s + 1]
     pendants = sigma[n - k:]

@@ -15,6 +15,7 @@ it, and nothing in the public query API reveals the permutation.
 
 from __future__ import annotations
 
+import functools
 import json
 from array import array
 from dataclasses import asdict, dataclass, field, is_dataclass
@@ -81,10 +82,19 @@ class StructureMeta:
             yield self.kind_name(i), self.length(i), self.members_of(i)
 
     def check_partition(self, n: int) -> bool:
-        """Member lists are pairwise disjoint and cover {0..n-1}."""
-        if len(self.members) != n:
+        """Member lists are pairwise disjoint and cover {0..n-1}: n members,
+        each in range, so covering every element leaves no room for a
+        repeat."""
+        m = self.members
+        if len(m) != n:
             return False
-        return bool(np.array_equal(np.sort(self.members), np.arange(n)))
+        if n == 0:
+            return True
+        if m.min() < 0 or m.max() >= n:
+            return False
+        seen = np.zeros(n, dtype=bool)
+        seen[m] = True
+        return bool(seen.all())
 
     def scale_census(self) -> dict[int, int]:
         """Count path/cycle structures by length (power-of-two lengths only)."""
@@ -317,7 +327,7 @@ def validate_witness(instance, w: Witness) -> bool:
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.permutation(n).astype(np.int64)
+    return rng.permutation(n)
 
 
 def invert_permutation(perm: np.ndarray) -> np.ndarray:
@@ -356,10 +366,21 @@ def apply_permutation(instance, perm: np.ndarray):
     return GraphInstance(n=n, indptr=new_indptr, indices=new_indices, meta=meta, info=dict(instance.info))
 
 
-def relabel(instance, seed: int):
-    """Compose the instance with a uniformly random permutation drawn from seed."""
+@functools.lru_cache(maxsize=2)
+def _relabel_maps(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (permutation, inverse) pair drawn from seed, read-only and
+    shared by every oracle built with the same n and seed."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return apply_permutation(instance, random_permutation(instance.n, rng))
+    perm = random_permutation(n, rng)
+    inv = invert_permutation(perm)
+    perm.flags.writeable = inv.flags.writeable = False
+    return perm, inv
+
+
+def relabel(instance, seed: int):
+    """Compose the instance with the permutation CountedOracle(relabel_seed=seed)
+    applies, a uniformly random one drawn from seed."""
+    return apply_permutation(instance, _relabel_maps(instance.n, seed)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +396,9 @@ class CountedOracle:
     The oracle optionally conjugates labels through a hidden permutation
     drawn from ``relabel_seed`` (or given as ``perm``, visible label ->
     internal label direction is handled internally; pass the same kind of
-    permutation ``apply_permutation`` takes). Algorithms must treat the
-    oracle as the only window onto the instance.
+    permutation ``apply_permutation`` takes). Oracles given the same n and
+    relabel_seed share one read-only pair of maps. Algorithms must treat
+    the oracle as the only window onto the instance.
     """
 
     def __init__(self, instance, relabel_seed: int | None = None,
@@ -395,9 +417,8 @@ class CountedOracle:
         if perm is not None and relabel_seed is not None:
             raise ValueError("pass either relabel_seed or perm, not both")
         if relabel_seed is not None:
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(relabel_seed)))
-            perm = random_permutation(self.n, rng)
-        if perm is None:
+            self._out, self._in = _relabel_maps(self.n, relabel_seed)
+        elif perm is None:
             self._out = None   # internal -> visible
             self._in = None    # visible -> internal
         else:

@@ -64,6 +64,17 @@ SETUP_NAMES = (
 # BudgetExceeded, with the same queries, attempts and transcript
 MENDED = {("uniform-fixed-point-ring", budget, relabel): "BudgetExceeded"
           for budget in (4094, 4095) for relabel in (False, True)}
+# the shared collision walker reported Exhausted when the budget clipped
+# its last round and max_attempts then stopped respawns, though the
+# dropped lanes' walks never finished; it now reports BudgetExceeded,
+# with the same queries, attempts and transcript
+MENDED.update({
+    ("cert-collision-free", 3796, False): "BudgetExceeded",
+    ("cert-collision-free", 3797, False): "BudgetExceeded",
+    ("cert-collision-free", 3800, True): "BudgetExceeded",
+    ("cert-collision-free", 3801, True): "BudgetExceeded",
+    ("multiscale-free", 2776, True): "BudgetExceeded",
+})
 
 
 def grid_budgets(unbudgeted: int) -> list:

@@ -71,7 +71,8 @@ class TestGen:
         (("fixedpoint-fn", "--n", "4096", "--cycle-len", "0"), "cycle_len"),
         (("fixedpoint-fn", "--n", "4096", "--feeder-len", "0"), "feeder_len"),
         (("collision-fn", "--n", "-4"), "--n must be >= 1, got -4"),
-        (("collision-fn", "--n", "0"), "--n must be >= 1, got 0")])
+        (("collision-fn", "--n", "0"), "--n must be >= 1, got 0"),
+        (("fixedpoint-fn", "--n", "1"), "n >= 2, got 1")])
     def test_bad_sizes_exit_2_without_traceback(self, tmp_path, capsys, flags,
                                                 message):
         code, _, err = run_cli(capsys, "gen", "--construction", *flags,

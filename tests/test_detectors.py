@@ -1,5 +1,6 @@
 """Detector behavior: worked examples, soundness, budgets, oracle purity."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -32,8 +33,19 @@ from qsep import (
     uniform_probe_baseline,
     validate_witness,
 )
-from qsep.detectors import _arrival
-from qsep.oracle import FunctionInstance, _unrelabel_witness, graph_from_edges
+from qsep.detectors import (
+    BUDGET_EXCEEDED,
+    EXHAUSTED,
+    FOUND,
+    SearchOutcome,
+    _clip,
+)
+from qsep.oracle import (
+    BudgetExceeded,
+    FunctionInstance,
+    _unrelabel_witness,
+    graph_from_edges,
+)
 
 PAR = ScaleParams(i_min=2, i_max=5)
 
@@ -146,6 +158,141 @@ class TestCollisionDetectors:
                                               2, 4, seed=42)
             assert out.status == "BudgetExceeded"
             assert out.queries <= budget
+
+
+# The predecessor-map step and the two shared-map walkers as they were
+# before they were folded into one loop, kept verbatim as the
+# specification that loop must reproduce (outcome and transcript).
+
+def _arrival(pred: dict, u: int, y: int):
+    """Process one step u -> y against a predecessor map.
+
+    Returns ("found", witness_prev) | ("stop", None) | ("go", None).
+    """
+    prev = pred.get(y, _MISSING)
+    if prev is _MISSING:
+        pred[y] = u
+        return _GO
+    if prev is None or prev == u:
+        return _STOP
+    return ("found", prev)
+
+
+_MISSING = object()
+_GO = ("go", None)
+_STOP = ("stop", None)
+
+
+def _reference_cert_collision(oracle, cert: Certificate, seed=None,
+                               batch: int = 16, max_attempts=None) -> SearchOutcome:
+    """Walk forward up to 2^t steps per attempt at the certified scale t,
+    sharing the predecessor map across attempts."""
+    t = int(cert.payload["t"])
+    rng = np.random.default_rng(seed)
+    q0 = oracle.count
+    n = oracle.n
+    cap = 1 << t
+
+    pred: dict = {}
+    front = [0] * batch
+    steps = [0] * batch
+    attempts = 0
+    live: list[int] = []
+
+    def out(status, w=None):
+        return SearchOutcome(status, w, oracle.count - q0, attempts, {"t": t})
+
+    def spawn(lane: int) -> bool:
+        nonlocal attempts
+        if max_attempts is not None and attempts >= max_attempts:
+            return False
+        s = int(rng.integers(n))
+        attempts += 1
+        front[lane] = s
+        steps[lane] = 0
+        pred.setdefault(s, None)
+        return True
+
+    for lane in range(batch):
+        if spawn(lane):
+            live.append(lane)
+
+    try:
+        while live:
+            live = _clip(oracle, live)
+            ys = oracle.query_function_many([front[k] for k in live]).tolist()
+            nxt_live = []
+            for lane, y in zip(live, ys):
+                u = front[lane]
+                steps[lane] += 1
+                kind, prev = _arrival(pred, u, y)
+                if kind == "found":
+                    return out(FOUND, Witness("collision", (u, prev, y)))
+                if kind == "go" and steps[lane] < cap:
+                    front[lane] = y
+                    nxt_live.append(lane)
+                elif spawn(lane):
+                    nxt_live.append(lane)
+            live = nxt_live
+    except BudgetExceeded:
+        return out(BUDGET_EXCEEDED)
+    return out(EXHAUSTED)
+
+
+def _reference_multiscale(oracle, i_min: int, i_max: int, seed=None,
+                          max_attempts=None) -> SearchOutcome:
+    """One walk per scale in strict round-robin, lowest scale first, one
+    step per walk per round. A walk restarts at a fresh uniform element
+    when it reaches 2^i steps or a terminal arrival. All walks share the
+    predecessor map, so cross-walk arrivals certify collisions too."""
+    rng = np.random.default_rng(seed)
+    q0 = oracle.count
+    n = oracle.n
+    scales = list(range(int(i_min), int(i_max) + 1))
+    caps = [1 << i for i in scales]
+    s = len(scales)
+
+    pred: dict = {}
+    front = [0] * s
+    steps = [0] * s
+    attempts = 0
+
+    def out(status, w=None):
+        return SearchOutcome(status, w, oracle.count - q0, attempts,
+                             {"scales": scales})
+
+    def spawn(lane: int) -> bool:
+        nonlocal attempts
+        if max_attempts is not None and attempts >= max_attempts:
+            return False
+        x = int(rng.integers(n))
+        attempts += 1
+        front[lane] = x
+        steps[lane] = 0
+        pred.setdefault(x, None)
+        return True
+
+    lanes = [lane for lane in range(s) if spawn(lane)]
+    try:
+        while lanes:
+            lanes = _clip(oracle, lanes)
+            ys = oracle.query_function_many([front[k] for k in lanes]).tolist()
+            nxt = []
+            for lane, y in zip(lanes, ys):
+                u = front[lane]
+                steps[lane] += 1
+                kind, prev = _arrival(pred, u, y)
+                if kind == "found":
+                    return out(FOUND, Witness("collision", (u, prev, y)))
+                if kind == "go" and steps[lane] < caps[lane]:
+                    front[lane] = y
+                    nxt.append(lane)
+                elif spawn(lane):
+                    nxt.append(lane)
+            lanes = nxt
+    except BudgetExceeded:
+        return out(BUDGET_EXCEEDED)
+    return out(EXHAUSTED)
 
 
 def _reference_battery(oracle, t, attempts, seed=None, batch=512):
@@ -290,6 +437,74 @@ class TestBatteryDifferential:
                     e = exact_cert_expectation(inst, t)
                     assert ((e.success_prob, e.cost_per_attempt, e.expected_total)
                             == _scalar_expectation(succ, t)), (n, t)
+
+
+def _walk_run(fn, inst, relabel_seed, budget, args, kw):
+    o = CountedOracle(inst, relabel_seed=relabel_seed, budget=budget)
+    return fn(o, *args, **kw), list(o.iter_transcript())
+
+
+def _walker_configs(n):
+    """(shared walker, reference, positional args, keyword args)."""
+    for t in (0, 3):
+        cert = Certificate("CollisionScale", {"t": t})
+        for batch in (1, 7, 16):
+            yield (cert_collision_search, _reference_cert_collision, (cert,),
+                   {"batch": batch, "seed": n + t + batch})
+    for window in ((0, 0), (1, 3), (2, 6)):
+        yield (multiscale_collision_search, _reference_multiscale, window,
+               {"seed": n + sum(window)})
+
+
+class TestWalkerDifferential:
+    """The shared-map walker against the two walkers it replaced: the
+    same outcome and transcript at every budget, except where a clipped
+    round used to end in Exhausted (now BudgetExceeded)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+    def test_matches_reference_on_random_functions(self, n):
+        rng = np.random.default_rng(n)
+        for succ in (rng.integers(0, n, n), rng.permutation(n)):
+            inst = FunctionInstance(n=n, succ=succ, meta=None, info={})
+            for new, ref, args, kw in _walker_configs(n):
+                for max_attempts in (None, 1, 5, 40):
+                    for relabel_seed in (None, 3):
+                        self._compare(inst, new, ref, args,
+                                      {**kw, "max_attempts": max_attempts},
+                                      relabel_seed)
+
+    @staticmethod
+    def _compare(inst, new, ref, args, kw, relabel_seed):
+        # without an attempt cap a collision-free walk never ends
+        cap = 100 if kw["max_attempts"] is None else None
+        full, _ = _walk_run(ref, inst, relabel_seed, cap, args, kw)
+        q = full.queries
+        lanes = 16
+        budgets = {cap, -1, 0, 1, 2, 3, q // 3, q // 2,
+                   *range(max(0, q - lanes - 1), q + 2)}
+        for budget in budgets:
+            want, want_tr = _walk_run(ref, inst, relabel_seed, budget, args, kw)
+            got, got_tr = _walk_run(new, inst, relabel_seed, budget, args, kw)
+            assert got_tr == want_tr, (kw, budget)
+            if got != want:
+                mended = dataclasses.replace(got, status=EXHAUSTED)
+                assert (want.status, got.status, mended) == \
+                    (EXHAUSTED, BUDGET_EXCEEDED, want), (kw, budget)
+                assert got.queries == budget < q, (kw, budget)
+
+    def test_clipped_last_round_is_budget_exceeded(self):
+        # multiscale at budget 2,776 needs one query more than it may spend
+        inst, _, _ = gen_collision_function(1024, ScaleParams(2, 4), seed=1,
+                                            b_override=0)
+        kw = {"seed": 42, "max_attempts": 2000}
+        full, _ = _walk_run(multiscale_collision_search, inst, 7, None,
+                            (2, 4), kw)
+        assert (full.status, full.queries) == (EXHAUSTED, 2777)
+        want, _ = _walk_run(_reference_multiscale, inst, 7, 2776, (2, 4), kw)
+        got, _ = _walk_run(multiscale_collision_search, inst, 7, 2776,
+                           (2, 4), kw)
+        assert (want.status, got.status) == (EXHAUSTED, BUDGET_EXCEEDED)
+        assert got.queries == want.queries == 2776
 
 
 class TestNegativeBudget:

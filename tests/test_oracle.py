@@ -22,7 +22,13 @@ from qsep import (
     write_certificate,
     write_instance,
 )
-from qsep.oracle import graph_from_edges, invert_permutation, random_permutation
+from qsep.oracle import (
+    StructureMeta,
+    _relabel_maps,
+    graph_from_edges,
+    invert_permutation,
+    random_permutation,
+)
 
 
 def identity_instance(n):
@@ -219,6 +225,61 @@ def test_oracle_relabel_seed_equals_relabeled_instance():
     xs = rng.integers(0, n, size=50)
     assert [o1.query_function(int(x)) for x in xs] == \
            [o2.query_function(int(x)) for x in xs]
+
+
+def test_relabel_memo_is_shared_and_read_only():
+    inst = FunctionInstance(n=64, succ=np.random.default_rng(3).integers(0, 64, 64))
+    o1 = CountedOracle(inst, relabel_seed=11)
+    o2 = CountedOracle(inst, relabel_seed=11)
+    perm, inv = _relabel_maps(64, 11)
+    assert o1._out is o2._out is perm and o1._in is o2._in is inv
+    assert np.array_equal(inv[perm], np.arange(64))
+    for a in (perm, inv):
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+
+
+def test_one_seed_one_transcript_two_seeds_two_maps():
+    rng = np.random.default_rng(8)
+    n = 256
+    inst = FunctionInstance(n=n, succ=rng.integers(0, n, n))
+    xs = rng.integers(0, n, 100)
+
+    def transcript(seed):
+        o = CountedOracle(inst, relabel_seed=seed)
+        o.query_function_many(xs)
+        for x in xs[:10]:
+            o.query_function(int(x))
+        return list(o.iter_transcript())
+
+    first = transcript(4)
+    assert transcript(4) == first
+    assert transcript(5) != first
+    transcript(6)  # evicts seed 4 from the memo
+    assert transcript(4) == first
+    assert not np.array_equal(_relabel_maps(n, 4)[0], _relabel_maps(n, 5)[0])
+
+
+def _one_structure(members):
+    m = np.asarray(members, dtype=np.int64)
+    return StructureMeta(kinds=np.zeros(1, dtype=np.int8),
+                         offsets=np.array([0, len(m)], dtype=np.int64), members=m)
+
+
+@pytest.mark.parametrize("members, n, ok", [
+    ([], 0, True),
+    ([0], 1, True),
+    ([2, 0, 3, 1], 4, True),
+    ([2, 0, 2, 1], 4, False),   # a duplicate
+    ([2, 0, -1, 1], 4, False),  # a negative member
+    ([2, 0, 4, 1], 4, False),   # a member >= n
+    ([2, 0, 1], 4, False),      # too few members
+    ([2, 0, 3, 1, 4], 4, False),  # too many members
+    ([1], 1, False),
+    ([0], 0, False),
+])
+def test_check_partition(members, n, ok):
+    assert _one_structure(members).check_partition(n) is ok
 
 
 def test_info_hiding_and_witness_translation():
