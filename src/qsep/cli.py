@@ -22,7 +22,6 @@ import numpy as np
 from qsep.adversary import AdversarySession
 from qsep.detectors import brute_force_find, corrupt_certificate
 from qsep.generators import (
-    CapacityError,
     FixedPointParams,
     ParameterError,
     PrimeShortageError,
@@ -40,6 +39,7 @@ from qsep.harness import (
     TrialConfig,
     _seed_int,
     canonical_json,
+    config_hash,
     read_trials_csv,
     run_trials,
     separation_experiment,
@@ -69,19 +69,16 @@ _ALIASES = {"collision": "collision-fn", "fixedpoint": "fixedpoint-fn",
             "starpath": "starpath-graph"}
 
 
-def _config_hash(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:12]
-
-
 def _emit(record: dict) -> None:
     print(canonical_json(record))
 
 
-def _master_seed(args) -> int:
+def _master_seed(args, default: int = 0) -> int:
+    """--seed, else $QSEP_SEED, else default."""
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
     env = os.environ.get("QSEP_SEED")
-    return int(env) if env else 0
+    return int(env) if env else int(default)
 
 
 def _sub_seed(master: int, *tags: int) -> int:
@@ -170,10 +167,7 @@ def cmd_gen(args) -> int:
         inst, cert, meta = gen_fixedpoint_function(
             n, _fixedpoint_params(args), seed=seed)
     elif construction == "star-graph":
-        h_spec = args.H if args.H is not None else "triangle"
-        if h_spec not in ("triangle",):
-            h_spec = int(h_spec)
-        inst, cert, meta = gen_star_graph(n, h_spec, seed=seed)
+        inst, cert, meta = gen_star_graph(n, args.H or "triangle", seed=seed)
     elif construction == "starpath-graph":
         inst, cert, meta = gen_starpath_graph(n, args.k, seed=seed)
     else:
@@ -181,7 +175,7 @@ def cmd_gen(args) -> int:
 
     config = {"command": "gen", "construction": construction, "n": n,
               "seed": seed, "parameters": inst.info.get("parameters", {})}
-    h = _config_hash(config)
+    h = config_hash(config)
     prefix = args.prefix or construction
     paths = {kind: _out_path(args, f"{prefix}.{kind}.json")
              for kind in ("instance", "certificate", "meta")}
@@ -216,19 +210,16 @@ def _detector_kwargs(args) -> dict:
     if args.detector == "multiscale":
         lo, hi = _parse_scales(args.scales or "2..8")
         kw["i_min"], kw["i_max"] = lo, hi
-    if args.detector == "path-k":
-        kw["k"] = args.k if args.k is not None else 2
-    if args.detector == "edge-wedge":
-        kw["target"] = args.target or "edge"
     if args.detector == "uniform-probe":
         kw["target"] = args.target or "fixed-point"
         if args.k is not None:
             kw["k"] = args.k
+        elif kw["target"] == "k-star":
+            raise ParameterError("--target k-star needs --k")
     if args.detector == "cert-fixedpoint" and args.C is not None:
         kw["C"] = args.C
     if args.max_attempts is not None and args.detector in (
-            "cert-collision", "multiscale", "cert-claw", "edge-wedge",
-            "uniform-probe"):
+            "cert-collision", "multiscale", "cert-claw"):
         kw["max_attempts"] = args.max_attempts
     return kw
 
@@ -388,15 +379,10 @@ def _bench_slope(spec: dict, args, master: int, h: str) -> int:
 def cmd_bench(args) -> int:
     args.t0 = time.perf_counter()
     spec = json.loads(Path(args.battery).read_text())
-    if args.seed is not None:
-        master = int(args.seed)
-    elif os.environ.get("QSEP_SEED"):
-        master = int(os.environ["QSEP_SEED"])
-    else:
-        master = int(spec.get("master_seed", 0))
-    h = _config_hash({"battery": {k: v for k, v in spec.items()
-                                  if not k.startswith("_")},
-                      "master_seed": master})
+    master = _master_seed(args, spec.get("master_seed", 0))
+    h = config_hash({"battery": {k: v for k, v in spec.items()
+                                 if not k.startswith("_")},
+                     "master_seed": master})
     kind = spec.get("kind")
     if kind == "separation":
         return _bench_separation(spec, args, master, h)
@@ -596,9 +582,9 @@ def cmd_adversary_test(args) -> int:
     prefix = args.prefix or "adversary"
     trace_path = _out_path(args, f"{prefix}.trace.jsonl")
     session.write_trace(trace_path)
-    h = _config_hash({"command": "adversary-test", "n": args.n,
-                      "scales": [lo, hi], "probes": args.probes,
-                      "seed": seed})
+    h = config_hash({"command": "adversary-test", "n": args.n,
+                     "scales": [lo, hi], "probes": args.probes,
+                     "seed": seed})
     write_report_json(_out_path(args, f"{prefix}.summary.json"), {
         "config_hash": h, "n": args.n, "scales": [lo, hi],
         "probes": args.probes, "good_scale": session.good,
@@ -642,7 +628,7 @@ def cmd_report(args) -> int:
     # hash input contents, not paths, so moving the CSVs does not change it
     digests = [hashlib.sha256(Path(p).read_bytes()).hexdigest()
                for p in args.csv]
-    h = _config_hash({"command": "report", "inputs": digests})
+    h = config_hash({"command": "report", "inputs": digests})
     write_report_json(_out_path(args, f"{args.prefix or 'report'}.json"),
                       {"config_hash": h, "groups": summary})
     if args.plot and svg_series:
@@ -708,7 +694,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--no-relabel", action="store_true", dest="no_relabel")
     r.add_argument("--scales", default=None, help="window A..B (multiscale)")
     r.add_argument("--k", type=int, default=None)
-    r.add_argument("--target", default=None)
+    r.add_argument("--target", default=None, choices=("fixed-point", "k-star"),
+                   help="uniform-probe target (default: fixed-point)")
     r.add_argument("--C", type=float, default=None)
     r.add_argument("--max-attempts", type=int, default=None,
                    dest="max_attempts")

@@ -688,84 +688,13 @@ def cert_starpath_search(oracle, cert: Certificate, seed=None) -> SearchOutcome:
 # certificate-free baselines
 
 
-def path_k_search(oracle, k: int, seed=None) -> SearchOutcome:
-    """Walk k steps from each start (drawn without replacement); Found when
-    the k+1 visited elements are distinct."""
-    rng = np.random.default_rng(seed)
-    q0 = oracle.count
-    n = oracle.n
-    attempts = 0
-
-    def out(status, w=None):
-        return SearchOutcome(status, w, oracle.count - q0, attempts, {})
-
-    try:
-        for x in rng.permutation(n).tolist():
-            attempts += 1
-            visited = [x]
-            seen = {x}
-            for _ in range(k):
-                y = oracle.query_function(visited[-1])
-                if y in seen:
-                    break
-                visited.append(y)
-                seen.add(y)
-            if len(visited) == k + 1:
-                return out(FOUND, Witness("path", tuple(visited)))
-    except BudgetExceeded:
-        return out(BUDGET_EXCEEDED)
-    return out(EXHAUSTED)
-
-
-def edge_wedge_search(oracle, target: str, seed=None,
-                      max_attempts=None) -> SearchOutcome:
-    """Uniform sampling with replacement; local degree/neighbor probes."""
-    if target not in ("edge", "wedge"):
-        raise ValueError(f"target must be 'edge' or 'wedge', got {target!r}")
-    rng = np.random.default_rng(seed)
-    q0 = oracle.count
-    n = oracle.n
-    attempts = 0
-
-    def out(status, w=None):
-        return SearchOutcome(status, w, oracle.count - q0, attempts, {})
-
-    try:
-        while max_attempts is None or attempts < max_attempts:
-            _need(oracle, 1)
-            attempts += 1
-            v = int(rng.integers(n))
-            d = oracle.query_degree(v)
-            if target == "edge":
-                if d >= 1:
-                    w = oracle.query_neighbor(v, 0)
-                    return out(FOUND, Witness("edge", (v, w)))
-                continue
-            if d >= 2:
-                _need(oracle, 2)
-                a = oracle.query_neighbor(v, 0)
-                b = oracle.query_neighbor(v, 1)
-                return out(FOUND, Witness("wedge", (v, a, b)))
-            if d == 1:
-                _need(oracle, 2)
-                w = oracle.query_neighbor(v, 0)
-                dw = oracle.query_degree(w)
-                if dw >= 2:
-                    _need(oracle, 2)
-                    a = oracle.query_neighbor(w, 0)
-                    b = oracle.query_neighbor(w, 1)
-                    return out(FOUND, Witness("wedge", (w, a, b)))
-    except BudgetExceeded:
-        return out(BUDGET_EXCEEDED)
-    return out(EXHAUSTED)
-
-
 def uniform_probe_baseline(oracle, target: str, seed=None,
                            k: int | None = None, chunk: int = 256) -> SearchOutcome:
-    """Sample elements without replacement; verify the target locally.
+    """Sample elements without replacement, `chunk` at a time; verify the
+    target (fixed-point or k-star) locally.
 
-    The chunked targets report Exhausted only after probing all n
-    elements; a budget that cuts the probing short is BudgetExceeded."""
+    Exhausted only after probing all n elements; a budget that cuts the
+    probing short is BudgetExceeded."""
     rng = np.random.default_rng(seed)
     q0 = oracle.count
     n = oracle.n
@@ -805,16 +734,6 @@ def uniform_probe_baseline(oracle, target: str, seed=None,
                     if len(pend) >= k:
                         w = Witness("k-star", (v, *(int(x) for x in pend[:k])))
                         return out(FOUND, w)
-        elif target in ("edge", "wedge"):
-            need = 1 if target == "edge" else 2
-            for x in order.tolist():
-                _need(oracle, 1)
-                attempts += 1
-                d = oracle.query_degree(x)
-                if d >= need:
-                    _need(oracle, need)
-                    ns = [oracle.query_neighbor(x, j) for j in range(need)]
-                    return out(FOUND, Witness(target, (x, *ns)))
         else:
             raise ValueError(f"unsupported target {target!r}")
     except BudgetExceeded:
@@ -850,25 +769,6 @@ def brute_force_find(instance, target: str, k: int | None = None,
         succ = instance.succ
         return [Witness("fixed-point", (int(x),))
                 for x in np.flatnonzero(succ == np.arange(n))]
-    if target == "path":
-        if k is None:
-            raise ValueError("path target needs k")
-        if n > 1 << 13:
-            raise ValueError("instance too large for exhaustive path search")
-        succ = instance.succ
-        out = []
-        for x in range(n):
-            visited = [x]
-            seen = {x}
-            for _ in range(k):
-                y = int(succ[visited[-1]])
-                if y in seen:
-                    break
-                visited.append(y)
-                seen.add(y)
-            if len(visited) == k + 1:
-                out.append(Witness("path", tuple(visited)))
-        return out
     if target in ("claw", "k-star"):
         kk = 3 if target == "claw" else k
         if kk is None:
@@ -891,20 +791,6 @@ def brute_force_find(instance, target: str, k: int | None = None,
         for group in combinations(cands, h):
             if all(b in adj[a] for a, b in combinations(group, 2)):
                 out.append(Witness("clique", group))
-        return out
-    if target == "edge":
-        out = []
-        for v in range(n):
-            for w in instance.neighbors(v):
-                if v < int(w):
-                    out.append(Witness("edge", (v, int(w))))
-        return out
-    if target == "wedge":
-        out = []
-        for v in range(n):
-            nbrs = instance.neighbors(v).tolist()
-            for a, b in combinations(sorted(nbrs), 2):
-                out.append(Witness("wedge", (v, int(a), int(b))))
         return out
     raise ValueError(f"unsupported target {target!r}")
 

@@ -30,7 +30,6 @@ from qsep.oracle import (
     KIND_STAR,
     Certificate,
     FunctionInstance,
-    GraphInstance,
     MetaBuilder,
     graph_from_edges,
 )
@@ -533,15 +532,15 @@ def gen_fixedpoint_function(n: int, params: FixedPointParams,
 
 
 def _clique_size(h_spec) -> int:
+    """An int, "triangle" (3) or a decimal string; 0 plants no clique."""
     if isinstance(h_spec, (int, np.integer)):
         return int(h_spec)
     if h_spec == "triangle":
         return 3
-    if h_spec in ("none", None):
-        return 0
-    if isinstance(h_spec, str) and h_spec.startswith("clique:"):
-        return int(h_spec.split(":", 1)[1])
-    raise ParameterError(f"unsupported H-spec {h_spec!r}")
+    if isinstance(h_spec, str) and h_spec.isdecimal():
+        return int(h_spec)
+    raise ParameterError(
+        f"unsupported H-spec {h_spec!r}; expected 'triangle' or a clique size")
 
 
 def star_degree_set(n: int) -> list[int]:
@@ -572,7 +571,7 @@ def gen_star_graph(n: int, h_spec, seed):
     """Disjoint stars with pairwise-distinct center degrees; |H| leaves of
     distinct stars form the one planted clique."""
     h = _clique_size(h_spec)
-    if h == 1:
+    if h < 0 or h == 1:
         raise ParameterError("clique size must be 0 (absent) or >= 2")
     degrees = star_degree_set(n)
     s = len(degrees)

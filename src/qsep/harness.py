@@ -32,9 +32,7 @@ from qsep.detectors import (
     cert_fixedpoint_search,
     cert_star_search,
     cert_starpath_search,
-    edge_wedge_search,
     multiscale_collision_search,
-    path_k_search,
     uniform_probe_baseline,
 )
 from qsep.generators import (
@@ -273,8 +271,6 @@ DETECTORS = {
     "cert-fixedpoint": cert_fixedpoint_search,
     "cert-star": cert_star_search,
     "cert-starpath": cert_starpath_search,
-    "path-k": _certless(path_k_search),
-    "edge-wedge": _certless(edge_wedge_search),
     "uniform-probe": _certless(uniform_probe_baseline),
 }
 
@@ -293,6 +289,11 @@ CERT_KINDS = {
 # trial running
 
 
+def config_hash(obj) -> str:
+    """First 12 hex digits of the sha256 of obj's canonical JSON."""
+    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:12]
+
+
 @dataclass
 class TrialConfig:
     generator: str
@@ -307,8 +308,7 @@ class TrialConfig:
     point: int = 0
 
     def config_hash(self) -> str:
-        blob = canonical_json(self).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return config_hash(self)
 
 
 def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -392,19 +392,19 @@ def _run_single_trial(config: TrialConfig, trial: int) -> dict:
                   config.budget, config.det_kwargs, det_ss)
 
 
-def _trial_worker(args):
-    config, trial = args
-    return _run_single_trial(config, trial)
+def _map(fn, tasks, workers: int) -> list:
+    """[fn(*task) for task in tasks], across a process pool when workers > 1;
+    results keep the order of tasks."""
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*tasks), chunksize=1))
+    return [fn(*task) for task in tasks]
 
 
 def run_trials(config: TrialConfig, workers: int = 1):
     """Run config.trials independent seeded trials; returns (stats, rows)."""
-    tasks = [(config, i) for i in range(config.trials)]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_trial_worker, tasks, chunksize=1))
-    else:
-        rows = [_run_single_trial(config, i) for i in range(config.trials)]
+    rows = _map(_run_single_trial,
+                [(config, i) for i in range(config.trials)], workers)
     return TrialStats.from_rows(rows), rows
 
 
@@ -482,10 +482,6 @@ def _sep_pair(point: SeparationPoint, point_idx: int, trial: int,
     return row_c, row_b
 
 
-def _sep_worker(args):
-    return _sep_pair(*args)
-
-
 def separation_experiment(points, trials: int, master_seed: int,
                           budget_factor: float = 50.0, pilot_trials: int = 6,
                           workers: int = 1) -> SeparationReport:
@@ -504,12 +500,8 @@ def separation_experiment(points, trials: int, master_seed: int,
         pilot_mean = float(np.mean([r["queries"] for r in pilot_rows]))
         budget = max(1, math.ceil(budget_factor * pilot_mean))
 
-        tasks = [(pt, idx, i, master_seed, budget, False) for i in range(trials)]
-        if workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                pairs = list(pool.map(_sep_worker, tasks, chunksize=1))
-        else:
-            pairs = [_sep_pair(*t) for t in tasks]
+        pairs = _map(_sep_pair, [(pt, idx, i, master_seed, budget, False)
+                                 for i in range(trials)], workers)
         rows_c = [c for c, _ in pairs]
         rows_b = [b for _, b in pairs]
 

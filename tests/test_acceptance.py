@@ -10,6 +10,7 @@ import json
 import math
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,17 @@ from qsep.adversary import AdversarySession
 from qsep.cli import main as cli_main
 from qsep.harness import SeparationPoint, separation_experiment
 from qsep.oracle import _unrelabel_witness
+
+
+GOLDEN_PATH = Path(__file__).with_name("acceptance_golden.json")
+
+
+def matches_golden(criterion, quantities):
+    """True when a criterion's seeded quantities (no wall times) equal the
+    ones recorded in acceptance_golden.json, compared after a JSON round
+    trip. A change that moves one on purpose re-records the file."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    return json.loads(json.dumps(quantities)) == golden[f"criterion {criterion}"]
 
 
 def emit(capsys, criterion, ok, detail):
@@ -82,11 +94,12 @@ def test_criterion_1_exact_success_probability(collision_panel, capsys):
         halfw = Z99 * math.sqrt(p * (1 - p) / MC_ATTEMPTS)
         worst_ci = max(worst_ci, abs(res["success_rate"] - p) / halfw)
         worst_sec = max(worst_sec, time.perf_counter() - t0)
-    ok = worst_ci <= 1.0 and worst_sec < 60.0
+    same = matches_golden(1, {"worst_ci": worst_ci})
+    ok = worst_ci <= 1.0 and worst_sec < 60.0 and same
     emit(capsys, 1, ok,
          f"20 instances n=2^16, 1e5 attempts each: worst |mc-p| at "
          f"{worst_ci:.2f} of the 99% CI half-width (tolerance 1.0), worst "
-         f"per-instance {worst_sec:.1f}s (cap 60s)")
+         f"per-instance {worst_sec:.1f}s (cap 60s), golden={same}")
     assert ok
 
 
@@ -103,11 +116,12 @@ def test_criterion_2_expected_walk_length(collision_panel, capsys):
             row["meta"].extras["rho"])
         worst_rel = max(worst_rel,
                         abs(cost_per / float(exact.cost_per_attempt) - 1))
-    ok = worst_rel <= 0.05
+    same = matches_golden(2, {"worst_rel": worst_rel})
+    ok = worst_rel <= 0.05 and same
     emit(capsys, 2, ok,
          f"exact == closed-form enumeration as rationals on all 20; "
          f"unfloored scale sum within {worst_rel:.2%} of exact per-attempt "
-         f"cost (tolerance 5%)")
+         f"cost (tolerance 5%), golden={same}")
     assert ok
 
 
@@ -171,11 +185,13 @@ def test_criterion_3_online_offline_distribution(capsys):
     gcounts = [goods[i] for i in range(C3_PARAMS.i_min, C3_PARAMS.i_max + 1)]
     p_good = stats.chisquare(gcounts).pvalue
     elapsed = time.perf_counter() - t0
-    ok = p_two > 0.01 and p_good > 0.01 and elapsed < 300
+    same = matches_golden(3, {"p_two": float(p_two), "p_good": float(p_good)})
+    ok = p_two > 0.01 and p_good > 0.01 and elapsed < 300 and same
     emit(capsys, 3, ok,
          f"10^4 seeds/side, 200-query probe at n=2^12: transcript two-sample "
          f"chi-square p={p_two:.3f}, good-scale uniformity p={p_good:.3f} "
-         f"(both must exceed 0.01), {elapsed:.0f}s (cap 300s)")
+         f"(both must exceed 0.01), {elapsed:.0f}s (cap 300s), "
+         f"golden={same}")
     assert ok
 
 
@@ -205,12 +221,14 @@ def test_criterion_4_scale_count_separation(capsys):
     (slope, _), res, *_ = np.linalg.lstsq(design, ys, rcond=None)
     r2 = 1 - res[0] / ((ys - ys.mean()) ** 2).sum()
     elapsed = time.perf_counter() - t0
-    ok = mono and slope > 0 and r2 >= 0.8 and elapsed < 1800
+    same = matches_golden(4, {"ratios": [[float(r) for r in rs]
+                                          for rs in all_ratios]})
+    ok = mono and slope > 0 and r2 >= 0.8 and elapsed < 1800 and same
     emit(capsys, 4, ok,
          f"n=2^20, s in {C4_S}, 3 batteries x {C4_TRIALS} trials: ratios "
          f"{[[round(r, 2) for r in rs] for rs in all_ratios]} strictly "
          f"increasing={mono}, pooled linear fit slope={slope:.3f}>0, "
-         f"R^2={r2:.3f}>=0.8, {elapsed:.0f}s (cap 1800s)")
+         f"R^2={r2:.3f}>=0.8, {elapsed:.0f}s (cap 1800s), golden={same}")
     assert ok
 
 
@@ -263,14 +281,17 @@ def test_criterion_5_function_polynomial_separation(capsys):
     # fixed n; at the top size the certificate must let the detector finish
     # within one iteration's worth of queries
     bound = fixedpoint_iteration_bound(C56_NS[-1], C5_C)
+    same = matches_golden(5, {"cert_slope": cs, "base_slope": bs,
+                              "cert_top": cert_top, "base_top": base_top})
     ok = 0.6 <= cs <= 0.9 and 0.85 <= bs <= 1.15 and cert_top <= bound \
-        and elapsed < 1800
+        and elapsed < 1800 and same
     detail = (f"fixed-point search over n=2^12..2^18: cert slope {cs:.3f} "
               f"(need [0.6, 0.9]), baseline slope {bs:.3f} "
               f"(need [0.85, 1.15]), cert mean at 2^18 = {cert_top:.0f} "
               f"(need <= S = {bound}), baseline/cert ratio "
               f"{base_top / cert_top:.2f} (S implies >= "
-              f"{base_top / bound:.2f}), {elapsed:.0f}s (cap 1800s)")
+              f"{base_top / bound:.2f}), {elapsed:.0f}s (cap 1800s), "
+              f"golden={same}")
     emit(capsys, 5, ok, detail)
     assert ok, detail
 
@@ -283,13 +304,15 @@ def test_criterion_6_graph_polynomial_separation(capsys):
         "k-star", base_k=4)
     ratio = base_top / cert_top
     elapsed = time.perf_counter() - t0
+    same = matches_golden(6, {"cert_slope": cs, "base_slope": bs,
+                              "cert_top": cert_top, "base_top": base_top})
     ok = 0.35 <= cs <= 0.65 and 0.85 <= bs <= 1.15 and ratio >= 10 \
-        and elapsed < 1200
+        and elapsed < 1200 and same
     emit(capsys, 6, ok,
          f"backbone k-star search over n=2^12..2^18: cert slope {cs:.3f} "
          f"(need [0.35, 0.65]), baseline slope {bs:.3f} (need [0.85, 1.15]), "
          f"ratio at 2^18 = {ratio:.2f} (need >= 10), {elapsed:.0f}s "
-         f"(cap 1200s)")
+         f"(cap 1200s), golden={same}")
     assert ok
 
 
@@ -337,12 +360,14 @@ def test_criterion_7_brute_force_equivalence(capsys):
                     invalid += 1
         found_by_lane[name] = found
     elapsed = time.perf_counter() - t0
-    ok = count_mismatch == 0 and invalid == 0 and elapsed < 300
+    same = matches_golden(7, {"found_by_lane": found_by_lane})
+    ok = count_mismatch == 0 and invalid == 0 and elapsed < 300 and same
     emit(capsys, 7, ok,
          f"1000 instances per construction at n=2^10: witness-count "
          f"mismatches {count_mismatch}, invalid Found-witnesses {invalid} "
          f"(both must be 0; found per lane "
-         f"{sorted(found_by_lane.values())}), {elapsed:.0f}s (cap 300s)")
+         f"{sorted(found_by_lane.values())}), {elapsed:.0f}s (cap 300s), "
+         f"golden={same}")
     assert ok
 
 
@@ -351,7 +376,9 @@ C8_RUNS = 500
 
 def test_criterion_8_certificate_robustness(capsys):
     invalid = found = 0
+    found_by_lane = {}
     for name, gen, _target, _bkw, det, dkw in C7_LANES:
+        found_before = found
         for r in range(C8_RUNS):
             inst, cert, _ = gen(2000 + r // 10)
             kw = {}
@@ -367,10 +394,13 @@ def test_criterion_8_certificate_robustness(capsys):
                 if not validate_witness(
                         inst, _unrelabel_witness(o, out.witness)):
                     invalid += 1
-    ok = invalid == 0
+        found_by_lane[name] = found - found_before
+    same = matches_golden(8, {"found_by_lane": found_by_lane})
+    ok = invalid == 0 and same
     emit(capsys, 8, ok,
          f"{C8_RUNS} corrupted-certificate runs per certificate detector: "
-         f"{found} Found outcomes, {invalid} invalid witnesses (must be 0)")
+         f"{found} Found outcomes, {invalid} invalid witnesses (must be 0), "
+         f"golden={same}")
     assert ok
 
 
@@ -452,9 +482,10 @@ def test_criterion_9_command_determinism(tmp_path, capsys):
     da, db = _digest_tree(tmp_path / "a"), _digest_tree(tmp_path / "b")
     files_equal = da == db
     stdout_equal = transcripts[0] == transcripts[1]
-    ok = files_equal and len(da) > 20 and stdout_equal
+    same = matches_golden(9, {"sha256": da})
+    ok = files_equal and len(da) > 20 and stdout_equal and same
     emit(capsys, 9, ok,
          f"all six commands rerun with identical flags and seed: {len(da)} "
          f"output files byte-identical={files_equal}, stdout (minus wall-ms) "
-         f"identical={stdout_equal}")
+         f"identical={stdout_equal}, golden={same}")
     assert ok

@@ -7,13 +7,15 @@ transcript. It was recorded at commit 346c08c, where each detector still
 took its own ``budget=`` argument; the replay puts the same budget on the
 ``CountedOracle``. The grid reaches every clipping rule (a batch cut in
 the middle, a budget smaller than one lockstep round) and every early
-refusal (claw's 2- and 3-query steps, edge-wedge's pairs, uniform-probe's
-2*d star checks), so a change to how budgets are spent shows up here.
+refusal (claw's 2- and 3-query steps, uniform-probe's 2*d star checks),
+so a change to how budgets are spent shows up here.
 Besides the fixed BUDGETS, each (setup, relabel) pair is cut one and two
 queries before its unbudgeted run ends, which lands inside its last step.
 
-The recording is kept as made. MENDED lists the entries whose status
-differs from it on purpose.
+The recording is kept as made, less the rows of the setups whose
+detectors were deleted (path-k, edge-wedge and uniform-probe's wedge
+target). MENDED lists the entries whose status differs from it on
+purpose.
 """
 
 import hashlib
@@ -34,17 +36,15 @@ from qsep import (
     cert_starpath_search,
     collision_attempt_battery,
     corrupt_certificate,
-    edge_wedge_search,
     gen_claw_graph,
     gen_collision_function,
     gen_fixedpoint_function,
     gen_star_graph,
     gen_starpath_graph,
     multiscale_collision_search,
-    path_k_search,
     uniform_probe_baseline,
 )
-from qsep.oracle import FunctionInstance, Witness, canonical_json, graph_from_edges
+from qsep.oracle import FunctionInstance, Witness, canonical_json
 
 SNAPSHOT = Path(__file__).with_name("budget_snapshot.json")
 
@@ -55,9 +55,8 @@ SETUP_NAMES = (
     "battery", "battery-wide", "cert-collision", "cert-collision-free",
     "multiscale", "multiscale-free", "cert-claw", "cert-claw-free",
     "cert-fixedpoint", "cert-fixedpoint-follow", "cert-star",
-    "cert-star-corrupt", "cert-starpath", "cert-starpath-corrupt", "path-k",
-    "edge-wedge-edge", "edge-wedge-wedge", "uniform-fixed-point",
-    "uniform-fixed-point-ring", "uniform-k-star", "uniform-wedge")
+    "cert-star-corrupt", "cert-starpath", "cert-starpath-corrupt",
+    "uniform-fixed-point", "uniform-fixed-point-ring", "uniform-k-star")
 
 # uniform-probe reported Exhausted when the budget clipped its last chunk
 # short of the end; having probed only part of the domain it now reports
@@ -99,7 +98,6 @@ def setups() -> dict:
     sp, spc, _ = gen_starpath_graph(4096, 4, seed=29)
     ring = FunctionInstance(n=4096, succ=[(i + 1) % 4096 for i in range(4096)],
                             meta=None, info={})
-    sparse = graph_from_edges(64, [(0, 1), (1, 2)])
     return {
         "battery": (fn, collision_attempt_battery, (fc.payload["t"], 3000),
                     {"seed": 1, "batch": 100}),
@@ -127,18 +125,12 @@ def setups() -> dict:
                                   (corrupt_certificate(spc, seed=3,
                                                        index_range=64),),
                                   {"seed": 3}),
-        "path-k": (fn, path_k_search, (12,), {"seed": 1}),
-        "edge-wedge-edge": (sparse, edge_wedge_search, ("edge",), {"seed": 1}),
-        "edge-wedge-wedge": (sparse, edge_wedge_search, ("wedge",),
-                             {"seed": 3, "max_attempts": 500}),
         "uniform-fixed-point": (fp, uniform_probe_baseline, ("fixed-point",),
                                 {"seed": 1}),
         "uniform-fixed-point-ring": (ring, uniform_probe_baseline,
                                      ("fixed-point",), {"seed": 0, "chunk": 32}),
         "uniform-k-star": (sp, uniform_probe_baseline, ("k-star",),
                            {"seed": 2, "k": 4}),
-        "uniform-wedge": (sparse, uniform_probe_baseline, ("wedge",),
-                          {"seed": 1}),
     }
 
 

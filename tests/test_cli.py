@@ -3,12 +3,11 @@
 import json
 import hashlib
 
-import numpy as np
 import pytest
 
 from qsep.cli import main
 from qsep.harness import read_trials_csv
-from qsep.oracle import FunctionInstance, read_instance, write_instance
+from qsep.oracle import read_instance, write_instance
 from qsep.svg import parse_chart
 
 
@@ -72,7 +71,10 @@ class TestGen:
         (("fixedpoint-fn", "--n", "4096", "--feeder-len", "0"), "feeder_len"),
         (("collision-fn", "--n", "-4"), "--n must be >= 1, got -4"),
         (("collision-fn", "--n", "0"), "--n must be >= 1, got 0"),
-        (("fixedpoint-fn", "--n", "1"), "n >= 2, got 1")])
+        (("fixedpoint-fn", "--n", "1"), "n >= 2, got 1"),
+        (("star", "--n", "4096", "--H", "none"), "H-spec 'none'"),
+        (("star", "--n", "4096", "--H", "clique:4"), "H-spec 'clique:4'"),
+        (("star", "--n", "4096", "--H", "abc"), "H-spec 'abc'")])
     def test_bad_sizes_exit_2_without_traceback(self, tmp_path, capsys, flags,
                                                 message):
         code, _, err = run_cli(capsys, "gen", "--construction", *flags,
@@ -89,6 +91,15 @@ class TestGen:
             "--H", "triangle", "--seed", "3", "--out-dir", str(tmp_path))
         assert code == 0
         assert last_json(lines)["witnesses"] == 1
+
+    @pytest.mark.parametrize("spec, witnesses", [("0", 0), ("4", 1)])
+    def test_star_clique_size_as_decimal(self, tmp_path, capsys, spec,
+                                         witnesses):
+        code, lines, _ = run_cli(
+            capsys, "gen", "--construction", "star", "--n", "4096",
+            "--H", spec, "--seed", "3", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert last_json(lines)["witnesses"] == witnesses
 
     def test_qsep_seed_env_is_the_default(self, tmp_path, capsys, monkeypatch):
         d1, d2 = tmp_path / "env", tmp_path / "flag"
@@ -137,17 +148,6 @@ class TestRun:
             rec = last_json(lines)
             assert rec["status"] != "Found" or rec["valid"] is True
 
-    def test_path_k_on_identity_file_exhausts(self, tmp_path, capsys):
-        inst = FunctionInstance(n=64, succ=np.arange(64), meta=None, info={})
-        path = tmp_path / "identity.json"
-        write_instance(inst, path)
-        code, lines, _ = run_cli(
-            capsys, "run", "--instance", str(path), "--detector", "path-k",
-            "--k", "1", "--seed", "1")
-        assert code == 0
-        rec = last_json(lines)
-        assert rec["status"] == "Exhausted" and rec["witness"] is None
-
     def test_graph_detector_on_function_instance_exits_3(
             self, collision_files, capsys):
         inst, cert = collision_files
@@ -192,10 +192,34 @@ class TestRun:
             "error: cert-collision needs a CollisionScale or ClawScale "
             "certificate, got a StarDegrees certificate"]
 
+    def test_max_attempts_left_to_detectors_that_take_it(
+            self, collision_files, capsys):
+        inst, _ = collision_files
+        capsys.readouterr()
+        code, lines, err = run_cli(
+            capsys, "run", "--instance", str(inst), "--detector",
+            "uniform-probe", "--max-attempts", "5", "--seed", "1")
+        assert code == 0 and "Traceback" not in err
+        assert last_json(lines)["detector"] == "uniform-probe"
+
+    @pytest.mark.parametrize("flags", [("--target", "edge"),
+                                       ("--target", "k-star")])
+    def test_bad_uniform_probe_target_exits_2(self, collision_files, capsys,
+                                              flags):
+        inst, _ = collision_files
+        capsys.readouterr()
+        try:
+            code = main(["run", "--instance", str(inst), "--detector",
+                         "uniform-probe", *flags])
+        except SystemExit as e:   # argparse rejects a bad choice itself
+            code = e.code
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err and "error:" in err
+
     def test_missing_instance_exits_4(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "run", "--instance", str(tmp_path / "missing.json"),
-            "--detector", "path-k", "--seed", "1")
+            "--detector", "multiscale", "--seed", "1")
         assert code == 4 and "error:" in err
 
 

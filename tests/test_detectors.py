@@ -21,7 +21,6 @@ from qsep import (
     cert_starpath_search,
     collision_attempt_battery,
     corrupt_certificate,
-    edge_wedge_search,
     exact_cert_expectation,
     gen_claw_graph,
     gen_collision_function,
@@ -29,7 +28,6 @@ from qsep import (
     gen_star_graph,
     gen_starpath_graph,
     multiscale_collision_search,
-    path_k_search,
     uniform_probe_baseline,
     validate_witness,
 )
@@ -57,39 +55,10 @@ def found_and_valid(instance, oracle, outcome):
 
 
 class TestWorkedExamples:
-    def test_wedge_from_middle_of_two_edge_path_costs_three(self):
-        g = graph_from_edges(3, [(0, 1), (1, 2)])
-        seed = next(s for s in range(50)
-                    if np.random.default_rng(s).integers(3) == 1)
-        out = edge_wedge_search(CountedOracle(g), "wedge", seed=seed)
-        assert out.found and out.queries == 3 and out.attempts == 1
-        assert out.witness.vertices[0] == 1
-        assert set(out.witness.vertices) == {0, 1, 2}
-
-    def test_path_search_on_identity_exhausts(self):
-        inst = FunctionInstance(n=64, succ=np.arange(64), meta=None, info={})
-        out = path_k_search(CountedOracle(inst), k=1, seed=0)
-        assert out.status == "Exhausted"
-        assert out.attempts == 64 and out.queries == 64
-
-    def test_path_search_on_full_cycle_finds_immediately(self):
-        succ = np.roll(np.arange(64), -1)
-        inst = FunctionInstance(n=64, succ=succ, meta=None, info={})
-        out = path_k_search(CountedOracle(inst), k=5, seed=3)
-        assert out.found and out.attempts == 1 and out.queries == 5
-        assert len(set(out.witness.vertices)) == 6
-
     def test_brute_force_on_three_element_example(self):
         inst = FunctionInstance(n=3, succ=np.array([1, 0, 0]), meta=None, info={})
         hits = brute_force_find(inst, "collision")
         assert hits == [Witness("collision", (1, 2, 0))]
-
-    def test_edge_search_single_planted_edge(self):
-        g = graph_from_edges(16, [(3, 9)])
-        out = edge_wedge_search(CountedOracle(g), "edge", seed=4)
-        assert out.found
-        assert set(out.witness.vertices[:2]) == {3, 9}
-        assert out.queries == out.attempts + 1
 
 
 class TestCollisionDetectors:
@@ -710,17 +679,14 @@ class TestUniformProbe:
         out = uniform_probe_baseline(o, "k-star", seed=2, k=4)
         found_and_valid(inst, o, out)
 
-    def test_edge_and_wedge_targets(self):
-        g = graph_from_edges(64, [(0, 1), (1, 2)])
-        out = uniform_probe_baseline(CountedOracle(g), "edge", seed=1)
-        assert out.found
-        out = uniform_probe_baseline(CountedOracle(g), "wedge", seed=1)
-        assert out.found and out.witness.vertices[0] == 1
-
     def test_unsupported_target_rejected(self):
         inst = FunctionInstance(n=8, succ=np.arange(8), meta=None, info={})
         with pytest.raises(ValueError):
             uniform_probe_baseline(CountedOracle(inst), "collision", seed=0)
+        g = graph_from_edges(64, [(0, 1), (1, 2)])
+        for target in ("edge", "wedge"):
+            with pytest.raises(ValueError, match="unsupported target"):
+                uniform_probe_baseline(CountedOracle(g), target, seed=1)
 
     def test_budget_exceeded_status(self):
         inst = FunctionInstance(n=4096, succ=np.roll(np.arange(4096), -1),
@@ -788,10 +754,9 @@ class TestBruteForce:
         assert set(hits[0].vertices) == set(meta.witness_locations[0])
 
     def test_size_guards(self):
-        big = FunctionInstance(n=1 << 14, succ=np.arange(1 << 14), meta=None,
-                               info={})
-        with pytest.raises(ValueError):
-            brute_force_find(big, "path", k=2)
+        big = graph_from_edges(1 << 14, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(ValueError, match="too large"):
+            brute_force_find(big, "clique", h=3)
 
 
 class TestCorruptCertificate:
@@ -855,8 +820,6 @@ class TestOraclePurity:
         assert cert_fixedpoint_search(o, fpc, seed=1, C=4.0).found
         o = _PureFacade(CountedOracle(fp))
         assert uniform_probe_baseline(o, "fixed-point", seed=1).found
-        o = _PureFacade(CountedOracle(fp))
-        path_k_search(o, k=2, seed=1)
         bat = collision_attempt_battery(_PureFacade(CountedOracle(inst)),
                                         cert.payload["t"], 200, seed=2)
         assert bat["attempts"] == 200
@@ -873,7 +836,5 @@ class TestOraclePurity:
         sp, spc, _ = gen_starpath_graph(2048, 4, seed=10)
         o = _PureFacade(CountedOracle(sp))
         assert cert_starpath_search(o, spc, seed=1).found
-        o = _PureFacade(CountedOracle(sp))
-        assert edge_wedge_search(o, "edge", seed=1).found
         o = _PureFacade(CountedOracle(sp))
         assert uniform_probe_baseline(o, "k-star", seed=1, k=4).found
