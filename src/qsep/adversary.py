@@ -54,18 +54,16 @@ class AdversarySession:
         self._nxt, self._prv = nxt, prv
 
         self._red = {}             # candidate claw center -> its scale
-        self._red_by_scale = {}
-        for j, block in enumerate(self._blocks):
-            i = int(self._table.scales[j])
-            ends = []
-            for row in block[: int(self._table.b[j])]:
-                for v in (int(row[0]), int(row[-1])):
-                    self._red[v] = i
-                    ends.append(v)
+        self._red_by_scale = {}    # scale -> its candidate ends, row by row
+        for i, block, b in zip(self._table.scales.tolist(), self._blocks,
+                               self._table.b.tolist()):
+            rows = block[:b]
+            ends = np.stack((rows[:, 0], rows[:, -1]), 1).ravel().tolist()
+            self._red.update(dict.fromkeys(ends, i))
             self._red_by_scale[i] = ends
         self._blue = set(self._pool.tolist())
 
-        self._alive = [int(i) for i in self._table.scales]
+        self._alive = self._table.scales.tolist()
         self._resolved: GraphInstance | None = None
         self._good: int | None = None
         self.trace: list[dict] = []

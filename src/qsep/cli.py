@@ -3,8 +3,9 @@
 Every command is deterministic given its flags and master seed; wall-clock
 readings go to stdout only, never into output files. Stdout is line
 oriented: zero or more ``key=value`` status lines, then one JSON record.
-Exit codes: 0 ok, 1 verification failure, 2 infeasible parameters,
-3 model mismatch, 4 I/O.
+Exit codes: 0 ok, 1 verification failure, 2 infeasible parameters or a
+malformed battery spec, 3 model mismatch, 4 I/O (a missing or unreadable
+file, or an instance or certificate file that breaks its format).
 """
 
 from __future__ import annotations
@@ -50,12 +51,14 @@ from qsep.harness import (
 from qsep.oracle import (
     Certificate,
     CountedOracle,
+    FileFormatError,
     ModelMismatchError,
     _unrelabel_witness,
     instance_to_jsonable,
     read_certificate,
     read_instance,
     validate_witness,
+    write_json,
 )
 from qsep.svg import line_chart
 
@@ -190,7 +193,7 @@ def cmd_gen(args) -> int:
     for doc, path in ((inst_doc, paths["instance"]),
                       (cert_doc, paths["certificate"]),
                       (meta_doc, paths["meta"])):
-        path.write_text(canonical_json(doc) + "\n")
+        write_json(path, doc)
 
     print(_capacity_line(construction, n, meta.extras))
     _emit({"command": "gen", "construction": construction, "n": n,
@@ -218,8 +221,9 @@ def _detector_kwargs(args) -> dict:
             raise ParameterError("--target k-star needs --k")
     if args.detector == "cert-fixedpoint" and args.C is not None:
         kw["C"] = args.C
-    if args.max_attempts is not None and args.detector in (
-            "cert-collision", "multiscale", "cert-claw"):
+    if args.max_attempts is not None:
+        if args.detector not in ("cert-collision", "multiscale", "cert-claw"):
+            raise ParameterError(f"--max-attempts does not apply to {args.detector}")
         kw["max_attempts"] = args.max_attempts
     return kw
 
@@ -376,19 +380,42 @@ def _bench_slope(spec: dict, args, master: int, h: str) -> int:
     return EXIT_VERIFY if args.strict and warn else EXIT_OK
 
 
+# per battery kind: its list of entries and the keys each entry needs
+_BATTERY_KEYS = {"separation": ("points", ("x", "n", "generator")),
+                 "slope": ("series", ("label", "generator", "detector", "ns"))}
+
+
+def _check_battery(spec) -> str:
+    """Return the spec's kind, or raise ParameterError naming what is missing."""
+    if not isinstance(spec, dict):
+        raise ParameterError("battery spec must be a JSON object")
+    kind = spec.get("kind")
+    if kind not in _BATTERY_KEYS:
+        raise ParameterError(f"battery kind must be separation|slope, got {kind!r}")
+    key, needed = _BATTERY_KEYS[kind]
+    entries = spec.get(key)
+    if not isinstance(entries, list) or not entries:
+        raise ParameterError(f"a {kind} battery needs a non-empty {key!r} list")
+    for j, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ParameterError(f"{key}[{j}] must be a JSON object")
+        missing = [k for k in needed if k not in entry]
+        if missing:
+            raise ParameterError(f"{key}[{j}] lacks {', '.join(map(repr, missing))}")
+    return kind
+
+
 def cmd_bench(args) -> int:
     args.t0 = time.perf_counter()
     spec = json.loads(Path(args.battery).read_text())
+    kind = _check_battery(spec)
     master = _master_seed(args, spec.get("master_seed", 0))
     h = config_hash({"battery": {k: v for k, v in spec.items()
                                  if not k.startswith("_")},
                      "master_seed": master})
-    kind = spec.get("kind")
     if kind == "separation":
         return _bench_separation(spec, args, master, h)
-    if kind == "slope":
-        return _bench_slope(spec, args, master, h)
-    raise ParameterError(f"battery kind must be separation|slope, got {kind!r}")
+    return _bench_slope(spec, args, master, h)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +444,10 @@ def _check_function_structures(inst) -> None:
                 raise _VerifyFailure("partition", "isolated element not fixed")
 
 
-def _check_graph_arrays(inst) -> None:
-    indptr, indices = inst.indptr, inst.indices
-    if indptr[0] != 0 or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
-        raise _VerifyFailure("model-arrays", "malformed CSR index arrays")
-    # symmetry: every arc has its reverse
-    n = inst.n
-    src = np.repeat(np.arange(n), np.diff(indptr))
-    fwd = {(int(u), int(v)) for u, v in zip(src, indices)}
+def _check_graph_symmetry(inst) -> None:
+    """Every arc has its reverse (read_instance already checked the CSR shape)."""
+    src = np.repeat(np.arange(inst.n), np.diff(inst.indptr))
+    fwd = {(int(u), int(v)) for u, v in zip(src, inst.indices)}
     if any((v, u) not in fwd for u, v in fwd):
         raise _VerifyFailure("model-arrays", "adjacency is not symmetric")
 
@@ -474,12 +497,9 @@ def cmd_verify(args) -> int:
             raise _VerifyFailure("partition",
                                  "structures do not partition the domain")
         if inst.model == "function":
-            if inst.succ.shape != (inst.n,) or inst.succ.min() < 0 \
-                    or inst.succ.max() >= inst.n:
-                raise _VerifyFailure("model-arrays", "succ is not a self-map")
             _check_function_structures(inst)
         else:
-            _check_graph_arrays(inst)
+            _check_graph_symmetry(inst)
         checks.append("partition: ok")
         checks.append(_verify_witness_counts(inst, construction))
 
@@ -749,7 +769,7 @@ def main(argv=None) -> int:
     except ModelMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MODEL
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, FileFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
 

@@ -13,6 +13,7 @@ every structure plus witness overhead fits inside n elements.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, asdict
@@ -79,9 +80,10 @@ class ScaleParams:
             raise ParameterError("rho must lie in (0, 1] or be 'auto'")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScaleTable:
-    """Realized per-scale counts for one (n, params) pair."""
+    """Realized per-scale counts for one (n, params) pair. Tables are shared
+    between callers, so the table and its arrays are read-only."""
 
     n: int
     scales: np.ndarray        # the exponents i_min..i_max
@@ -107,7 +109,7 @@ def _counts(n, scales, beta, gamma, c, rho, witness_overhead, clamp_warn=False):
     b_raw = np.floor(rho * n ** (1.0 - c) / gamma ** fs).astype(np.int64)
     if clamp_warn and (b_raw < 1).any():
         low = [int(s) for s, v in zip(scales, b_raw) if v < 1]
-        warnings.warn(f"witness count clamped up to 1 at scales {low}", stacklevel=3)
+        warnings.warn(f"witness count clamped up to 1 at scales {low}", stacklevel=4)
     b = np.minimum(np.maximum(b_raw, 1), a)
     path_elements = int((a * (1 << scales.astype(np.int64))).sum())
     capacity = path_elements + witness_overhead * int(b.max())
@@ -115,8 +117,17 @@ def _counts(n, scales, beta, gamma, c, rho, witness_overhead, clamp_warn=False):
 
 
 def scale_table(n: int, params: ScaleParams, witness_overhead: int = 0) -> ScaleTable:
-    """Resolve rho and the per-scale counts; raise CapacityError if unfit."""
+    """Resolve rho and the per-scale counts; raise CapacityError if unfit.
+
+    Equal (n, params, witness_overhead) keys share one read-only table, so
+    the clamp warning is issued only when a key's table is first built.
+    """
     params.validate()
+    return _scale_table(int(n), params, int(witness_overhead))
+
+
+@functools.lru_cache(maxsize=64)
+def _scale_table(n: int, params: ScaleParams, witness_overhead: int) -> ScaleTable:
     scales = np.arange(params.i_min, params.i_max + 1, dtype=np.int64)
     if params.rho == "auto":
         _, _, _, cap_floor = _counts(n, scales, params.beta, params.gamma, params.c,
@@ -148,6 +159,8 @@ def scale_table(n: int, params: ScaleParams, witness_overhead: int = 0) -> Scale
         raise CapacityError(
             f"capacity {capacity} (paths {path_elements} + overhead) exceeds n = {n} "
             f"at rho = {rho}")
+    for arr in (scales, a, b):
+        arr.flags.writeable = False
     return ScaleTable(n=n, scales=scales, a=a, b=b, rho=rho,
                       witness_overhead=witness_overhead,
                       path_elements=path_elements, capacity=capacity)
@@ -293,40 +306,24 @@ def _claw_edges_and_meta(n, table, blocks, pool, spare, t, b_t):
     """
     builder = MetaBuilder()
     chunks = []
-    for j in range(table.num_scales):
-        block = blocks[j]
-        e = np.empty((block.shape[0] * (block.shape[1] - 1), 2), dtype=np.int64)
-        e[:, 0] = block[:, :-1].reshape(-1)
-        e[:, 1] = block[:, 1:].reshape(-1)
-        chunks.append(e)
+    for block in blocks:
+        chunks.append(np.stack((block[:, :-1], block[:, 1:]), 2).reshape(-1, 2))
         builder.add_blocks(KIND_PATH, block.reshape(-1), block.shape[1])
-    j_good = table.index_of(t)
-    wit = blocks[j_good][:b_t]
+    wit = blocks[table.index_of(t)][:b_t]
     leaves = pool[:_CLAW_OVERHEAD * b_t].reshape(b_t, _CLAW_OVERHEAD)
-    gadget = np.empty((b_t * _CLAW_OVERHEAD, 2), dtype=np.int64)
-    gadget[0::4, 0] = wit[:, 0]
-    gadget[0::4, 1] = leaves[:, 0]
-    gadget[1::4, 0] = wit[:, 0]
-    gadget[1::4, 1] = leaves[:, 1]
-    gadget[2::4, 0] = wit[:, -1]
-    gadget[2::4, 1] = leaves[:, 2]
-    gadget[3::4, 0] = wit[:, -1]
-    gadget[3::4, 1] = leaves[:, 3]
-    chunks.append(gadget)
-    edges = np.concatenate(chunks) if chunks else np.zeros((0, 2), dtype=np.int64)
-    inst = graph_from_edges(n, edges)
+    # a witness row's first end takes leaves 0 and 1, its last end 2 and 3
+    chunks.append(np.stack((wit[:, [0, 0, -1, -1]], leaves), 2).reshape(-1, 2))
+    inst = graph_from_edges(n, np.concatenate(chunks))
 
     if b_t:
         builder.add_blocks(KIND_GADGET, leaves.reshape(-1), _CLAW_OVERHEAD)
     idle = np.concatenate([spare, pool[_CLAW_OVERHEAD * b_t:]])
     if len(idle):
         builder.add(KIND_ISOLATED, idle)
-    witness_locations = []
-    for r in range(b_t):
-        witness_locations.append((int(wit[r, 0]), int(wit[r, 1]),
-                                  int(leaves[r, 0]), int(leaves[r, 1])))
-        witness_locations.append((int(wit[r, -1]), int(wit[r, -2]),
-                                  int(leaves[r, 2]), int(leaves[r, 3])))
+    # two claws per witness row: (end, its path neighbour, its two leaves)
+    claws = np.stack((wit[:, 0], wit[:, 1], leaves[:, 0], leaves[:, 1],
+                      wit[:, -1], wit[:, -2], leaves[:, 2], leaves[:, 3]), 1)
+    witness_locations = list(map(tuple, claws.reshape(-1, 4).tolist()))
     extras = {
         "scales": table.scales.tolist(),
         "a": table.a.tolist(),

@@ -50,6 +50,7 @@ from qsep.oracle import (
     _unrelabel_witness,
     canonical_json,
     validate_witness,
+    write_json,
 )
 
 # ---------------------------------------------------------------------------
@@ -579,7 +580,5 @@ def read_trials_csv(path) -> list[dict]:
         return list(csv.DictReader(body))
 
 
-def write_report_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(obj))
-        fh.write("\n")
+# a report file is a qsep JSON file like any other
+write_report_json = write_json

@@ -42,6 +42,10 @@ class ModelMismatchError(TypeError):
     """A function query hit a graph oracle, or the other way around."""
 
 
+class FileFormatError(ValueError):
+    """An instance or certificate file whose contents break its format."""
+
+
 def _as_index_array(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.int64))
 
@@ -241,8 +245,14 @@ def graph_from_edges(n: int, edges: np.ndarray) -> GraphInstance:
     deg = np.bincount(src, minlength=n).astype(np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=indptr[1:])
-    order = np.argsort(src, kind="stable")
-    indices = dst[order]
+    # a stable sort by src, done as an unstable (faster) sort on the unique
+    # key src * m + position, which is < n * m
+    m = len(src)
+    if int(n) * m > np.iinfo(np.int64).max:
+        raise ValueError(f"{m} half-edges on {n} vertices overflow the int64 sort key")
+    key = src * m
+    key += np.arange(m, dtype=np.int64)
+    indices = dst[np.argsort(key)]
     return GraphInstance(n=n, indptr=indptr, indices=indices)
 
 
@@ -258,8 +268,10 @@ class Certificate:
 
     @staticmethod
     def from_jsonable(d: dict) -> "Certificate":
-        if d.get("format") != "qsep-certificate":
-            raise ValueError("not a certificate file")
+        if not isinstance(d, dict) or d.get("format") != "qsep-certificate":
+            raise FileFormatError("not a certificate file")
+        if not isinstance(d.get("kind"), str) or not isinstance(d.get("payload"), dict):
+            raise FileFormatError("a certificate needs a kind string and a payload object")
         return Certificate(kind=d["kind"], payload=d["payload"])
 
 
@@ -613,32 +625,61 @@ def instance_to_jsonable(instance, include_meta: bool = True) -> dict:
     return doc
 
 
+def _int_array(values, what: str, length: int | None, bound: int) -> np.ndarray:
+    """A JSON list as an int64 array of ``length`` entries (any length if
+    None), each in [0, bound)."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise FileFormatError(f"{what} must be a list of integers")
+    if length is not None and len(arr) != length:
+        raise FileFormatError(f"{what} has {len(arr)} entries, header n asks for {length}")
+    if arr.size and (arr.min() < 0 or arr.max() >= bound):
+        raise FileFormatError(f"{what} has entries outside [0, {bound})")
+    return arr.astype(np.int64)
+
+
 def instance_from_jsonable(doc: dict):
-    if doc.get("format") != "qsep-instance":
-        raise ValueError("not an instance file")
-    header = doc["header"]
-    meta = StructureMeta.from_jsonable(doc["meta"]) if "meta" in doc else None
-    info = {
-        "construction": header.get("construction"),
-        "seed": header.get("seed"),
-        "parameters": header.get("parameters", {}),
-    }
-    if header["model"] == "function":
-        return FunctionInstance(n=header["n"], succ=np.asarray(doc["payload"]["succ"], dtype=np.int64),
-                                meta=meta, info=info)
-    return GraphInstance(
-        n=header["n"],
-        indptr=np.asarray(doc["payload"]["indptr"], dtype=np.int64),
-        indices=np.asarray(doc["payload"]["indices"], dtype=np.int64),
-        meta=meta,
-        info=info,
-    )
+    """Parse an instance document; FileFormatError unless its arrays fit
+    its header: succ has n entries in [0, n); a graph's indptr has n + 1
+    non-decreasing offsets from 0 to len(indices), which lie in [0, n)."""
+    try:
+        if doc.get("format") != "qsep-instance":
+            raise FileFormatError("not an instance file")
+        header, payload = doc["header"], doc["payload"]
+        n, model = header["n"], header["model"]
+        if type(n) is not int or n < 0:
+            raise FileFormatError(f"header n must be an integer >= 0, got {n!r}")
+        meta = StructureMeta.from_jsonable(doc["meta"]) if "meta" in doc else None
+        info = {
+            "construction": header.get("construction"),
+            "seed": header.get("seed"),
+            "parameters": header.get("parameters", {}),
+        }
+        if model == "function":
+            succ = _int_array(payload["succ"], "succ", n, n)
+            return FunctionInstance(n=n, succ=succ, meta=meta, info=info)
+        if model != "graph":
+            raise FileFormatError(f"unknown model {model!r}")
+        indices = _int_array(payload["indices"], "indices", None, n)
+        indptr = _int_array(payload["indptr"], "indptr", n + 1, len(indices) + 1)
+        if indptr[0] != 0 or indptr[-1] != len(indices) or (np.diff(indptr) < 0).any():
+            raise FileFormatError("indptr must rise from 0 to len(indices)")
+        return GraphInstance(n=n, indptr=indptr, indices=indices, meta=meta, info=info)
+    except FileFormatError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise FileFormatError(f"malformed instance file ({type(e).__name__}: {e})") from e
+
+
+def write_json(path, doc) -> None:
+    """Write doc as canonical JSON and a newline, the layout of every qsep
+    JSON file."""
+    with open(path, "w") as fh:
+        fh.write(canonical_json(doc) + "\n")
 
 
 def write_instance(instance, path, include_meta: bool = True) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(instance_to_jsonable(instance, include_meta)))
-        fh.write("\n")
+    write_json(path, instance_to_jsonable(instance, include_meta))
 
 
 def read_instance(path):
@@ -647,9 +688,7 @@ def read_instance(path):
 
 
 def write_certificate(cert: Certificate, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(cert.to_jsonable()))
-        fh.write("\n")
+    write_json(path, cert.to_jsonable())
 
 
 def read_certificate(path) -> Certificate:

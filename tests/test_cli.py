@@ -192,15 +192,73 @@ class TestRun:
             "error: cert-collision needs a CollisionScale or ClawScale "
             "certificate, got a StarDegrees certificate"]
 
-    def test_max_attempts_left_to_detectors_that_take_it(
+    def test_max_attempts_on_a_detector_without_a_cap_exits_2(
             self, collision_files, capsys):
         inst, _ = collision_files
         capsys.readouterr()
         code, lines, err = run_cli(
             capsys, "run", "--instance", str(inst), "--detector",
             "uniform-probe", "--max-attempts", "5", "--seed", "1")
-        assert code == 0 and "Traceback" not in err
-        assert last_json(lines)["detector"] == "uniform-probe"
+        assert code == 2 and lines == []
+        assert err.strip().splitlines() == [
+            "error: --max-attempts does not apply to uniform-probe"]
+        code, lines, err = run_cli(
+            capsys, "run", "--instance", str(inst), "--detector",
+            "multiscale", "--scales", "2..5", "--max-attempts", "5", "--seed", "1")
+        assert code == 0 and last_json(lines)["attempts"] <= 5
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["payload"].update(succ=[10 ** 9, *range(1, 4096)]),
+         "error: succ has entries outside [0, 4096)"),
+        (lambda doc: doc["header"].update(n=4000),
+         "error: succ has 4096 entries, header n asks for 4000"),
+        (lambda doc: doc["payload"].update(succ=list(range(4000))),
+         "error: succ has 4000 entries, header n asks for 4096"),
+        (lambda doc: doc["payload"].pop("succ"),
+         "error: malformed instance file (KeyError: 'succ')"),
+    ])
+    def test_malformed_instance_exits_4(self, collision_files, tmp_path, capsys,
+                                        edit, message):
+        inst, cert = collision_files
+        doc = json.loads(inst.read_text())
+        edit(doc)
+        bad = tmp_path / "bad.instance.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (("run", "--instance", str(bad), "--detector", "multiscale",
+                      "--seed", "1"),
+                     ("run", "--instance", str(bad), "--cert", str(cert),
+                      "--detector", "cert-collision", "--seed", "1"),
+                     ("verify", "--instance", str(bad))):
+            code, lines, err = run_cli(capsys, *argv)
+            assert code == 4 and lines == [] and "Traceback" not in err
+            assert err.strip().splitlines() == [message]
+
+    def test_malformed_graph_instance_exits_4(self, tmp_path, capsys):
+        main(["gen", "--construction", "claw-graph", "--n", "2048", "--scales",
+              "2..4", "--seed", "3", "--out-dir", str(tmp_path)])
+        path = tmp_path / "claw-graph.instance.json"
+        doc = json.loads(path.read_text())
+        doc["payload"]["indices"][0] = 2048
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code, lines, err = run_cli(capsys, "verify", "--instance", str(path))
+        assert code == 4 and lines == [] and "Traceback" not in err
+        assert err.strip().splitlines() == [
+            "error: indices has entries outside [0, 2048)"]
+
+    def test_malformed_certificate_exits_4(self, collision_files, tmp_path,
+                                           capsys):
+        inst, _ = collision_files
+        bad = tmp_path / "bad.certificate.json"
+        bad.write_text(json.dumps({"format": "qsep-certificate", "kind": "CollisionScale"}))
+        capsys.readouterr()
+        code, lines, err = run_cli(
+            capsys, "run", "--instance", str(inst), "--cert", str(bad),
+            "--detector", "cert-collision", "--seed", "1")
+        assert code == 4 and lines == [] and "Traceback" not in err
+        assert err.strip().splitlines() == [
+            "error: a certificate needs a kind string and a payload object"]
 
     @pytest.mark.parametrize("flags", [("--target", "edge"),
                                        ("--target", "k-star")])
@@ -304,6 +362,29 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--battery", str(spec),
                                "--out-dir", str(tmp_path))
         assert code == 2 and "separation|slope" in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "slope"}, "a slope battery needs a non-empty 'series' list"),
+        ({"kind": "separation", "points": []},
+         "a separation battery needs a non-empty 'points' list"),
+        ({"kind": "separation", "points": {"x": 2}},
+         "a separation battery needs a non-empty 'points' list"),
+        ({"kind": "slope", "series": [{"label": "a", "generator": "fixedpoint-fn"}]},
+         "series[0] lacks 'detector', 'ns'"),
+        ({**SEP_BATTERY, "points": [*SEP_BATTERY["points"], {"x": 5, "n": 4096}]},
+         "points[3] lacks 'generator'"),
+        ({"kind": "slope", "series": [3]}, "series[0] must be a JSON object"),
+        (["slope"], "battery spec must be a JSON object"),
+    ])
+    def test_incomplete_battery_spec_exits_2(self, tmp_path, capsys, spec,
+                                             message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        code, lines, err = run_cli(capsys, "bench", "--battery", str(path),
+                                   "--out-dir", str(tmp_path / "out"))
+        assert code == 2 and lines == [] and "Traceback" not in err
+        assert err.strip().splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestVerify:

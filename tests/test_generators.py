@@ -68,6 +68,38 @@ def test_parameter_validation():
         scale_table(256, ScaleParams(rho=1.5))
 
 
+# --- scale_table memo ---------------------------------------------------------
+
+def test_scale_table_equal_keys_share_one_table():
+    params = ScaleParams(i_min=2, i_max=6, c=0.3)
+    table = scale_table(1 << 12, params, witness_overhead=4)
+    assert scale_table(1 << 12, ScaleParams(i_min=2, i_max=6, c=0.3),
+                       witness_overhead=4) is table
+    assert scale_table(np.int64(1 << 12), params, np.int64(4)) is table
+    assert type(table.n) is int and type(table.witness_overhead) is int
+    assert scale_table(1 << 12, params) is not table   # another overhead
+
+
+def test_scale_table_is_read_only():
+    table = scale_table(1 << 12, ScaleParams(i_min=2, i_max=6))
+    for arr in (table.scales, table.a, table.b):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(AttributeError):
+        table.rho = 0.5
+
+
+def test_scale_table_raises_on_every_bad_call():
+    for _ in range(2):
+        with pytest.raises(CapacityError):
+            scale_table(64, ScaleParams(i_min=2, i_max=5, rho=1.0))
+        with pytest.raises(CapacityError):
+            scale_table(20, ScaleParams(i_min=2, i_max=4))
+        with pytest.raises(ParameterError):
+            scale_table(256, ScaleParams(i_min=5, i_max=3))
+
+
 # --- primes ------------------------------------------------------------------
 
 def test_primes_frozen_windows():

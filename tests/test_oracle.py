@@ -23,9 +23,12 @@ from qsep import (
     write_instance,
 )
 from qsep.oracle import (
+    FileFormatError,
     StructureMeta,
     _relabel_maps,
     graph_from_edges,
+    instance_from_jsonable,
+    instance_to_jsonable,
     invert_permutation,
 )
 
@@ -407,3 +410,87 @@ def test_relabel_roundtrip_property(n, seed):
     perm = rng.permutation(n)
     back = apply_permutation(apply_permutation(inst, perm), invert_permutation(perm))
     assert np.array_equal(back.succ, succ)
+
+
+# --- CSR build: differential against the stable-sort construction -------------
+
+def _reference_csr(n, edges):
+    """The CSR layout as built with a stable argsort on the source vertex."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.argsort(src, kind="stable")]
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (1, 5), (2, 0), (5, 40), (64, 64),
+                                  (300, 2000), (1 << 16, 200_000)])
+def test_graph_from_edges_matches_stable_sort(n, m):
+    rng = np.random.default_rng(n * 7919 + m)
+    # few distinct endpoints, so many half-edges share a source vertex
+    edges = rng.integers(0, min(n, 1 + m // 8), size=(m, 2))
+    g = graph_from_edges(n, edges)
+    indptr, indices = _reference_csr(n, edges)
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+
+
+def test_graph_from_edges_empty_edge_list():
+    for edges in ([], np.zeros((0, 2), dtype=np.int64)):
+        g = graph_from_edges(3, edges)
+        assert g.indptr.tolist() == [0, 0, 0, 0] and len(g.indices) == 0
+
+
+# --- instance loader validation ----------------------------------------------
+
+def _function_doc(n, succ):
+    return {"format": "qsep-instance", "version": 1,
+            "header": {"model": "function", "n": n}, "payload": {"succ": succ}}
+
+
+def _graph_doc(n, indptr, indices):
+    return {"format": "qsep-instance", "version": 1,
+            "header": {"model": "graph", "n": n},
+            "payload": {"indptr": indptr, "indices": indices}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_function_doc(4, [0, 1, 2, 10 ** 9]), r"succ has entries outside \[0, 4\)"),
+    (_function_doc(4, [0, 1, -1, 3]), r"outside \[0, 4\)"),
+    (_function_doc(4, [0, 1, 2, 2 ** 63]), "succ (has entries outside|must be a list)"),
+    (_function_doc(4, [0, 1, 2, 10 ** 30]), "list of integers"),
+    (_function_doc(4, [0, 1, 2.5, 3]), "list of integers"),
+    (_function_doc(3, [0, 1, 2, 0]), "succ has 4 entries, header n asks for 3"),
+    (_function_doc(4.0, [0, 1, 2, 3]), "header n must be an integer"),
+    (_graph_doc(3, [0, 1, 2], [1, 0]), "indptr has 3 entries, header n asks for 4"),
+    (_graph_doc(3, [0, 2, 1, 2], [1, 0]), "indptr must rise"),
+    (_graph_doc(3, [1, 1, 2, 2], [1, 0]), "indptr must rise"),
+    (_graph_doc(3, [0, 1, 1, 1], [1, 0]), "indptr must rise"),
+    (_graph_doc(3, [0, 1, 2, 2], [1, 3]), r"indices has entries outside \[0, 3\)"),
+    ({"format": "qsep-instance", "header": {"model": "function", "n": 2}},
+     "malformed instance file"),
+    ({"format": "qsep-instance", "header": {"model": "hyper", "n": 2},
+      "payload": {}}, "unknown model"),
+    ({"format": "qsep-certificate"}, "not an instance file"),
+])
+def test_instance_loader_rejects_bad_documents(doc, message):
+    with pytest.raises(FileFormatError, match=message):
+        instance_from_jsonable(doc)
+
+
+def test_instance_loader_accepts_what_it_writes():
+    g = graph_from_edges(5, np.array([[0, 1], [1, 2], [3, 1]]))
+    back = instance_from_jsonable(instance_to_jsonable(g))
+    assert np.array_equal(back.indptr, g.indptr)
+    assert np.array_equal(back.indices, g.indices)
+    empty = instance_from_jsonable(_function_doc(0, []))
+    assert empty.n == 0 and empty.succ.dtype == np.int64
+
+
+@pytest.mark.parametrize("doc", [[], {"format": "qsep-instance"},
+                                 {"format": "qsep-certificate", "kind": 3, "payload": {}},
+                                 {"format": "qsep-certificate", "kind": "ClawScale"}])
+def test_certificate_loader_rejects_bad_documents(doc):
+    with pytest.raises(FileFormatError):
+        Certificate.from_jsonable(doc)
