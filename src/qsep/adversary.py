@@ -26,7 +26,8 @@ import json
 
 import numpy as np
 
-from qsep.generators import ScaleParams, _carve_blocks, _claw_edges_and_meta, scale_table
+from qsep.generators import (_CLAW_OVERHEAD, ScaleParams, _carve_blocks,
+                             _claw_instance, scale_table)
 from qsep.oracle import GraphInstance
 
 
@@ -39,9 +40,9 @@ class AdversarySession:
         rng = np.random.default_rng(seed)
         self.n = int(n)
         self._params = params
-        self._seed = int(seed) if isinstance(seed, (int, np.integer)) else None
+        self._seed = seed
         self._rng = rng
-        self._table = scale_table(n, params, witness_overhead=4)
+        self._table = scale_table(n, params, witness_overhead=_CLAW_OVERHEAD)
         sigma = rng.permutation(n)
         self._blocks, self._pool, self._spare = _carve_blocks(sigma, self._table)
 
@@ -162,16 +163,10 @@ class AdversarySession:
 
     def _resolve(self, good: int) -> None:
         table = self._table
-        b_good = int(table.b[table.index_of(good)])
-        inst, meta = _claw_edges_and_meta(
-            self.n, table, self._blocks, self._pool, self._spare, good, b_good)
-        inst.info = {
-            "construction": "claw-online",
-            "seed": self._seed,
-            "parameters": {"n": self.n, "i_min": self._params.i_min,
-                           "i_max": self._params.i_max},
-        }
-        self._resolved = inst
+        self._resolved = _claw_instance(
+            self.n, table, self._blocks, self._pool, self._spare, good,
+            int(table.b[table.index_of(good)]), "claw-online", self._seed,
+            {"n": self.n, "i_min": self._params.i_min, "i_max": self._params.i_max})
         self._good = good
         self._alive = [good]
         self._red.clear()

@@ -95,6 +95,12 @@ def _parse_scales(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+def _given(args, *names) -> dict:
+    """The named flags that were set, by name."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
 def _out_path(args, name: str) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -109,23 +115,15 @@ def _scale_params(args) -> ScaleParams:
     kw = {}
     if args.scales:
         kw["i_min"], kw["i_max"] = _parse_scales(args.scales)
-    for name in ("beta", "gamma", "c"):
-        v = getattr(args, name)
-        if v is not None:
-            kw[name] = v
+    kw.update(_given(args, "beta", "gamma", "c"))
     if args.rho is not None:
         kw["rho"] = args.rho if args.rho == "auto" else float(args.rho)
     return ScaleParams(**kw)
 
 
 def _fixedpoint_params(args) -> FixedPointParams:
-    kw = {"widen": args.widen_primes}
-    for flag, name in (("alpha", "alpha"), ("cycle_len", "cycle_len"),
-                       ("feeder_len", "feeder_len"), ("T", "T")):
-        v = getattr(args, flag)
-        if v is not None:
-            kw[name] = v
-    return FixedPointParams(**kw)
+    return FixedPointParams(widen=args.widen_primes, **_given(
+        args, "alpha", "cycle_len", "feeder_len", "T"))
 
 
 def _capacity_line(construction: str, n: int, extras: dict) -> str:
@@ -183,7 +181,7 @@ def cmd_gen(args) -> int:
     paths = {kind: _out_path(args, f"{prefix}.{kind}.json")
              for kind in ("instance", "certificate", "meta")}
 
-    inst_doc = instance_to_jsonable(inst, include_meta=True)
+    inst_doc = instance_to_jsonable(inst)
     inst_doc["config_hash"] = h
     cert_doc = cert.to_jsonable()
     cert_doc["config_hash"] = h
@@ -208,23 +206,32 @@ def cmd_gen(args) -> int:
 # run
 
 
+# the detectors that read each detector flag of `run`; any other detector
+# given the flag is a parameter error, not a silently ignored flag
+_RESTARTING = ("cert-collision", "multiscale", "cert-claw")
+_DETECTOR_FLAGS = {"C": ("cert-fixedpoint",), "k": ("uniform-probe",),
+                   "target": ("uniform-probe",), "max_attempts": _RESTARTING}
+
+
 def _detector_kwargs(args) -> dict:
-    kw = {}
+    for name, takers in _DETECTOR_FLAGS.items():
+        if getattr(args, name) is not None and args.detector not in takers:
+            flag = "--" + name.replace("_", "-")
+            raise ParameterError(f"{flag} does not apply to {args.detector}")
+    # --scales is multiscale's window, or the window a corrupted scale
+    # certificate draws its wrong scale from
+    scale_cert = args.detector in ("cert-collision", "cert-claw")
+    if args.scales is not None and args.detector != "multiscale" \
+            and not (scale_cert and args.corrupt_cert):
+        raise ParameterError(f"--scales does not apply to {args.detector}"
+                             + (" without --corrupt-cert" if scale_cert else ""))
+    kw = _given(args, "C", "k", "max_attempts")
     if args.detector == "multiscale":
-        lo, hi = _parse_scales(args.scales or "2..8")
-        kw["i_min"], kw["i_max"] = lo, hi
+        kw["i_min"], kw["i_max"] = _parse_scales(args.scales or "2..8")
     if args.detector == "uniform-probe":
         kw["target"] = args.target or "fixed-point"
-        if args.k is not None:
-            kw["k"] = args.k
-        elif kw["target"] == "k-star":
+        if kw["target"] == "k-star" and "k" not in kw:
             raise ParameterError("--target k-star needs --k")
-    if args.detector == "cert-fixedpoint" and args.C is not None:
-        kw["C"] = args.C
-    if args.max_attempts is not None:
-        if args.detector not in ("cert-collision", "multiscale", "cert-claw"):
-            raise ParameterError(f"--max-attempts does not apply to {args.detector}")
-        kw["max_attempts"] = args.max_attempts
     return kw
 
 
@@ -232,6 +239,7 @@ def cmd_run(args) -> int:
     t0 = time.perf_counter()
     if args.budget is not None and args.budget < 0:
         raise ParameterError(f"--budget must be >= 0, got {args.budget}")
+    det_kwargs = _detector_kwargs(args)
     seed = _master_seed(args)
     inst = read_instance(args.instance)
     cert = read_certificate(args.cert) if args.cert else None
@@ -251,10 +259,13 @@ def cmd_run(args) -> int:
                                    scale_window=window,
                                    index_range=index_range)
     relabel_seed = None if args.no_relabel else _sub_seed(seed, 0)
-    oracle = CountedOracle(inst, relabel_seed=relabel_seed,
-                           budget=args.budget)
+    # a restarting walker without --max-attempts never ends on an instance
+    # without a witness, so its unbudgeted run stops at 16 n queries
+    endless = args.detector in _RESTARTING and args.max_attempts is None
+    budget = 16 * inst.n if args.budget is None and endless else args.budget
+    oracle = CountedOracle(inst, relabel_seed=relabel_seed, budget=budget)
     outcome = DETECTORS[args.detector](oracle, cert, _sub_seed(seed, 1),
-                                       **_detector_kwargs(args))
+                                       **det_kwargs)
     valid = None
     if outcome.found:
         valid = validate_witness(inst, _unrelabel_witness(oracle,
@@ -709,16 +720,18 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--instance", required=True)
     r.add_argument("--cert", default=None)
     r.add_argument("--detector", required=True, choices=sorted(DETECTORS))
-    r.add_argument("--budget", type=int, default=None)
+    r.add_argument("--budget", type=int, default=None, help="query budget "
+                   "(default: 16 n where --max-attempts applies but is unset)")
     r.add_argument("--corrupt-cert", action="store_true", dest="corrupt_cert")
     r.add_argument("--no-relabel", action="store_true", dest="no_relabel")
-    r.add_argument("--scales", default=None, help="window A..B (multiscale)")
-    r.add_argument("--k", type=int, default=None)
+    r.add_argument("--scales", default=None, help="window A..B (multiscale; "
+                   "cert-collision, cert-claw with --corrupt-cert)")
+    r.add_argument("--k", type=int, default=None, help="uniform-probe star size")
     r.add_argument("--target", default=None, choices=("fixed-point", "k-star"),
                    help="uniform-probe target (default: fixed-point)")
-    r.add_argument("--C", type=float, default=None)
-    r.add_argument("--max-attempts", type=int, default=None,
-                   dest="max_attempts")
+    r.add_argument("--C", type=float, default=None, help="cert-fixedpoint only")
+    r.add_argument("--max-attempts", type=int, default=None, dest="max_attempts",
+                   help="cert-collision, multiscale and cert-claw only")
     r.set_defaults(func=cmd_run)
 
     b = sub.add_parser("bench", help="run a battery spec file")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
@@ -457,17 +457,16 @@ def cert_fixedpoint_search(oracle, cert: Certificate, seed=None, C: float = 2.0,
 # star search guided by the certified degree set
 
 
-def cert_star_search(oracle, cert: Certificate, seed=None,
-                     sample_factor: float = 2.0) -> SearchOutcome:
-    """Sample for leaves, hop to their centers, keep centers whose degree
-    is certified, then enumerate their leaves and assemble the planted
-    clique among leaves of matching degree."""
+def cert_star_search(oracle, cert: Certificate, seed=None) -> SearchOutcome:
+    """Sample 2 sqrt(n) log2(n) elements for leaves, hop to their centers,
+    keep centers whose degree is certified, then enumerate their leaves and
+    assemble the planted clique among leaves of matching degree."""
     degrees = sorted(int(d) for d in cert.payload["degrees"])
     h = len(degrees)
     rng = np.random.default_rng(seed)
     q0 = oracle.count
     n = oracle.n
-    q = math.ceil(sample_factor * math.sqrt(n) * math.log2(max(n, 2)))
+    q = math.ceil(2.0 * math.sqrt(n) * math.log2(max(n, 2)))
     attempts = 0
 
     def out(status, w=None):
@@ -516,6 +515,13 @@ def cert_star_search(oracle, cert: Certificate, seed=None,
 # backbone-indexed k-star search
 
 
+class _FoundStar(Exception):
+    """Carries a k-star witness out of the star-path search's probes."""
+
+    def __init__(self, w: Witness):
+        self.w = w
+
+
 def cert_starpath_search(oracle, cert: Certificate, seed=None) -> SearchOutcome:
     """Navigate to the backbone, count to the certified column, and sweep
     its hanging path for the planted high-degree center."""
@@ -534,147 +540,92 @@ def cert_starpath_search(oracle, cert: Certificate, seed=None) -> SearchOutcome:
     def neighbors(v, d):
         return [nbr(v, j) for j in range(d)]
 
-    def star_at(v, d):
-        """Assemble the k-star witness at a suspected center."""
-        pend = []
-        for w in neighbors(v, d):
-            if deg(w) == 1:
-                pend.append(w)
-            if len(pend) == k:
-                return Witness("k-star", (v, *pend))
-        return None
-
-    def check(v, d):
-        if d >= k + 1:
-            w = star_at(v, d)
-            if w is not None:
-                raise _FoundStar(w)
-
-    class _FoundStar(Exception):
-        def __init__(self, w):
-            self.w = w
-
-    def walk_to_junction(v):
-        """Follow the chain until a degree>=3 vertex; turn around at ends."""
+    def probe(v):
+        """v's degree; raises _FoundStar if v has k degree-1 neighbours."""
         d = deg(v)
-        check(v, d)
-        if d == 0:
-            return None
-        prev = None
-        turned = False
-        cur = v
-        while True:
-            if d >= 3:
-                return cur
-            if d == 1:
-                if prev is not None:
-                    if turned:
-                        return None  # isolated path, no junction
-                    turned = True
-                    prev = None  # restart the walk from this endpoint
-                nxt = nbr(cur, 0)
-            else:
-                nxt = nbr(cur, 0)
-                if nxt == prev:
-                    nxt = nbr(cur, 1)
-            prev, cur = cur, nxt
-            d = deg(cur)
-            check(cur, d)
+        if d >= k + 1:
+            pend = []
+            for w in neighbors(v, d):
+                if deg(w) == 1:
+                    pend.append(w)
+                if len(pend) == k:
+                    raise _FoundStar(Witness("k-star", (v, *pend)))
+        return d
+
+    def survey(v, d, prev):
+        """Yield (w, probe(w)) for v's d neighbours w except prev, lazily;
+        all d neighbour queries come first."""
+        for w in neighbors(v, d):
+            if w != prev:
+                yield w, probe(w)
+
+    def onward(cur, prev):
+        """The neighbour of a degree-1 or -2 vertex that is not prev."""
+        w = nbr(cur, 0)
+        return nbr(cur, 1) if w == prev else w
 
     def chain_step(cur, prev):
-        """Next backbone vertex (degree 3, not prev); None at a chain end.
-        Also reports the non-chain neighbors for side checks."""
-        d = deg(cur)
-        check(cur, d)
-        nbrs = neighbors(cur, d)
-        options = []
-        for w in nbrs:
-            if w == prev:
-                continue
-            dw = deg(w)
-            check(w, dw)
-            if dw >= 3:
-                options.append(w)
-        return nbrs, options
+        """cur's neighbours except prev, and those of degree >= 3 (the next
+        backbone vertex; none at a chain end)."""
+        around = list(survey(cur, probe(cur), prev))
+        return [w for w, _ in around], [w for w, dw in around if dw >= 3]
 
-    def sweep_down(top, origin):
-        """Descend a path from `top` away from `origin`, checking degrees."""
-        prev, cur = origin, top
-        while True:
-            d = deg(cur)
-            check(cur, d)
-            if d == 1:
-                return
-            if d == 2:
-                nxt = nbr(cur, 0)
-                if nxt == prev:
-                    nxt = nbr(cur, 1)
-                prev, cur = cur, nxt
-            else:
-                return  # back on the backbone; stop
-
-    try:
-        attempts = 1
-        junction = None
-        for _ in range(8):
-            junction = walk_to_junction(int(rng.integers(n)))
-            if junction is not None:
-                break
-            attempts += 1
-        if junction is None:
-            return out(EXHAUSTED)
-
-        # walk to a chain end, preferring the end with a degree-1 neighbor (v_1)
+    def chain_end(cur, steps):
+        """Follow the backbone away from cur, one step per item of steps."""
         prev = None
-        cur = junction
-        visited = 0
-        while visited <= 2 * math.isqrt(n) + 4:
-            visited += 1
-            nbrs, options = chain_step(cur, prev)
+        for _ in steps:
+            options = chain_step(cur, prev)[1]
             if not options:
                 break
             prev, cur = cur, options[0]
-        # cur is a chain end: v_1 iff some neighbor has degree 1
-        d = deg(cur)
-        end_nbrs = neighbors(cur, d)
-        has_pendant = False
-        for w in end_nbrs:
-            dw = deg(w)
-            check(w, dw)
-            if dw == 1:
-                has_pendant = True
-        if not has_pendant:
+        return cur
+
+    def walk_to_junction(cur):
+        """Follow the chain until a degree>=3 vertex; turn around at ends."""
+        d = probe(cur)
+        if d == 0:
+            return None
+        prev, turned = None, False
+        while d < 3:
+            if d == 1 and prev is not None:
+                if turned:
+                    return None  # isolated path, no junction
+                turned, prev = True, None  # restart the walk from this endpoint
+            prev, cur = cur, onward(cur, prev)
+            d = probe(cur)
+        return cur
+
+    def sweep_down(cur, prev):
+        """Descend a path from cur away from prev, to its end or the backbone."""
+        while probe(cur) == 2:
+            prev, cur = cur, onward(cur, prev)
+
+    try:
+        for attempts in range(1, 9):
+            junction = walk_to_junction(int(rng.integers(n)))
+            if junction is not None:
+                break
+        else:
+            return out(EXHAUSTED)
+
+        # walk to a chain end, preferring the end with a degree-1 neighbour (v_1)
+        cur = chain_end(junction, range(2 * math.isqrt(n) + 5))
+        # cur is a chain end: v_1 iff some neighbour has degree 1 (probe them all)
+        if 1 not in [dw for _, dw in survey(cur, deg(cur), None)]:
             # we are at v_{s-1}; the true v_1 lies at the other chain end
-            prev_dir = None
-            back = cur
-            while True:
-                nbrs, options = chain_step(back, prev_dir)
-                nxt = [w for w in options if w != prev_dir]
-                if not nxt:
-                    break
-                prev_dir, back = back, nxt[0]
-            cur = back
+            cur = chain_end(cur, count())
         # count along the chain from v_1 = cur to column k_star
-        index = 1
         prev = None
-        while index < k_star:
-            nbrs, options = chain_step(cur, prev)
-            forward = [w for w in options if w != prev]
-            if not forward:
+        for _ in range(1, k_star):
+            others, options = chain_step(cur, prev)
+            if not options:
                 # chain ends at v_{s-1}; columns s-1 and s sit past here
-                two = [w for w in nbrs if w != prev]
-                for w in two:
+                for w in others:
                     sweep_down(w, cur)
                 return out(EXHAUSTED)
-            prev, cur = cur, forward[0]
-            index += 1
+            prev, cur = cur, options[0]
         # at v_{k*}: sweep every non-backbone direction downward
-        d = deg(cur)
-        for w in neighbors(cur, d):
-            if w == prev:
-                continue
-            dw = deg(w)
-            check(w, dw)
+        for w, dw in survey(cur, deg(cur), prev):
             if dw < 3:
                 sweep_down(w, cur)
         return out(EXHAUSTED)

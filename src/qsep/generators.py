@@ -52,6 +52,23 @@ def _seed_repr(seed):
     return int(seed) if isinstance(seed, (int, np.integer)) else None
 
 
+def _finish(inst, builder, construction, seed, parameters, **freeze):
+    """Freeze builder's structures onto inst, check that they partition
+    [n], and stamp inst.info. Every generator ends here; returns the meta."""
+    meta = inst.meta = builder.freeze(**freeze)
+    if not meta.check_partition(inst.n):
+        raise AssertionError("structure lists do not partition [n]")
+    inst.info = {"construction": construction, "seed": _seed_repr(seed),
+                 "parameters": parameters}
+    return meta
+
+
+def _path_edges(paths) -> np.ndarray:
+    """The edges between consecutive vertices of each path (a vertex
+    sequence, or one path per row), path by path, as an (m, 2) array."""
+    return np.stack((paths[..., :-1], paths[..., 1:]), -1).reshape(-1, 2)
+
+
 # ---------------------------------------------------------------------------
 # multi-scale path layout (collision and claw families)
 
@@ -184,6 +201,31 @@ def _carve_blocks(sigma: np.ndarray, table: ScaleTable):
     return blocks, pool, spare
 
 
+def _scale_layout(n, params, seed, witness_overhead, b_override, t_override):
+    """The layout draw the collision and claw families share: the scale
+    table, then the permutation, then the good scale t (the rng is
+    returned for any later draws), the carved blocks, t's index and b_t."""
+    rng = np.random.default_rng(seed)
+    table = scale_table(n, params, witness_overhead=witness_overhead)
+    sigma = rng.permutation(n)
+    t = int(rng.integers(params.i_min, params.i_max + 1)) if t_override is None \
+        else int(t_override)
+    if not params.i_min <= t <= params.i_max:
+        raise ParameterError(f"t = {t} outside scale window")
+    blocks, pool, spare = _carve_blocks(sigma, table)
+    j_good = table.index_of(t)
+    b_t = int(table.b[j_good]) if b_override is None else int(b_override)
+    if not 0 <= b_t <= int(table.a[j_good]):
+        raise ParameterError(f"witness count {b_t} outside [0, a_t]")
+    return rng, table, blocks, pool, spare, t, j_good, b_t
+
+
+def _scale_extras(table, t, b_t) -> dict:
+    """The meta extras both multi-scale families record."""
+    return {"scales": table.scales.tolist(), "a": table.a.tolist(),
+            "b": table.b.tolist(), "rho": table.rho, "t": t, "b_t": b_t}
+
+
 def _close_or_fix(succ, spare, builder, filler: str):
     """Wire the unused elements: fixed points, or 2-/3-cycles on request."""
     if len(spare) == 0:
@@ -225,21 +267,8 @@ def gen_collision_function(n: int, params: ScaleParams, seed,
     All other paths close into cycles. Leftovers become fixed points, or
     2-/3-cycles under filler="cycles".
     """
-    rng = np.random.default_rng(seed)
-    table = scale_table(n, params, witness_overhead=0)
-    sigma = rng.permutation(n)
-    t = int(rng.integers(params.i_min, params.i_max + 1)) if t_override is None \
-        else int(t_override)
-    if not params.i_min <= t <= params.i_max:
-        raise ParameterError(f"t = {t} outside scale window")
-    blocks, _, spare = _carve_blocks(sigma, table)
-
-    j_good = table.index_of(t)
-    length_t = 1 << t
-    b_t = int(table.b[j_good]) if b_override is None else int(b_override)
-    if not 0 <= b_t <= int(table.a[j_good]):
-        raise ParameterError(f"witness count {b_t} outside [0, a_t]")
-
+    rng, table, blocks, _, spare, t, j_good, b_t = _scale_layout(
+        n, params, seed, 0, b_override, t_override)
     succ = np.empty(n, dtype=np.int64)
     builder = MetaBuilder()
     for j in range(table.num_scales):
@@ -256,7 +285,7 @@ def gen_collision_function(n: int, params: ScaleParams, seed,
             builder.add_blocks(KIND_CYCLE, closed.reshape(-1), block.shape[1])
 
     witness_block = blocks[j_good][:b_t]
-    m = rng.integers(1, length_t - 1, size=b_t)
+    m = rng.integers(1, (1 << t) - 1, size=b_t)
     rows = np.arange(b_t)
     succ[witness_block[:, -1]] = witness_block[rows, m]
     witness_locations = list(map(tuple, np.stack(
@@ -265,29 +294,14 @@ def gen_collision_function(n: int, params: ScaleParams, seed,
 
     _close_or_fix(succ, spare, builder, filler)
 
-    extras = {
-        "scales": table.scales.tolist(),
-        "a": table.a.tolist(),
-        "b": table.b.tolist(),
-        "rho": table.rho,
-        "t": t,
-        "b_t": b_t,
-        "witness_offsets": m.tolist(),
-        "filler": filler,
-    }
-    meta = builder.freeze(good_index=t, witness_locations=witness_locations,
-                          extras=extras)
-    if not meta.check_partition(n):
-        raise AssertionError("structure lists do not partition [n]")
-    info = {
-        "construction": "collision-fn",
-        "seed": _seed_repr(seed),
-        "parameters": {**asdict(params), "rho_resolved": table.rho,
-                       "filler": filler, "n": n},
-    }
-    inst = FunctionInstance(n=n, succ=succ, meta=meta, info=info)
-    cert = Certificate("CollisionScale", {"t": t})
-    return inst, cert, meta
+    inst = FunctionInstance(n=n, succ=succ)
+    meta = _finish(
+        inst, builder, "collision-fn", seed,
+        {**asdict(params), "rho_resolved": table.rho, "filler": filler, "n": n},
+        good_index=t, witness_locations=witness_locations,
+        extras={**_scale_extras(table, t, b_t), "witness_offsets": m.tolist(),
+                "filler": filler})
+    return inst, Certificate("CollisionScale", {"t": t}), meta
 
 
 # claw family: same layout, undirected, witness paths keep both ends open
@@ -297,8 +311,9 @@ def gen_collision_function(n: int, params: ScaleParams, seed,
 _CLAW_OVERHEAD = 4
 
 
-def _claw_edges_and_meta(n, table, blocks, pool, spare, t, b_t):
-    """Assemble the undirected claw instance for good scale t.
+def _claw_instance(n, table, blocks, pool, spare, t, b_t,
+                   construction, seed, parameters):
+    """Assemble and finish the undirected claw instance for good scale t.
 
     Edge order is fixed (path edges scale by scale, then leaf edges), so
     the CSR layout is a deterministic function of the layout draw. The
@@ -307,7 +322,7 @@ def _claw_edges_and_meta(n, table, blocks, pool, spare, t, b_t):
     builder = MetaBuilder()
     chunks = []
     for block in blocks:
-        chunks.append(np.stack((block[:, :-1], block[:, 1:]), 2).reshape(-1, 2))
+        chunks.append(_path_edges(block))
         builder.add_blocks(KIND_PATH, block.reshape(-1), block.shape[1])
     wit = blocks[table.index_of(t)][:b_t]
     leaves = pool[:_CLAW_OVERHEAD * b_t].reshape(b_t, _CLAW_OVERHEAD)
@@ -324,46 +339,21 @@ def _claw_edges_and_meta(n, table, blocks, pool, spare, t, b_t):
     claws = np.stack((wit[:, 0], wit[:, 1], leaves[:, 0], leaves[:, 1],
                       wit[:, -1], wit[:, -2], leaves[:, 2], leaves[:, 3]), 1)
     witness_locations = list(map(tuple, claws.reshape(-1, 4).tolist()))
-    extras = {
-        "scales": table.scales.tolist(),
-        "a": table.a.tolist(),
-        "b": table.b.tolist(),
-        "rho": table.rho,
-        "t": t,
-        "b_t": b_t,
-        "pool_size": len(pool),
-    }
-    meta = builder.freeze(good_index=t, witness_locations=witness_locations,
-                          extras=extras)
-    inst.meta = meta
-    if not meta.check_partition(n):
-        raise AssertionError("structure lists do not partition [n]")
-    return inst, meta
+    _finish(inst, builder, construction, seed, parameters, good_index=t,
+            witness_locations=witness_locations,
+            extras={**_scale_extras(table, t, b_t), "pool_size": len(pool)})
+    return inst
 
 
 def gen_claw_graph(n: int, params: ScaleParams, seed,
                    b_override: int | None = None,
                    t_override: int | None = None):
     """Undirected multi-scale instance whose good scale carries 2*b_t claws."""
-    rng = np.random.default_rng(seed)
-    table = scale_table(n, params, witness_overhead=_CLAW_OVERHEAD)
-    sigma = rng.permutation(n)
-    t = int(rng.integers(params.i_min, params.i_max + 1)) if t_override is None \
-        else int(t_override)
-    if not params.i_min <= t <= params.i_max:
-        raise ParameterError(f"t = {t} outside scale window")
-    blocks, pool, spare = _carve_blocks(sigma, table)
-    b_t = int(table.b[table.index_of(t)]) if b_override is None else int(b_override)
-    if not 0 <= b_t <= int(table.a[table.index_of(t)]):
-        raise ParameterError(f"witness count {b_t} outside [0, a_t]")
-    inst, meta = _claw_edges_and_meta(n, table, blocks, pool, spare, t, b_t)
-    inst.info = {
-        "construction": "claw-graph",
-        "seed": _seed_repr(seed),
-        "parameters": {**asdict(params), "rho_resolved": table.rho, "n": n},
-    }
-    cert = Certificate("ClawScale", {"t": t})
-    return inst, cert, meta
+    _, table, blocks, pool, spare, t, _, b_t = _scale_layout(
+        n, params, seed, _CLAW_OVERHEAD, b_override, t_override)
+    inst = _claw_instance(n, table, blocks, pool, spare, t, b_t, "claw-graph", seed,
+                          {**asdict(params), "rho_resolved": table.rho, "n": n})
+    return inst, Certificate("ClawScale", {"t": t}), inst.meta
 
 
 # ---------------------------------------------------------------------------
@@ -510,16 +500,10 @@ def gen_fixedpoint_function(n: int, params: FixedPointParams,
         "window": [lo, hi_used],
         "widened": hi_used != hi,
     }
-    meta = builder.freeze(good_index=None, witness_locations=witness_locations,
-                          extras=extras)
-    if not meta.check_partition(n):
-        raise AssertionError("structure lists do not partition [n]")
-    info = {
-        "construction": "fixedpoint-fn",
-        "seed": _seed_repr(seed),
-        "parameters": {**asdict(params), "h_spec": h_spec, "n": n},
-    }
-    inst = FunctionInstance(n=n, succ=succ, meta=meta, info=info)
+    inst = FunctionInstance(n=n, succ=succ)
+    meta = _finish(inst, builder, "fixedpoint-fn", seed,
+                   {**asdict(params), "h_spec": h_spec, "n": n},
+                   witness_locations=witness_locations, extras=extras)
     cert = Certificate("FixedPointPrimes", {"primes": sorted(ps[h] for h in hosts)})
     return inst, cert, meta
 
@@ -584,9 +568,7 @@ def gen_star_graph(n: int, h_spec, seed):
     deg_arr = np.asarray(degrees, dtype=np.int64)
     stops = np.zeros(s + 1, dtype=np.int64)
     np.cumsum(deg_arr, out=stops[1:])
-    star_edges = np.empty((n - s, 2), dtype=np.int64)
-    star_edges[:, 0] = np.repeat(centers, deg_arr)
-    star_edges[:, 1] = leaves
+    star_edges = np.stack((np.repeat(centers, deg_arr), leaves), 1)
 
     builder = MetaBuilder()
     for j in range(s):
@@ -610,16 +592,8 @@ def gen_star_graph(n: int, h_spec, seed):
         "h": h,
         "host_stars": host_stars,
     }
-    meta = builder.freeze(good_index=None, witness_locations=witness_locations,
-                          extras=extras)
-    inst.meta = meta
-    if not meta.check_partition(n):
-        raise AssertionError("structure lists do not partition [n]")
-    inst.info = {
-        "construction": "star-graph",
-        "seed": _seed_repr(seed),
-        "parameters": {"h": h, "n": n},
-    }
+    meta = _finish(inst, builder, "star-graph", seed, {"h": h, "n": n},
+                   witness_locations=witness_locations, extras=extras)
     cert = Certificate("StarDegrees",
                        {"degrees": sorted(degrees[j] for j in host_stars)})
     return inst, cert, meta
@@ -642,39 +616,25 @@ def gen_starpath_graph(n: int, k: int, seed):
 
     rng = np.random.default_rng(seed)
     sigma = rng.permutation(n)
-    v0 = int(sigma[0])
     backbone = sigma[1:s + 1]
     pendants = sigma[n - k:]
     structural = n - k  # everything except the fresh pendants
 
     sizes = [q + 1 if j < r else q for j in range(s)]
     builder = MetaBuilder()
-    builder.add(KIND_BACKBONE, np.concatenate([[v0], backbone]))
-    chunks = [np.array([[v0, backbone[0]]], dtype=np.int64)]
-    spine = np.empty((s - 1, 2), dtype=np.int64)
-    spine[:, 0] = backbone[:-1]
-    spine[:, 1] = backbone[1:]
-    chunks.append(spine)
+    builder.add(KIND_BACKBONE, sigma[:s + 1])
+    chunks = [_path_edges(sigma[:s + 1])]  # v_0 - v_1 - ... - v_s
 
-    hang = []
     cursor = s + 1
     for j in range(s):
         path = sigma[cursor:cursor + sizes[j]]
         cursor += sizes[j]
-        hang.append(path)
-        e = np.empty((sizes[j], 2), dtype=np.int64)
-        e[0] = (backbone[j], path[0])
-        e[1:, 0] = path[:-1]
-        e[1:, 1] = path[1:]
-        chunks.append(e)
+        chunks.append(_path_edges(np.concatenate([backbone[j:j + 1], path])))
         builder.add(KIND_PATH, path)
     builder.add(KIND_GADGET, pendants)
 
     u = int(sigma[rng.integers(structural)])
-    star = np.empty((k, 2), dtype=np.int64)
-    star[:, 0] = u
-    star[:, 1] = pendants
-    chunks.append(star)
+    chunks.append(np.stack((np.full(k, u), pendants), 1))
     inst = graph_from_edges(n, np.concatenate(chunks))
 
     # certificate: index of the hanging path holding u (a backbone vertex
@@ -687,17 +647,7 @@ def gen_starpath_graph(n: int, k: int, seed):
     else:
         k_star = 1 + int(np.searchsorted(np.cumsum(sizes), pos - s, side="left"))
 
-    extras = {"k": k, "k_star": k_star, "sizes": sizes, "s": s}
-    meta = builder.freeze(good_index=k_star,
-                          witness_locations=[(u, *map(int, pendants))],
-                          extras=extras)
-    inst.meta = meta
-    if not meta.check_partition(n):
-        raise AssertionError("structure lists do not partition [n]")
-    inst.info = {
-        "construction": "starpath-graph",
-        "seed": _seed_repr(seed),
-        "parameters": {"k": k, "n": n},
-    }
-    cert = Certificate("BackboneIndex", {"index": k_star, "k": k})
-    return inst, cert, meta
+    meta = _finish(inst, builder, "starpath-graph", seed, {"k": k, "n": n},
+                   good_index=k_star, witness_locations=[(u, *map(int, pendants))],
+                   extras={"k": k, "k_star": k_star, "sizes": sizes, "s": s})
+    return inst, Certificate("BackboneIndex", {"index": k_star, "k": k}), meta

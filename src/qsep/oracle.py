@@ -256,6 +256,21 @@ def graph_from_edges(n: int, edges: np.ndarray) -> GraphInstance:
     return GraphInstance(n=n, indptr=indptr, indices=indices)
 
 
+# each known certificate kind's payload keys, with what each value must be
+# (JSON true and false are not integers here)
+_INT = ("an integer", lambda v: type(v) is int)
+_SCALE = ("an integer in [0, 64)", lambda v: type(v) is int and 0 <= v < 64)
+_INTS = ("a list of integers",
+         lambda v: type(v) is list and all(type(x) is int for x in v))
+_PAYLOAD_KEYS = {
+    "CollisionScale": {"t": _SCALE},
+    "ClawScale": {"t": _SCALE},
+    "FixedPointPrimes": {"primes": _INTS},
+    "StarDegrees": {"degrees": _INTS},
+    "BackboneIndex": {"index": _INT, "k": _INT},
+}
+
+
 @dataclass
 class Certificate:
     """Untrusted structural hint handed to a search algorithm."""
@@ -272,7 +287,12 @@ class Certificate:
             raise FileFormatError("not a certificate file")
         if not isinstance(d.get("kind"), str) or not isinstance(d.get("payload"), dict):
             raise FileFormatError("a certificate needs a kind string and a payload object")
-        return Certificate(kind=d["kind"], payload=d["payload"])
+        kind, payload = d["kind"], d["payload"]
+        for key, (what, ok) in _PAYLOAD_KEYS.get(kind, {}).items():
+            if key not in payload or not ok(payload[key]):
+                raise FileFormatError(f"a {kind} payload needs {key!r} as {what}, "
+                                      f"got {payload.get(key)!r}")
+        return Certificate(kind=kind, payload=payload)
 
 
 @dataclass(frozen=True)
@@ -607,7 +627,7 @@ def canonical_json(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
-def instance_to_jsonable(instance, include_meta: bool = True) -> dict:
+def instance_to_jsonable(instance) -> dict:
     header = {
         "model": instance.model,
         "n": instance.n,
@@ -620,7 +640,7 @@ def instance_to_jsonable(instance, include_meta: bool = True) -> dict:
     else:
         payload = {"indptr": instance.indptr.tolist(), "indices": instance.indices.tolist()}
     doc = {"format": "qsep-instance", "version": 1, "header": header, "payload": payload}
-    if include_meta and instance.meta is not None:
+    if instance.meta is not None:
         doc["meta"] = instance.meta.to_jsonable()
     return doc
 
@@ -678,8 +698,8 @@ def write_json(path, doc) -> None:
         fh.write(canonical_json(doc) + "\n")
 
 
-def write_instance(instance, path, include_meta: bool = True) -> None:
-    write_json(path, instance_to_jsonable(instance, include_meta))
+def write_instance(instance, path) -> None:
+    write_json(path, instance_to_jsonable(instance))
 
 
 def read_instance(path):

@@ -194,7 +194,7 @@ class TestRun:
 
     def test_max_attempts_on_a_detector_without_a_cap_exits_2(
             self, collision_files, capsys):
-        inst, _ = collision_files
+        inst, cert = collision_files
         capsys.readouterr()
         code, lines, err = run_cli(
             capsys, "run", "--instance", str(inst), "--detector",
@@ -202,6 +202,27 @@ class TestRun:
         assert code == 2 and lines == []
         assert err.strip().splitlines() == [
             "error: --max-attempts does not apply to uniform-probe"]
+        # every other detector flag is refused the same way where it is unread
+        for detector, flags, message in [
+                ("cert-collision", ("--C", "9"), "--C does not apply to cert-collision"),
+                ("uniform-probe", ("--C", "9"), "--C does not apply to uniform-probe"),
+                ("cert-collision", ("--k", "5"), "--k does not apply to cert-collision"),
+                ("multiscale", ("--target", "k-star"),
+                 "--target does not apply to multiscale"),
+                ("cert-collision", ("--scales", "2..5"),
+                 "--scales does not apply to cert-collision without --corrupt-cert"),
+                ("uniform-probe", ("--scales", "2..5"),
+                 "--scales does not apply to uniform-probe"),
+                # a corrupted certificate reads --scales only if it is a scale one
+                ("cert-fixedpoint", ("--corrupt-cert", "--scales", "2..5"),
+                 "--scales does not apply to cert-fixedpoint"),
+                ("cert-starpath", ("--corrupt-cert", "--scales", "2..5"),
+                 "--scales does not apply to cert-starpath")]:
+            code, lines, err = run_cli(
+                capsys, "run", "--instance", str(inst), "--cert", str(cert),
+                "--detector", detector, *flags, "--seed", "1")
+            assert code == 2 and lines == [] and "Traceback" not in err
+            assert err.strip().splitlines() == [f"error: {message}"]
         code, lines, err = run_cli(
             capsys, "run", "--instance", str(inst), "--detector",
             "multiscale", "--scales", "2..5", "--max-attempts", "5", "--seed", "1")
@@ -259,6 +280,73 @@ class TestRun:
         assert code == 4 and lines == [] and "Traceback" not in err
         assert err.strip().splitlines() == [
             "error: a certificate needs a kind string and a payload object"]
+
+    @pytest.mark.parametrize("kind, payload, message", [
+        ("CollisionScale", {"t": "x"}, "'t' as an integer in [0, 64), got 'x'"),
+        ("CollisionScale", {}, "'t' as an integer in [0, 64), got None"),
+        ("CollisionScale", {"t": -3}, "'t' as an integer in [0, 64), got -3"),
+        ("ClawScale", {"t": 2.5}, "'t' as an integer in [0, 64), got 2.5"),
+        ("ClawScale", {"t": 64}, "'t' as an integer in [0, 64), got 64"),
+        ("CollisionScale", {"t": True}, "'t' as an integer in [0, 64), got True"),
+        ("FixedPointPrimes", {"primes": 7}, "'primes' as a list of integers, got 7"),
+        ("StarDegrees", {"degrees": [3, 4.0]},
+         "'degrees' as a list of integers, got [3, 4.0]"),
+        ("BackboneIndex", {"index": "2", "k": 4}, "'index' as an integer, got '2'"),
+        ("BackboneIndex", {"index": 2, "k": False}, "'k' as an integer, got False"),
+    ])
+    def test_bad_certificate_payload_exits_4(self, collision_files, tmp_path,
+                                             capsys, kind, payload, message):
+        inst, _ = collision_files
+        bad = tmp_path / "bad.certificate.json"
+        bad.write_text(json.dumps({"format": "qsep-certificate", "kind": kind,
+                                   "payload": payload}))
+        capsys.readouterr()
+        for argv in (("run", "--instance", str(inst), "--cert", str(bad),
+                      "--detector", "cert-collision", "--seed", "1"),
+                     ("verify", "--instance", str(inst), "--cert", str(bad))):
+            code, lines, err = run_cli(capsys, *argv)
+            assert code == 4 and lines == [] and "Traceback" not in err
+            assert err.strip().splitlines() == [
+                f"error: a {kind} payload needs {message}"]
+
+    def test_witness_free_instance_stops_at_the_default_budget(
+            self, tmp_path, capsys):
+        main(["gen", "--construction", "collision-fn", "--n", "1024", "--scales",
+              "2..4", "--b-override", "0", "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        code, lines, err = run_cli(
+            capsys, "run", "--instance", str(tmp_path / "collision-fn.instance.json"),
+            "--cert", str(tmp_path / "collision-fn.certificate.json"),
+            "--detector", "cert-collision", "--seed", "1")
+        assert code == 0 and "Traceback" not in err
+        rec = last_json(lines)
+        assert (rec["status"], rec["queries"]) == ("BudgetExceeded", 16 * 1024)
+        # with --max-attempts the walker has an end of its own, and no default
+        code, lines, err = run_cli(
+            capsys, "run", "--instance", str(tmp_path / "collision-fn.instance.json"),
+            "--cert", str(tmp_path / "collision-fn.certificate.json"),
+            "--detector", "cert-collision", "--seed", "1", "--max-attempts", "20000")
+        assert code == 0 and "Traceback" not in err
+        rec = last_json(lines)
+        assert (rec["status"], rec["attempts"]) == ("Exhausted", 20000)
+        assert rec["queries"] > 16 * 1024
+
+    def test_self_ending_detector_has_no_default_budget(self, tmp_path, capsys):
+        # cert-fixedpoint gives up after 64 iterations; on a fixed-point-free
+        # instance those cost more than 16 n queries, and it still ends Exhausted
+        main(["gen", "--construction", "collision-fn", "--n", "1024", "--scales",
+              "2..4", "--no-fixed-points", "--out-dir", str(tmp_path)])
+        main(["gen", "--construction", "fixedpoint-fn", "--n", "1024", "--seed",
+              "3", "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        code, lines, err = run_cli(
+            capsys, "run", "--instance", str(tmp_path / "collision-fn.instance.json"),
+            "--cert", str(tmp_path / "fixedpoint-fn.certificate.json"),
+            "--detector", "cert-fixedpoint", "--seed", "1")
+        assert code == 0 and "Traceback" not in err
+        rec = last_json(lines)
+        assert (rec["status"], rec["attempts"]) == ("Exhausted", 64)
+        assert rec["queries"] > 16 * 1024
 
     @pytest.mark.parametrize("flags", [("--target", "edge"),
                                        ("--target", "k-star")])

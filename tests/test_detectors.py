@@ -1,6 +1,7 @@
 """Detector behavior: worked examples, soundness, budgets, oracle purity."""
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -651,6 +652,246 @@ class TestStarpathDetector:
         out = cert_starpath_search(CountedOracle(inst, budget=30), cert, seed=5)
         assert out.queries <= 30
         assert out.status in ("Found", "BudgetExceeded")
+
+
+# ---------------------------------------------------------------------------
+# star-path search: differential against the nested-function search
+
+
+def _reference_starpath_search(oracle, cert: Certificate, seed=None):
+    """The star-path search before its rewrite around one probe step, kept
+    as the specification the rewrite must reproduce (outcome and
+    transcript), except that all 8 junction walks failing reported 9
+    attempts here."""
+    k = int(cert.payload["k"])
+    k_star = int(cert.payload["index"])
+    rng = np.random.default_rng(seed)
+    q0 = oracle.count
+    n = oracle.n
+    attempts = 0
+    deg, nbr = oracle.query_degree, oracle.query_neighbor
+
+    def out(status, w=None):
+        return SearchOutcome(status, w, oracle.count - q0, attempts,
+                             {"index": k_star, "k": k})
+
+    def neighbors(v, d):
+        return [nbr(v, j) for j in range(d)]
+
+    def star_at(v, d):
+        """Assemble the k-star witness at a suspected center."""
+        pend = []
+        for w in neighbors(v, d):
+            if deg(w) == 1:
+                pend.append(w)
+            if len(pend) == k:
+                return Witness("k-star", (v, *pend))
+        return None
+
+    def check(v, d):
+        if d >= k + 1:
+            w = star_at(v, d)
+            if w is not None:
+                raise _FoundStar(w)
+
+    class _FoundStar(Exception):
+        def __init__(self, w):
+            self.w = w
+
+    def walk_to_junction(v):
+        """Follow the chain until a degree>=3 vertex; turn around at ends."""
+        d = deg(v)
+        check(v, d)
+        if d == 0:
+            return None
+        prev = None
+        turned = False
+        cur = v
+        while True:
+            if d >= 3:
+                return cur
+            if d == 1:
+                if prev is not None:
+                    if turned:
+                        return None  # isolated path, no junction
+                    turned = True
+                    prev = None  # restart the walk from this endpoint
+                nxt = nbr(cur, 0)
+            else:
+                nxt = nbr(cur, 0)
+                if nxt == prev:
+                    nxt = nbr(cur, 1)
+            prev, cur = cur, nxt
+            d = deg(cur)
+            check(cur, d)
+
+    def chain_step(cur, prev):
+        """Next backbone vertex (degree 3, not prev); None at a chain end.
+        Also reports the non-chain neighbors for side checks."""
+        d = deg(cur)
+        check(cur, d)
+        nbrs = neighbors(cur, d)
+        options = []
+        for w in nbrs:
+            if w == prev:
+                continue
+            dw = deg(w)
+            check(w, dw)
+            if dw >= 3:
+                options.append(w)
+        return nbrs, options
+
+    def sweep_down(top, origin):
+        """Descend a path from `top` away from `origin`, checking degrees."""
+        prev, cur = origin, top
+        while True:
+            d = deg(cur)
+            check(cur, d)
+            if d == 1:
+                return
+            if d == 2:
+                nxt = nbr(cur, 0)
+                if nxt == prev:
+                    nxt = nbr(cur, 1)
+                prev, cur = cur, nxt
+            else:
+                return  # back on the backbone; stop
+
+    try:
+        attempts = 1
+        junction = None
+        for _ in range(8):
+            junction = walk_to_junction(int(rng.integers(n)))
+            if junction is not None:
+                break
+            attempts += 1
+        if junction is None:
+            return out(EXHAUSTED)
+
+        # walk to a chain end, preferring the end with a degree-1 neighbor (v_1)
+        prev = None
+        cur = junction
+        visited = 0
+        while visited <= 2 * math.isqrt(n) + 4:
+            visited += 1
+            nbrs, options = chain_step(cur, prev)
+            if not options:
+                break
+            prev, cur = cur, options[0]
+        # cur is a chain end: v_1 iff some neighbor has degree 1
+        d = deg(cur)
+        end_nbrs = neighbors(cur, d)
+        has_pendant = False
+        for w in end_nbrs:
+            dw = deg(w)
+            check(w, dw)
+            if dw == 1:
+                has_pendant = True
+        if not has_pendant:
+            # we are at v_{s-1}; the true v_1 lies at the other chain end
+            prev_dir = None
+            back = cur
+            while True:
+                nbrs, options = chain_step(back, prev_dir)
+                nxt = [w for w in options if w != prev_dir]
+                if not nxt:
+                    break
+                prev_dir, back = back, nxt[0]
+            cur = back
+        # count along the chain from v_1 = cur to column k_star
+        index = 1
+        prev = None
+        while index < k_star:
+            nbrs, options = chain_step(cur, prev)
+            forward = [w for w in options if w != prev]
+            if not forward:
+                # chain ends at v_{s-1}; columns s-1 and s sit past here
+                two = [w for w in nbrs if w != prev]
+                for w in two:
+                    sweep_down(w, cur)
+                return out(EXHAUSTED)
+            prev, cur = cur, forward[0]
+            index += 1
+        # at v_{k*}: sweep every non-backbone direction downward
+        d = deg(cur)
+        for w in neighbors(cur, d):
+            if w == prev:
+                continue
+            dw = deg(w)
+            check(w, dw)
+            if dw < 3:
+                sweep_down(w, cur)
+        return out(EXHAUSTED)
+    except _FoundStar as hit:
+        return out(FOUND, hit.w)
+    except BudgetExceeded:
+        return out(BUDGET_EXCEEDED)
+
+
+def _starpath_run(fn, inst, cert, seed, budget, relabel_seed):
+    o = CountedOracle(inst, relabel_seed=relabel_seed, budget=budget)
+    out = fn(o, cert, seed=seed)
+    return out, hashlib.sha256(repr(list(o.iter_transcript())).encode()).hexdigest()
+
+
+def _starpath_certs(cert, s, seed):
+    """The true certificate, a corrupted one, index 1, past the end of the
+    backbone, and k = 2 and k = 0 (every vertex of degree >= 3 or >= 1
+    then holds a star)."""
+    yield cert
+    yield corrupt_certificate(cert, seed=seed, index_range=s)
+    for payload in ({"index": 1}, {"index": s + 3}, {"k": 2}, {"k": 0}):
+        yield Certificate("BackboneIndex", {**cert.payload, **payload})
+
+
+class TestStarpathDifferential:
+    """The probe-step search against the nested-function search it
+    replaced: the same outcome and transcript, except that 8 failed
+    junction walks now count 8 attempts, not 9."""
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    def test_matches_reference(self, n):
+        s = math.isqrt(n)
+        statuses = set()
+        for gen_seed in range(3):
+            inst, cert, _ = gen_starpath_graph(n, 4, seed=gen_seed)
+            for c in _starpath_certs(cert, s, gen_seed):
+                for budget in (None, 7, 50, 300):
+                    for relabel_seed in (None, 11 + gen_seed):
+                        det_seed = 100 * gen_seed + (budget or 0)
+                        want = _starpath_run(_reference_starpath_search, inst, c,
+                                             det_seed, budget, relabel_seed)
+                        got = _starpath_run(cert_starpath_search, inst, c,
+                                            det_seed, budget, relabel_seed)
+                        assert got == want, (gen_seed, c.payload, budget)
+                        statuses.add(got[0].status)
+        assert statuses == {FOUND, EXHAUSTED, BUDGET_EXCEEDED}
+
+    @pytest.mark.parametrize("n", [12, 40, 200])
+    def test_matches_reference_on_random_trees(self, n):
+        # unlike generated instances, a tree can put a degree-1 vertex ahead
+        # of other neighbours at a chain end, which must still all be probed
+        rng = np.random.default_rng(n)
+        for tree in range(6):
+            parents = [int(rng.integers(i)) for i in range(1, n)]
+            inst = graph_from_edges(n, np.array(list(zip(parents, range(1, n)))))
+            for index, k in ((1, 4), (3, 3), (n, 4), (2, 2), (1, 0)):
+                cert = Certificate("BackboneIndex", {"index": index, "k": k})
+                for budget in (None, 7, 50, 300):
+                    args = (inst, cert, tree, budget, tree or None)
+                    assert _starpath_run(cert_starpath_search, *args) == \
+                        _starpath_run(_reference_starpath_search, *args), args
+
+    def test_no_junction_counts_eight_attempts(self):
+        # a claw graph without witnesses has no vertex of degree >= 3, so
+        # all 8 junction walks fail; the old search reported 9 attempts
+        inst, _, _ = gen_claw_graph(1024, ScaleParams(2, 4), seed=3, b_override=0)
+        cert = Certificate("BackboneIndex", {"index": 3, "k": 4})
+        want, want_tr = _starpath_run(_reference_starpath_search, inst, cert, 0,
+                                      None, None)
+        got, got_tr = _starpath_run(cert_starpath_search, inst, cert, 0, None, None)
+        assert (want.status, want.attempts, want.queries) == (EXHAUSTED, 9, 100)
+        assert got == dataclasses.replace(want, attempts=8) and got_tr == want_tr
 
 
 class TestUniformProbe:
