@@ -19,7 +19,8 @@ OUT.mkdir(parents=True, exist_ok=True)
 
 def sh(*args):
     print(f"$ qsep {' '.join(args)}")
-    r = subprocess.run(["qsep", *args], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-m", "qsep.cli", *args],
+                       capture_output=True, text=True)
     for line in r.stdout.splitlines():
         print(f"  {line}")
     if r.returncode != 0:

@@ -64,15 +64,15 @@ from qsep.svg import line_chart
 
 EXIT_OK, EXIT_VERIFY, EXIT_PARAMS, EXIT_MODEL, EXIT_IO = 0, 1, 2, 3, 4
 
-FUNCTION_CONSTRUCTIONS = {"collision-fn", "fixedpoint-fn"}
-CONSTRUCTIONS = sorted(FUNCTION_CONSTRUCTIONS |
-                       {"claw-graph", "star-graph", "starpath-graph"})
+# each construction, by its short alias
 _ALIASES = {"collision": "collision-fn", "fixedpoint": "fixedpoint-fn",
             "claw": "claw-graph", "star": "star-graph",
             "starpath": "starpath-graph"}
 
 
-def _emit(record: dict) -> None:
+def _emit(args, record: dict) -> None:
+    """Print a command's JSON record, stamped with the command's wall time."""
+    record["wall-ms"] = args.wall_ms()
     print(canonical_json(record))
 
 
@@ -101,10 +101,20 @@ def _given(args, *names) -> dict:
             if getattr(args, name) is not None}
 
 
-def _out_path(args, name: str) -> Path:
+def _out_path(args, prefix: str, name: str) -> Path:
+    """<out-dir>/<prefix>.<name>, where --prefix, if given, replaces the
+    command's default prefix."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out / name
+    return out / f"{args.prefix or prefix}.{name}"
+
+
+def _fit(ns, means):
+    """The log-log slope fit of means over ns, or None unless there are
+    at least three points spanning a factor of 4, all with positive means."""
+    if len(ns) >= 3 and max(ns) / min(ns) >= 4 and all(m > 0 for m in means):
+        return slope_fit([float(n) for n in ns], means)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +159,6 @@ def _capacity_line(construction: str, n: int, extras: dict) -> str:
 
 
 def cmd_gen(args) -> int:
-    t0 = time.perf_counter()
     seed = _master_seed(args)
     construction = _ALIASES.get(args.construction, args.construction)
     n = args.n
@@ -177,28 +186,20 @@ def cmd_gen(args) -> int:
     config = {"command": "gen", "construction": construction, "n": n,
               "seed": seed, "parameters": inst.info.get("parameters", {})}
     h = config_hash(config)
-    prefix = args.prefix or construction
-    paths = {kind: _out_path(args, f"{prefix}.{kind}.json")
-             for kind in ("instance", "certificate", "meta")}
-
-    inst_doc = instance_to_jsonable(inst)
-    inst_doc["config_hash"] = h
-    cert_doc = cert.to_jsonable()
-    cert_doc["config_hash"] = h
-    meta_doc = {"format": "qsep-meta", "version": 1, "config_hash": h,
-                "construction": construction, "n": n, "seed": seed,
-                "meta": meta.to_jsonable()}
-    for doc, path in ((inst_doc, paths["instance"]),
-                      (cert_doc, paths["certificate"]),
-                      (meta_doc, paths["meta"])):
-        write_json(path, doc)
+    docs = {"instance": instance_to_jsonable(inst),
+            "certificate": cert.to_jsonable(),
+            "meta": {"format": "qsep-meta", "version": 1,
+                     "construction": construction, "n": n, "seed": seed,
+                     "meta": meta.to_jsonable()}}
+    paths = {kind: _out_path(args, construction, f"{kind}.json") for kind in docs}
+    for kind, doc in docs.items():
+        write_json(paths[kind], {**doc, "config_hash": h})
 
     print(_capacity_line(construction, n, meta.extras))
-    _emit({"command": "gen", "construction": construction, "n": n,
-           "seed": seed, "config-hash": h,
-           "files": {k: str(p) for k, p in paths.items()},
-           "witnesses": len(meta.witness_locations),
-           "wall-ms": round((time.perf_counter() - t0) * 1e3, 3)})
+    _emit(args, {"command": "gen", "construction": construction, "n": n,
+                 "seed": seed, "config-hash": h,
+                 "files": {k: str(p) for k, p in paths.items()},
+                 "witnesses": len(meta.witness_locations)})
     return EXIT_OK
 
 
@@ -211,6 +212,13 @@ def cmd_gen(args) -> int:
 _RESTARTING = ("cert-collision", "multiscale", "cert-claw")
 _DETECTOR_FLAGS = {"C": ("cert-fixedpoint",), "k": ("uniform-probe",),
                    "target": ("uniform-probe",), "max_attempts": _RESTARTING}
+
+
+def _budget(detector: str, det_kwargs: dict, n: int, budget):
+    """The budget as given; else 16 n for a restarting walker without
+    max_attempts, which would never end on an instance without a witness."""
+    endless = detector in _RESTARTING and det_kwargs.get("max_attempts") is None
+    return 16 * n if budget is None and endless else budget
 
 
 def _detector_kwargs(args) -> dict:
@@ -236,7 +244,6 @@ def _detector_kwargs(args) -> dict:
 
 
 def cmd_run(args) -> int:
-    t0 = time.perf_counter()
     if args.budget is not None and args.budget < 0:
         raise ParameterError(f"--budget must be >= 0, got {args.budget}")
     det_kwargs = _detector_kwargs(args)
@@ -259,10 +266,7 @@ def cmd_run(args) -> int:
                                    scale_window=window,
                                    index_range=index_range)
     relabel_seed = None if args.no_relabel else _sub_seed(seed, 0)
-    # a restarting walker without --max-attempts never ends on an instance
-    # without a witness, so its unbudgeted run stops at 16 n queries
-    endless = args.detector in _RESTARTING and args.max_attempts is None
-    budget = 16 * inst.n if args.budget is None and endless else args.budget
+    budget = _budget(args.detector, det_kwargs, inst.n, args.budget)
     oracle = CountedOracle(inst, relabel_seed=relabel_seed, budget=budget)
     outcome = DETECTORS[args.detector](oracle, cert, _sub_seed(seed, 1),
                                        **det_kwargs)
@@ -270,7 +274,7 @@ def cmd_run(args) -> int:
     if outcome.found:
         valid = validate_witness(inst, _unrelabel_witness(oracle,
                                                           outcome.witness))
-    record = {
+    _emit(args, {
         "command": "run",
         "detector": args.detector,
         "instance-ref": str(args.instance),
@@ -281,9 +285,7 @@ def cmd_run(args) -> int:
         "witness": list(outcome.witness.vertices) if outcome.found else None,
         "valid": valid,
         "corrupted-cert": bool(args.corrupt_cert),
-        "wall-ms": round((time.perf_counter() - t0) * 1e3, 3),
-    }
-    _emit(record)
+    })
     return EXIT_OK if valid in (None, True) else EXIT_VERIFY
 
 
@@ -291,11 +293,9 @@ def cmd_run(args) -> int:
 # bench
 
 
-def _plot_rows(path, series, **axes) -> None:
-    path.write_text(line_chart(series, **axes))
-
-
-def _bench_separation(spec: dict, args, master: int, h: str) -> int:
+def _bench_separation(spec: dict, args, master: int):
+    """Run a separation battery; return its trial rows, report fields,
+    chart (series and axes), record fields and warning count."""
     points = [SeparationPoint(
         x=p["x"], n=p["n"], generator=p["generator"],
         gen_kwargs=p.get("gen_kwargs", {}),
@@ -309,23 +309,11 @@ def _bench_separation(spec: dict, args, master: int, h: str) -> int:
         budget_factor=spec.get("budget_factor", 50.0),
         pilot_trials=spec.get("pilot_trials", 6), workers=args.threads)
 
-    prefix = args.prefix or "separation"
-    csv_path = _out_path(args, f"{prefix}.trials.csv")
-    write_trials_csv(csv_path, rep.rows, config_hash=h)
     rows = [{"x": x, "n": n, "budget": b, "cert_mean": cm, "base_mean": bm,
              "ratio": r}
             for x, n, b, cm, bm, r in zip(rep.xs, rep.ns, rep.budgets,
                                           rep.cert_means, rep.base_means,
                                           rep.ratios)]
-    report = {"config_hash": h, "kind": "separation", "rows": rows,
-              "report": rep.to_jsonable()}
-    write_report_json(_out_path(args, f"{prefix}.report.json"), report)
-    if args.plot:
-        series = [("certificate", rep.xs, rep.cert_means),
-                  ("baseline", rep.xs, rep.base_means)]
-        _plot_rows(_out_path(args, f"{prefix}.svg"), series,
-                   title="mean queries per point", xlabel="x",
-                   ylabel="queries", logy=True, header=f"config {h}")
     warn = 0
     for x, cs, bs in zip(rep.xs, rep.cert_stats, rep.base_stats):
         print(f"point x={x} cert_mean={cs.mean_queries!r} "
@@ -333,17 +321,20 @@ def _bench_separation(spec: dict, args, master: int, h: str) -> int:
               f"cert_found={cs.successes}/{cs.trials} "
               f"base_found={bs.successes}/{bs.trials}")
         warn += cs.trials - cs.successes
-    _emit({"command": "bench", "kind": "separation", "seed": master,
-           "config-hash": h, "points": len(points),
-           "ratios": rep.ratios, "warnings": warn,
-           "wall-ms": round((time.perf_counter() - args.t0) * 1e3, 3)})
-    return EXIT_VERIFY if args.strict and warn else EXIT_OK
+    chart = ([("certificate", rep.xs, rep.cert_means),
+              ("baseline", rep.xs, rep.base_means)],
+             {"title": "mean queries per point", "xlabel": "x",
+              "ylabel": "queries", "logy": True})
+    return (rep.rows, {"rows": rows, "report": rep.to_jsonable()}, chart,
+            {"points": len(points), "ratios": rep.ratios}, warn)
 
 
-def _bench_slope(spec: dict, args, master: int, h: str) -> int:
-    all_rows, summary, svg_series, warn = [], [], [], 0
+def _bench_slope(spec: dict, args, master: int):
+    """Run a slope battery; return what _bench_separation returns."""
+    all_rows, summary, svg_series, fits, warn = [], [], [], {}, 0
     for si, series in enumerate(spec["series"]):
         label = series["label"]
+        det_kwargs = series.get("det_kwargs", {})
         means = []
         for ni, n in enumerate(series["ns"]):
             cfg = TrialConfig(
@@ -351,8 +342,10 @@ def _bench_slope(spec: dict, args, master: int, h: str) -> int:
                 n=int(n), trials=series.get("trials", 10),
                 master_seed=master,
                 gen_kwargs=series.get("gen_kwargs", {}),
-                det_kwargs=series.get("det_kwargs", {}),
-                budget=series.get("budget"), point=si * 1000 + ni)
+                det_kwargs=det_kwargs,
+                budget=_budget(series["detector"], det_kwargs, int(n),
+                               series.get("budget")),
+                point=si * 1000 + ni)
             stats, rows = run_trials(cfg, workers=args.threads)
             all_rows.extend(rows)
             means.append(stats.mean_queries)
@@ -365,30 +358,18 @@ def _bench_slope(spec: dict, args, master: int, h: str) -> int:
             print(f"series label={label} n={n} "
                   f"mean_queries={stats.mean_queries!r} "
                   f"found={stats.successes}/{stats.trials}")
-        fit = None
         ns = [float(n) for n in series["ns"]]
-        if len(ns) >= 3 and max(ns) / min(ns) >= 4 and all(m > 0 for m in means):
-            f = slope_fit(ns, means)
-            fit = {"slope": f.slope, "intercept": f.intercept,
-                   "stderr": f.stderr, "r2": f.r2}
+        fits[label] = None
+        f = _fit(ns, means)
+        if f is not None:
+            fits[label] = {"slope": f.slope, "intercept": f.intercept,
+                           "stderr": f.stderr, "r2": f.r2}
             print(f"series label={label} slope={f.slope!r} r2={f.r2!r}")
         svg_series.append((label, ns, means))
-        series.setdefault("_fit", fit)
-    csv_path = _out_path(args, f"{args.prefix or 'slope'}.trials.csv")
-    write_trials_csv(csv_path, all_rows, config_hash=h)
-    report = {"config_hash": h, "kind": "slope", "rows": summary,
-              "fits": {s["label"]: s.get("_fit") for s in spec["series"]}}
-    write_report_json(_out_path(args, f"{args.prefix or 'slope'}.report.json"),
-                      report)
-    if args.plot:
-        _plot_rows(_out_path(args, f"{args.prefix or 'slope'}.svg"),
-                   svg_series, title="query scaling", xlabel="n",
-                   ylabel="mean queries", logx=True, logy=True,
-                   header=f"config {h}")
-    _emit({"command": "bench", "kind": "slope", "seed": master,
-           "config-hash": h, "rows": len(summary), "warnings": warn,
-           "wall-ms": round((time.perf_counter() - args.t0) * 1e3, 3)})
-    return EXIT_VERIFY if args.strict and warn else EXIT_OK
+    chart = (svg_series, {"title": "query scaling", "xlabel": "n",
+                          "ylabel": "mean queries", "logx": True, "logy": True})
+    return (all_rows, {"rows": summary, "fits": fits}, chart,
+            {"rows": len(summary)}, warn)
 
 
 # per battery kind: its list of entries and the keys each entry needs
@@ -417,16 +398,24 @@ def _check_battery(spec) -> str:
 
 
 def cmd_bench(args) -> int:
-    args.t0 = time.perf_counter()
     spec = json.loads(Path(args.battery).read_text())
     kind = _check_battery(spec)
     master = _master_seed(args, spec.get("master_seed", 0))
     h = config_hash({"battery": {k: v for k, v in spec.items()
                                  if not k.startswith("_")},
                      "master_seed": master})
-    if kind == "separation":
-        return _bench_separation(spec, args, master, h)
-    return _bench_slope(spec, args, master, h)
+    run = _bench_separation if kind == "separation" else _bench_slope
+    trial_rows, report, (series, axes), record, warn = run(spec, args, master)
+    write_trials_csv(_out_path(args, kind, "trials.csv"), trial_rows,
+                     config_hash=h)
+    write_report_json(_out_path(args, kind, "report.json"),
+                      {"config_hash": h, "kind": kind, **report})
+    if args.plot:
+        _out_path(args, kind, "svg").write_text(
+            line_chart(series, header=f"config {h}", **axes))
+    _emit(args, {"command": "bench", "kind": kind, "seed": master,
+                 "config-hash": h, **record, "warnings": warn})
+    return EXIT_VERIFY if args.strict and warn else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +452,19 @@ def _check_graph_symmetry(inst) -> None:
         raise _VerifyFailure("model-arrays", "adjacency is not symmetric")
 
 
+# per construction: the brute-force target, its plural, and the meta
+# extras that verify reads
 _BRUTE_TARGETS = {
-    "collision-fn": ("collision", "collisions"),
-    "fixedpoint-fn": ("fixed-point", "fixed points"),
-    "claw-graph": ("claw", "claws"),
-    "star-graph": ("clique", "cliques"),
-    "starpath-graph": ("k-star", "k-stars"),
+    "collision-fn": ("collision", "collisions", ("t",)),
+    "fixedpoint-fn": ("fixed-point", "fixed points", ("primes", "cycle_lens")),
+    "claw-graph": ("claw", "claws", ("t",)),
+    "star-graph": ("clique", "cliques", ("h", "degrees")),
+    "starpath-graph": ("k-star", "k-stars", ("k", "k_star")),
 }
 
 
 def _verify_witness_counts(inst, construction: str) -> str:
-    target, label = _BRUTE_TARGETS[construction]
+    target, label, _ = _BRUTE_TARGETS[construction]
     extras = inst.meta.extras
     kw = {}
     if target == "clique":
@@ -491,13 +482,16 @@ def _verify_witness_counts(inst, construction: str) -> str:
 
 
 def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
     inst = read_instance(args.instance)
     if inst.meta is None:
         raise ParameterError("instance file has no meta block to verify against")
     construction = inst.info.get("construction")
     if construction not in _BRUTE_TARGETS:
         raise ParameterError(f"unknown construction {construction!r}")
+    missing = [k for k in _BRUTE_TARGETS[construction][2]
+               if k not in inst.meta.extras]
+    if missing:
+        raise FileFormatError(f"meta extras lack {', '.join(map(repr, missing))}")
     limit = 1 << 13
     if inst.n > limit:
         raise ParameterError(
@@ -537,15 +531,13 @@ def cmd_verify(args) -> int:
         for line in checks:
             print(line)
         print(f"FAIL {vf.invariant}: {vf}")
-        _emit({"command": "verify", "instance-ref": str(args.instance),
-               "ok": False, "failed": vf.invariant,
-               "wall-ms": round((time.perf_counter() - t0) * 1e3, 3)})
+        _emit(args, {"command": "verify", "instance-ref": str(args.instance),
+                     "ok": False, "failed": vf.invariant})
         return EXIT_VERIFY
     for line in checks:
         print(line)
-    _emit({"command": "verify", "instance-ref": str(args.instance),
-           "ok": True, "checks": len(checks),
-           "wall-ms": round((time.perf_counter() - t0) * 1e3, 3)})
+    _emit(args, {"command": "verify", "instance-ref": str(args.instance),
+                 "ok": True, "checks": len(checks)})
     return EXIT_OK
 
 
@@ -577,7 +569,6 @@ def _verify_certificate(inst, cert: Certificate, construction: str) -> None:
 
 
 def cmd_adversary_test(args) -> int:
-    t0 = time.perf_counter()
     seed = _master_seed(args)
     lo, hi = _parse_scales(args.scales or "2..4")
     params = ScaleParams(i_min=lo, i_max=hi, **(
@@ -610,20 +601,17 @@ def cmd_adversary_test(args) -> int:
         if replay != ans:
             consistent = False
             break
-    prefix = args.prefix or "adversary"
-    trace_path = _out_path(args, f"{prefix}.trace.jsonl")
-    session.write_trace(trace_path)
+    session.write_trace(_out_path(args, "adversary", "trace.jsonl"))
     h = config_hash({"command": "adversary-test", "n": args.n,
                      "scales": [lo, hi], "probes": args.probes,
                      "seed": seed})
-    write_report_json(_out_path(args, f"{prefix}.summary.json"), {
+    write_report_json(_out_path(args, "adversary", "summary.json"), {
         "config_hash": h, "n": args.n, "scales": [lo, hi],
         "probes": args.probes, "good_scale": session.good,
         "consistent": consistent})
-    _emit({"command": "adversary-test", "n": args.n, "seed": seed,
-           "config-hash": h, "probes": args.probes,
-           "good-scale": session.good, "consistent": consistent,
-           "wall-ms": round((time.perf_counter() - t0) * 1e3, 3)})
+    _emit(args, {"command": "adversary-test", "n": args.n, "seed": seed,
+                 "config-hash": h, "probes": args.probes,
+                 "good-scale": session.good, "consistent": consistent})
     return EXIT_OK if consistent else EXIT_VERIFY
 
 
@@ -632,7 +620,6 @@ def cmd_adversary_test(args) -> int:
 
 
 def cmd_report(args) -> int:
-    t0 = time.perf_counter()
     rows = []
     for path in args.csv:
         rows.extend(read_trials_csv(path))
@@ -645,30 +632,27 @@ def cmd_report(args) -> int:
     for (gen, det), per_n in sorted(groups.items()):
         ns = sorted(per_n)
         means = [float(np.mean(per_n[n])) for n in ns]
+        line = f"group generator={gen} detector={det} points={len(ns)}"
         fit = None
-        if len(ns) >= 3 and max(ns) / min(ns) >= 4 and all(m > 0 for m in means):
-            f = slope_fit([float(n) for n in ns], means)
+        f = _fit(ns, means)
+        if f is not None:
             fit = {"slope": f.slope, "stderr": f.stderr, "r2": f.r2}
+            line += f" slope={f.slope!r} r2={f.r2!r}"
+        print(line)
         summary.append({"generator": gen, "detector": det, "ns": ns,
                         "mean_queries": means, "fit": fit})
         svg_series.append((f"{gen}/{det}", [float(n) for n in ns], means))
-        line = f"group generator={gen} detector={det} points={len(ns)}"
-        if fit:
-            line += f" slope={fit['slope']!r} r2={fit['r2']!r}"
-        print(line)
     # hash input contents, not paths, so moving the CSVs does not change it
     digests = [hashlib.sha256(Path(p).read_bytes()).hexdigest()
                for p in args.csv]
     h = config_hash({"command": "report", "inputs": digests})
-    write_report_json(_out_path(args, f"{args.prefix or 'report'}.json"),
+    write_report_json(_out_path(args, "report", "json"),
                       {"config_hash": h, "groups": summary})
     if args.plot and svg_series:
-        _plot_rows(_out_path(args, f"{args.prefix or 'report'}.svg"),
-                   svg_series, title="query scaling", xlabel="n",
-                   ylabel="mean queries", logx=True, logy=True,
-                   header=f"config {h}")
-    _emit({"command": "report", "groups": len(summary), "config-hash": h,
-           "wall-ms": round((time.perf_counter() - t0) * 1e3, 3)})
+        _out_path(args, "report", "svg").write_text(line_chart(
+            svg_series, title="query scaling", xlabel="n",
+            ylabel="mean queries", logx=True, logy=True, header=f"config {h}"))
+    _emit(args, {"command": "report", "groups": len(summary), "config-hash": h})
     return EXIT_OK
 
 
@@ -694,7 +678,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate an instance with certificate")
     common(g)
     g.add_argument("--construction", required=True,
-                   choices=CONSTRUCTIONS + sorted(_ALIASES))
+                   choices=sorted(_ALIASES.values()) + sorted(_ALIASES))
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--scales", default=None, help="scale window A..B")
     g.add_argument("--beta", type=float, default=None)
@@ -767,24 +751,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the exit code of each error a command may end in
+_EXIT_CODES = {ParameterError: EXIT_PARAMS, ModelMismatchError: EXIT_MODEL,
+               OSError: EXIT_IO, json.JSONDecodeError: EXIT_IO,
+               FileFormatError: EXIT_IO}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    t0 = time.perf_counter()
+    args.wall_ms = lambda: round((time.perf_counter() - t0) * 1e3, 3)
     try:
         return args.func(args)
-    except PrimeShortageError as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        print("hint: widen the prime window with --widen-primes",
-              file=sys.stderr)
-        return EXIT_PARAMS
-    except ParameterError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARAMS
-    except ModelMismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MODEL
-    except (OSError, json.JSONDecodeError, FileFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(e, PrimeShortageError):
+            print("hint: widen the prime window with --widen-primes",
+                  file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items()
+                    if isinstance(e, kind))
 
 
 if __name__ == "__main__":

@@ -22,13 +22,18 @@ per lane would.
 Budgets live on the oracle only. A query the budget cannot pay for is
 refused uncounted; lockstep batches are clipped to what it still pays
 for, and multi-query steps are refused whole, before their first query.
+Every detector runs in one call frame (`_framed`), which does that
+clipping and refusing and alone decides between Exhausted and
+BudgetExceeded.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, count
+from itertools import combinations
 
 import numpy as np
 
@@ -62,22 +67,53 @@ class SearchOutcome:
         }
 
 
-def _clip(oracle, batch):
-    """The prefix of a lockstep batch that the oracle's budget still pays
-    for; BudgetExceeded when it pays for none of it."""
-    rem = oracle.remaining()
-    if rem is None or rem >= len(batch):
-        return batch
-    if rem == 0:
-        raise BudgetExceeded("budget spent")
-    return batch[:rem]
+class _Frame:
+    """One detector call: the oracle, the count it started from, the
+    attempts and details to report, and whether the budget cut it short."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.start = oracle.count
+        self.attempts = 0
+        self.details: dict = {}
+        self.cut = False
+
+    def clip(self, batch):
+        """The prefix of a lockstep batch that the budget still pays for;
+        BudgetExceeded when it pays for none of it."""
+        rem = self.oracle.remaining()
+        if rem is None or rem >= len(batch):
+            return batch
+        self.cut = True
+        if rem == 0:
+            raise BudgetExceeded("budget spent")
+        return batch[:rem]
+
+    def need(self, k: int) -> None:
+        """Refuse a k-query step before any of it is spent."""
+        rem = self.oracle.remaining()
+        if rem is not None and rem < k:
+            raise BudgetExceeded(f"{k} queries needed, {rem} left")
 
 
-def _need(oracle, k: int) -> None:
-    """Refuse a k-query step before any of it is spent."""
-    rem = oracle.remaining()
-    if rem is not None and rem < k:
-        raise BudgetExceeded(f"{k} queries needed, {rem} left")
+def _framed(body):
+    """Turn body(frame, oracle, ...), which returns a witness or None, into
+    a detector(oracle, ...) that returns a SearchOutcome. The frame makes
+    the one verdict: Found when body returns a witness; else
+    BudgetExceeded when the budget clipped a batch or refused a query or
+    step; else Exhausted."""
+    @functools.wraps(body)
+    def detector(oracle, *args, **kwargs) -> SearchOutcome:
+        f = _Frame(oracle)
+        try:
+            w = body(f, oracle, *args, **kwargs)
+        except BudgetExceeded:
+            w, f.cut = None, True
+        status = FOUND if w is not None else BUDGET_EXCEEDED if f.cut else EXHAUSTED
+        return SearchOutcome(status, w, oracle.count - f.start, f.attempts, f.details)
+    params = list(inspect.signature(body).parameters.values())[1:]
+    detector.__signature__ = inspect.Signature(params, return_annotation=SearchOutcome)
+    return detector
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +139,7 @@ def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
     enumeration.
     """
     rng = np.random.default_rng(seed)
-    q0 = oracle.count
+    f = _Frame(oracle)
     n = oracle.n
     cap = 1 << int(t)
     starts = rng.integers(0, n, size=attempts)
@@ -135,14 +171,11 @@ def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
     successes = 0
     finished = 0
     sample_witnesses: list[Witness] = []
-    truncated = False
     while len(live):
-        rem = oracle.remaining()
-        if rem is not None and rem < len(live):
-            live = live[:rem]
-            truncated = True
-            if not len(live):
-                break
+        try:
+            live = f.clip(live)
+        except BudgetExceeded:
+            break
         row = live * width
         us = flat_traj[row + steps[live]]
         ys = oracle.query_function_many(us)
@@ -184,158 +217,141 @@ def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
     return {
         "attempts": finished,
         "successes": successes,
-        "queries": oracle.count - q0,
+        "queries": oracle.count - f.start,
         "success_rate": successes / finished if finished else 0.0,
         "witnesses": sample_witnesses,
-        "truncated": truncated,
+        "truncated": f.cut,
     }
 
 
 _MISSING = object()
 
 
-def _shared_walk(oracle, caps, rng, max_attempts, details) -> SearchOutcome:
+def _shared_walk(f, oracle, caps, rng, max_attempts):
     """One walk per lane, lane k restarting at a fresh uniform element
     after caps[k] steps or a terminal arrival. Each round queries every
     live lane, in lane order, in one call; all walks share one
-    predecessor map, so cross-walk arrivals certify collisions too. A
-    round the budget clips drops its last lanes, so running out of lanes
-    after that is BudgetExceeded, not Exhausted."""
-    q0 = oracle.count
+    predecessor map, so cross-walk arrivals certify collisions too."""
     n = oracle.n
     pred: dict = {}
     get = pred.get
     front = [0] * len(caps)
     left = [0] * len(caps)
-    attempts = 0
-    clipped = False
-
-    def out(status, w=None):
-        return SearchOutcome(status, w, oracle.count - q0, attempts, details)
 
     def spawn(lane: int) -> bool:
-        nonlocal attempts
-        if max_attempts is not None and attempts >= max_attempts:
+        if max_attempts is not None and f.attempts >= max_attempts:
             return False
         x = int(rng.integers(n))
-        attempts += 1
+        f.attempts += 1
         front[lane] = x
         left[lane] = caps[lane]
         pred.setdefault(x, None)
         return True
 
     live = [lane for lane in range(len(caps)) if spawn(lane)]
-    try:
-        while live:
-            paid = _clip(oracle, live)
-            clipped = clipped or len(paid) < len(live)
-            ys = oracle.query_function_many([front[k] for k in paid]).tolist()
-            live = []
-            for lane, y in zip(paid, ys):
-                u = front[lane]
-                prev = get(y, _MISSING)
-                if prev is _MISSING:
-                    pred[y] = u
-                    if left[lane] > 1:
-                        left[lane] -= 1
-                        front[lane] = y
-                        live.append(lane)
-                        continue
-                elif prev is not None and prev != u:
-                    return out(FOUND, Witness("collision", (u, prev, y)))
-                if spawn(lane):
+    while live:
+        paid = f.clip(live)
+        ys = oracle.query_function_many([front[k] for k in paid]).tolist()
+        live = []
+        for lane, y in zip(paid, ys):
+            u = front[lane]
+            prev = get(y, _MISSING)
+            if prev is _MISSING:
+                pred[y] = u
+                if left[lane] > 1:
+                    left[lane] -= 1
+                    front[lane] = y
                     live.append(lane)
-    except BudgetExceeded:
-        return out(BUDGET_EXCEEDED)
-    return out(BUDGET_EXCEEDED if clipped else EXHAUSTED)
+                    continue
+            elif prev is not None and prev != u:
+                return Witness("collision", (u, prev, y))
+            if spawn(lane):
+                live.append(lane)
+    return None
 
 
-def cert_collision_search(oracle, cert: Certificate, seed=None,
-                          batch: int = 16, max_attempts=None) -> SearchOutcome:
+@_framed
+def cert_collision_search(f, oracle, cert: Certificate, seed=None,
+                          batch: int = 16, max_attempts=None):
     """Walk forward up to 2^t steps per attempt at the certified scale t,
     `batch` lanes at a time, sharing the predecessor map across attempts."""
     t = int(cert.payload["t"])
-    return _shared_walk(oracle, [1 << t] * batch, np.random.default_rng(seed),
-                        max_attempts, {"t": t})
+    f.details = {"t": t}
+    return _shared_walk(f, oracle, [1 << t] * batch, np.random.default_rng(seed),
+                        max_attempts)
 
 
-def multiscale_collision_search(oracle, i_min: int, i_max: int, seed=None,
-                                max_attempts=None) -> SearchOutcome:
+@_framed
+def multiscale_collision_search(f, oracle, i_min: int, i_max: int, seed=None,
+                                max_attempts=None):
     """One walk per scale in strict round-robin, lowest scale first, one
     step per walk per round; the walk at scale i restarts after 2^i
     steps."""
     scales = list(range(int(i_min), int(i_max) + 1))
-    return _shared_walk(oracle, [1 << i for i in scales],
-                        np.random.default_rng(seed), max_attempts,
-                        {"scales": scales})
+    f.details = {"scales": scales}
+    return _shared_walk(f, oracle, [1 << i for i in scales],
+                        np.random.default_rng(seed), max_attempts)
 
 
 # ---------------------------------------------------------------------------
 # claw walker
 
 
-def cert_claw_search(oracle, cert: Certificate, seed=None,
-                     max_attempts=None) -> SearchOutcome:
+@_framed
+def cert_claw_search(f, oracle, cert: Certificate, seed=None, max_attempts=None):
     """Chain-walk up to 2^t steps from uniform starts until a degree-3
     vertex appears, then report it with three of its neighbors."""
     t = int(cert.payload["t"])
+    f.details = {"t": t}
     rng = np.random.default_rng(seed)
-    q0 = oracle.count
     n = oracle.n
     cap = 1 << t
-    attempts = 0
-
-    def out(status, w=None):
-        return SearchOutcome(status, w, oracle.count - q0, attempts, {"t": t})
 
     def claw_at(v):
-        _need(oracle, 3)
+        f.need(3)
         leaves = tuple(oracle.query_neighbor(v, j) for j in range(3))
-        return out(FOUND, Witness("claw", (v, *leaves)))
+        return Witness("claw", (v, *leaves))
 
-    try:
-        while max_attempts is None or attempts < max_attempts:
-            _need(oracle, 1)
-            attempts += 1
-            v = int(rng.integers(n))
-            d = oracle.query_degree(v)
-            if d >= 3:
-                return claw_at(v)
-            if d == 0:
-                continue
-            prev = None
-            cur = v
-            for _ in range(cap):
-                # pick the forward neighbor
-                _need(oracle, 2)
-                if d == 1:
+    while max_attempts is None or f.attempts < max_attempts:
+        f.need(1)
+        f.attempts += 1
+        v = int(rng.integers(n))
+        d = oracle.query_degree(v)
+        if d >= 3:
+            return claw_at(v)
+        if d == 0:
+            continue
+        prev = None
+        cur = v
+        for _ in range(cap):
+            # pick the forward neighbor
+            f.need(2)
+            if d == 1:
+                nxt = oracle.query_neighbor(cur, 0)
+                if nxt == prev:
+                    break  # dead end
+            else:
+                if prev is None:
+                    nxt = oracle.query_neighbor(cur, int(rng.integers(2)))
+                else:
                     nxt = oracle.query_neighbor(cur, 0)
                     if nxt == prev:
-                        break  # dead end
-                else:
-                    if prev is None:
-                        nxt = oracle.query_neighbor(cur, int(rng.integers(2)))
-                    else:
-                        nxt = oracle.query_neighbor(cur, 0)
-                        if nxt == prev:
-                            nxt = oracle.query_neighbor(cur, 1)
-                prev, cur = cur, nxt
-                d = oracle.query_degree(cur)
-                if d >= 3:
-                    return claw_at(cur)
-                if d == 1:
-                    # path end; one more probe confirms the dead end next loop
-                    continue
-    except BudgetExceeded:
-        return out(BUDGET_EXCEEDED)
-    return out(EXHAUSTED)
+                        nxt = oracle.query_neighbor(cur, 1)
+            prev, cur = cur, nxt
+            d = oracle.query_degree(cur)
+            if d >= 3:
+                return claw_at(cur)
+            if d == 1:
+                # path end; one more probe confirms the dead end next loop
+                continue
+    return None
 
 
 # ---------------------------------------------------------------------------
 # fixed-point search via prime-spaced intersections
 
 
-def _fixed_walk_batch(oracle, starts, length):
+def _fixed_walk_batch(f, oracle, starts, length):
     """Advance all walks `length` steps in lockstep, recording trajectories.
     Returns (traj, fp): traj is (lanes, length+1) with -1 padding, fp is a
     fixed-point witness element or None."""
@@ -344,7 +360,7 @@ def _fixed_walk_batch(oracle, starts, length):
     traj[:, 0] = starts
     active = np.arange(lanes)
     for r in range(length):
-        active = _clip(oracle, active)
+        active = f.clip(active)
         fronts = traj[active, r]
         ys = oracle.query_function_many(fronts)
         traj[active, r + 1] = ys
@@ -354,8 +370,9 @@ def _fixed_walk_batch(oracle, starts, length):
     return traj, None
 
 
-def cert_fixedpoint_search(oracle, cert: Certificate, seed=None, C: float = 2.0,
-                           max_iterations: int = 64) -> SearchOutcome:
+@_framed
+def cert_fixedpoint_search(f, oracle, cert: Certificate, seed=None, C: float = 2.0,
+                           max_iterations: int = 64):
     """Short walks, long walks, then follow long walks whose meeting
     pattern with the short walks is spaced by a certified prime.
 
@@ -379,7 +396,6 @@ def cert_fixedpoint_search(oracle, cert: Certificate, seed=None, C: float = 2.0,
     """
     primes = [int(p) for p in cert.payload["primes"]]
     rng = np.random.default_rng(seed)
-    q0 = oracle.count
     n = oracle.n
     rt4 = max(1, math.ceil(n ** 0.25))
     rt2 = max(1, math.ceil(math.sqrt(n)))
@@ -387,128 +403,113 @@ def cert_fixedpoint_search(oracle, cert: Certificate, seed=None, C: float = 2.0,
     k_long, len_long = math.ceil(C * rt4), math.ceil(C * rt2)
 
     pos = np.full(n, -1, dtype=np.int64)
-    iterations = 0
-    stats = {"triggers": 0, "false_follows": 0, "follow_queries": 0,
-             "false_follow_queries": 0, "found_via": None}
+    f.details = stats = {"C": C, "primes": primes, "triggers": 0, "false_follows": 0,
+                         "follow_queries": 0, "false_follow_queries": 0,
+                         "found_via": None}
+    while f.attempts < max_iterations:
+        f.attempts += 1
+        short_traj, fp = _fixed_walk_batch(
+            f, oracle, rng.integers(0, n, size=k_short), len_short)
+        if fp is None:
+            long_traj, fp = _fixed_walk_batch(
+                f, oracle, rng.integers(0, n, size=k_long), len_long)
+        if fp is not None:
+            stats["found_via"] = "walk"
+            return Witness("fixed-point", (fp,))
 
-    def out(status, w=None):
-        return SearchOutcome(status, w, oracle.count - q0, iterations,
-                             {"C": C, "primes": primes, **stats})
-
-    try:
-        while iterations < max_iterations:
-            iterations += 1
-            short_traj, fp = _fixed_walk_batch(
-                oracle, rng.integers(0, n, size=k_short), len_short)
-            if fp is None:
-                long_traj, fp = _fixed_walk_batch(
-                    oracle, rng.integers(0, n, size=k_long), len_long)
-            if fp is not None:
-                stats["found_via"] = "walk"
-                return out(FOUND, Witness("fixed-point", (fp,)))
-
-            safe = np.where(short_traj >= 0, short_traj, 0)
-            for row in long_traj:
-                row = row[row >= 0]
-                if len(row) == 0:
-                    continue
-                # first-occurrence positions along this long walk
-                pos[row[::-1]] = np.arange(len(row) - 1, -1, -1)
-                hits = np.where(short_traj >= 0, pos[safe], -1)
-                masked = np.where(hits >= 0, hits, np.iinfo(np.int64).max)
-                first = masked.min(axis=1)
-                js = first[first < np.iinfo(np.int64).max]
-                pos[row] = -1
-                if len(js) < 4:
-                    continue
-                # prime signature: several short walks first-met in one residue
-                # class, and that class dominates (feeder entries sit p apart,
-                # so host-cycle intersections concentrate; a plain cycle
-                # spreads them uniformly)
-                need = max(4, math.ceil(2 * len(js) / 3))
-                if not any(np.bincount(js % p).max() >= need
-                           for p in primes if p > 1):
-                    continue
-                # follow this long walk to termination
-                stats["triggers"] += 1
-                seen = set(row.tolist())
-                cur = int(row[-1])
-                spent = 0
-                while True:
-                    y = oracle.query_function(cur)
-                    spent += 1
-                    stats["follow_queries"] += 1
-                    if y == cur:
-                        stats["found_via"] = "follow"
-                        return out(FOUND, Witness("fixed-point", (cur,)))
-                    if y in seen:
-                        # closed a cycle without a fixed point: mismatch
-                        stats["false_follows"] += 1
-                        stats["false_follow_queries"] += spent
-                        break
-                    seen.add(y)
-                    cur = y
-    except BudgetExceeded:
-        return out(BUDGET_EXCEEDED)
-    return out(EXHAUSTED)
+        safe = np.where(short_traj >= 0, short_traj, 0)
+        for row in long_traj:
+            row = row[row >= 0]
+            if len(row) == 0:
+                continue
+            # first-occurrence positions along this long walk
+            pos[row[::-1]] = np.arange(len(row) - 1, -1, -1)
+            hits = np.where(short_traj >= 0, pos[safe], -1)
+            masked = np.where(hits >= 0, hits, np.iinfo(np.int64).max)
+            first = masked.min(axis=1)
+            js = first[first < np.iinfo(np.int64).max]
+            pos[row] = -1
+            if len(js) < 4:
+                continue
+            # prime signature: several short walks first-met in one residue
+            # class, and that class dominates (feeder entries sit p apart,
+            # so host-cycle intersections concentrate; a plain cycle
+            # spreads them uniformly)
+            need = max(4, math.ceil(2 * len(js) / 3))
+            if not any(np.bincount(js % p).max() >= need
+                       for p in primes if p > 1):
+                continue
+            # follow this long walk to termination
+            stats["triggers"] += 1
+            seen = set(row.tolist())
+            cur = int(row[-1])
+            spent = 0
+            while True:
+                y = oracle.query_function(cur)
+                spent += 1
+                stats["follow_queries"] += 1
+                if y == cur:
+                    stats["found_via"] = "follow"
+                    return Witness("fixed-point", (cur,))
+                if y in seen:
+                    # closed a cycle without a fixed point: mismatch
+                    stats["false_follows"] += 1
+                    stats["false_follow_queries"] += spent
+                    break
+                seen.add(y)
+                cur = y
+    return None
 
 
 # ---------------------------------------------------------------------------
 # star search guided by the certified degree set
 
 
-def cert_star_search(oracle, cert: Certificate, seed=None) -> SearchOutcome:
+@_framed
+def cert_star_search(f, oracle, cert: Certificate, seed=None):
     """Sample 2 sqrt(n) log2(n) elements for leaves, hop to their centers,
     keep centers whose degree is certified, then enumerate their leaves and
     assemble the planted clique among leaves of matching degree."""
     degrees = sorted(int(d) for d in cert.payload["degrees"])
+    f.details = {"certified-degrees": degrees}
     h = len(degrees)
     rng = np.random.default_rng(seed)
-    q0 = oracle.count
     n = oracle.n
     q = math.ceil(2.0 * math.sqrt(n) * math.log2(max(n, 2)))
-    attempts = 0
 
-    def out(status, w=None):
-        return SearchOutcome(status, w, oracle.count - q0, attempts,
-                             {"certified-degrees": degrees})
+    samples = f.clip(rng.integers(0, n, size=q))
+    f.attempts = len(samples)
+    ds = oracle.query_degree_many(samples)
+    leaves = samples[ds == 1]
+    if len(leaves) == 0:
+        return None
+    leaves = f.clip(leaves)
+    centers = np.unique(oracle.query_neighbor_many(
+        leaves, np.zeros(len(leaves), dtype=np.int64)))
+    centers = f.clip(centers)
+    cds = oracle.query_degree_many(centers)
+    good = centers[np.isin(cds, degrees)]
+    good_deg = cds[np.isin(cds, degrees)]
+    if h == 0 or len(good) == 0:
+        return None
 
-    try:
-        samples = _clip(oracle, rng.integers(0, n, size=q))
-        attempts = len(samples)
-        ds = oracle.query_degree_many(samples)
-        leaves = samples[ds == 1]
-        if len(leaves) == 0:
-            return out(EXHAUSTED)
-        leaves = _clip(oracle, leaves)
-        centers = np.unique(oracle.query_neighbor_many(
-            leaves, np.zeros(len(leaves), dtype=np.int64)))
-        centers = _clip(oracle, centers)
-        cds = oracle.query_degree_many(centers)
-        good = centers[np.isin(cds, degrees)]
-        good_deg = cds[np.isin(cds, degrees)]
-        if h == 0 or len(good) == 0:
-            return out(EXHAUSTED)
+    flagged = []
+    for g, dg in zip(good.tolist(), good_deg.tolist()):
+        nbrs = oracle.query_neighbor_many(np.full(dg, g, dtype=np.int64),
+                                          np.arange(dg, dtype=np.int64))
+        nds = oracle.query_degree_many(nbrs)
+        flagged.extend(int(x) for x in nbrs[nds == h])
+    if len(flagged) < h:
+        return None
 
-        flagged = []
-        for g, dg in zip(good.tolist(), good_deg.tolist()):
-            nbrs = oracle.query_neighbor_many(np.full(dg, g, dtype=np.int64),
-                                              np.arange(dg, dtype=np.int64))
-            nds = oracle.query_degree_many(nbrs)
-            flagged.extend(int(x) for x in nbrs[nds == h])
-        if len(flagged) < h:
-            return out(EXHAUSTED)
-
-        adj = {}
-        for x in flagged:
-            adj[x] = set(oracle.query_neighbor_many(
-                np.full(h, x, dtype=np.int64), np.arange(h, dtype=np.int64)).tolist())
-    except BudgetExceeded:
-        return out(BUDGET_EXCEEDED)
+    adj = {}
+    for x in flagged:
+        adj[x] = set(oracle.query_neighbor_many(
+            np.full(h, x, dtype=np.int64), np.arange(h, dtype=np.int64)).tolist())
     for group in combinations(sorted(flagged), h):
         if all(b in adj[a] for a, b in combinations(group, 2)):
-            return out(FOUND, Witness("clique", tuple(group)))
-    return out(EXHAUSTED)
+            return Witness("clique", tuple(group))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -522,20 +523,17 @@ class _FoundStar(Exception):
         self.w = w
 
 
-def cert_starpath_search(oracle, cert: Certificate, seed=None) -> SearchOutcome:
+@_framed
+def cert_starpath_search(f, oracle, cert: Certificate, seed=None):
     """Navigate to the backbone, count to the certified column, and sweep
     its hanging path for the planted high-degree center."""
     k = int(cert.payload["k"])
     k_star = int(cert.payload["index"])
+    f.details = {"index": k_star, "k": k}
     rng = np.random.default_rng(seed)
-    q0 = oracle.count
     n = oracle.n
-    attempts = 0
+    reach = 2 * math.isqrt(n) + 5  # a generated backbone has isqrt(n) vertices
     deg, nbr = oracle.query_degree, oracle.query_neighbor
-
-    def out(status, w=None):
-        return SearchOutcome(status, w, oracle.count - q0, attempts,
-                             {"index": k_star, "k": k})
 
     def neighbors(v, d):
         return [nbr(v, j) for j in range(d)]
@@ -570,10 +568,10 @@ def cert_starpath_search(oracle, cert: Certificate, seed=None) -> SearchOutcome:
         around = list(survey(cur, probe(cur), prev))
         return [w for w, _ in around], [w for w, dw in around if dw >= 3]
 
-    def chain_end(cur, steps):
-        """Follow the backbone away from cur, one step per item of steps."""
+    def chain_end(cur):
+        """Follow the backbone away from cur, at most `reach` steps."""
         prev = None
-        for _ in steps:
+        for _ in range(reach):
             options = chain_step(cur, prev)[1]
             if not options:
                 break
@@ -601,19 +599,20 @@ def cert_starpath_search(oracle, cert: Certificate, seed=None) -> SearchOutcome:
             prev, cur = cur, onward(cur, prev)
 
     try:
-        for attempts in range(1, 9):
+        for attempt in range(1, 9):
+            f.attempts = attempt
             junction = walk_to_junction(int(rng.integers(n)))
             if junction is not None:
                 break
         else:
-            return out(EXHAUSTED)
+            return None
 
         # walk to a chain end, preferring the end with a degree-1 neighbour (v_1)
-        cur = chain_end(junction, range(2 * math.isqrt(n) + 5))
+        cur = chain_end(junction)
         # cur is a chain end: v_1 iff some neighbour has degree 1 (probe them all)
         if 1 not in [dw for _, dw in survey(cur, deg(cur), None)]:
             # we are at v_{s-1}; the true v_1 lies at the other chain end
-            cur = chain_end(cur, count())
+            cur = chain_end(cur)
         # count along the chain from v_1 = cur to column k_star
         prev = None
         for _ in range(1, k_star):
@@ -622,74 +621,64 @@ def cert_starpath_search(oracle, cert: Certificate, seed=None) -> SearchOutcome:
                 # chain ends at v_{s-1}; columns s-1 and s sit past here
                 for w in others:
                     sweep_down(w, cur)
-                return out(EXHAUSTED)
+                return None
             prev, cur = cur, options[0]
         # at v_{k*}: sweep every non-backbone direction downward
         for w, dw in survey(cur, deg(cur), prev):
             if dw < 3:
                 sweep_down(w, cur)
-        return out(EXHAUSTED)
+        return None
     except _FoundStar as hit:
-        return out(FOUND, hit.w)
-    except BudgetExceeded:
-        return out(BUDGET_EXCEEDED)
+        return hit.w
 
 
 # ---------------------------------------------------------------------------
 # certificate-free baselines
 
 
-def uniform_probe_baseline(oracle, target: str, seed=None,
-                           k: int | None = None, chunk: int = 256) -> SearchOutcome:
+@_framed
+def uniform_probe_baseline(f, oracle, target: str, seed=None,
+                           k: int | None = None, chunk: int = 256):
     """Sample elements without replacement, `chunk` at a time; verify the
     target (fixed-point or k-star) locally.
 
     Exhausted only after probing all n elements; a budget that cuts the
     probing short is BudgetExceeded."""
+    f.details = {"target": target}
     rng = np.random.default_rng(seed)
-    q0 = oracle.count
     n = oracle.n
     order = rng.permutation(n)
-    attempts = 0
-
-    def out(status, w=None):
-        return SearchOutcome(status, w, oracle.count - q0, attempts, {"target": target})
 
     def chunks():
-        nonlocal attempts
         for lo in range(0, n, chunk):
-            xs = _clip(oracle, order[lo:lo + chunk])
-            attempts += len(xs)
+            xs = f.clip(order[lo:lo + chunk])
+            f.attempts += len(xs)
             yield xs
 
-    try:
-        if target == "fixed-point":
-            for xs in chunks():
-                hits = np.flatnonzero(oracle.query_function_many(xs) == xs)
-                if len(hits):
-                    attempts -= len(xs) - int(hits[0]) - 1  # samples after the hit
-                    return out(FOUND, Witness("fixed-point", (int(xs[hits[0]]),)))
-        elif target == "k-star":
-            if k is None:
-                raise ValueError("k-star target needs k")
-            for xs in chunks():
-                ds = oracle.query_degree_many(xs)
-                for j in np.flatnonzero(ds >= k):
-                    v = int(xs[j])
-                    d = int(ds[j])
-                    _need(oracle, 2 * d)
-                    nbrs = oracle.query_neighbor_many(np.full(d, v, dtype=np.int64),
-                                                      np.arange(d, dtype=np.int64))
-                    nds = oracle.query_degree_many(nbrs)
-                    pend = nbrs[nds == 1]
-                    if len(pend) >= k:
-                        w = Witness("k-star", (v, *(int(x) for x in pend[:k])))
-                        return out(FOUND, w)
-        else:
-            raise ValueError(f"unsupported target {target!r}")
-    except BudgetExceeded:
-        return out(BUDGET_EXCEEDED)
-    return out(EXHAUSTED if attempts == n else BUDGET_EXCEEDED)
+    if target == "fixed-point":
+        for xs in chunks():
+            hits = np.flatnonzero(oracle.query_function_many(xs) == xs)
+            if len(hits):
+                f.attempts -= len(xs) - int(hits[0]) - 1  # samples after the hit
+                return Witness("fixed-point", (int(xs[hits[0]]),))
+    elif target == "k-star":
+        if k is None:
+            raise ValueError("k-star target needs k")
+        for xs in chunks():
+            ds = oracle.query_degree_many(xs)
+            for j in np.flatnonzero(ds >= k):
+                v = int(xs[j])
+                d = int(ds[j])
+                f.need(2 * d)
+                nbrs = oracle.query_neighbor_many(np.full(d, v, dtype=np.int64),
+                                                  np.arange(d, dtype=np.int64))
+                nds = oracle.query_degree_many(nbrs)
+                pend = nbrs[nds == 1]
+                if len(pend) >= k:
+                    return Witness("k-star", (v, *(int(x) for x in pend[:k])))
+    else:
+        raise ValueError(f"unsupported target {target!r}")
+    return None
 
 
 # ---------------------------------------------------------------------------

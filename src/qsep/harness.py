@@ -71,10 +71,6 @@ class CertExpectation:
     cost_per_attempt: Fraction
     expected_total: Fraction | None
 
-    def as_floats(self) -> tuple[float, float, float]:
-        return (float(self.success_prob), float(self.cost_per_attempt),
-                math.inf if self.expected_total is None else float(self.expected_total))
-
 
 def _default_scale(instance, t):
     if t is not None:

@@ -135,10 +135,20 @@ class StructureMeta:
 
     @staticmethod
     def from_jsonable(d: dict) -> "StructureMeta":
+        """FileFormatError unless the kinds are known codes, the members
+        are integers, and the offsets rise from 0 to len(members), one
+        more than there are kinds."""
+        kinds = _int_array(d["kinds"], "meta kinds", None, len(KIND_NAMES))
+        members = _int_array(d["members"], "meta members", None, None)
+        offsets = _int_array(d["offsets"], "meta offsets", None, None)
+        if len(offsets) != len(kinds) + 1 or offsets[0] != 0 \
+                or offsets[-1] != len(members) or (np.diff(offsets) < 0).any():
+            raise FileFormatError("meta offsets must rise from 0 to len(members), "
+                                  "one more offset than kinds")
         return StructureMeta(
-            kinds=np.asarray(d["kinds"], dtype=np.int8),
-            offsets=_as_index_array(d["offsets"]),
-            members=_as_index_array(d["members"]),
+            kinds=kinds.astype(np.int8),
+            offsets=offsets,
+            members=members,
             good_index=d.get("good_index"),
             witness_locations=[tuple(loc) for loc in d.get("witness_locations", [])],
             extras=d.get("extras", {}),
@@ -398,10 +408,6 @@ def relabel(instance, seed: int):
 # ---------------------------------------------------------------------------
 # the counted oracle
 
-_OP_DEG = 0
-_OP_NBR = 1
-
-
 class CountedOracle:
     """Query access to one instance with strict accounting.
 
@@ -451,14 +457,6 @@ class CountedOracle:
         if self.budget is not None and self._count + k > self.budget:
             raise BudgetExceeded(f"budget {self.budget} reached at count {self._count}")
         self._count += k
-
-    def public_state(self) -> dict:
-        return {
-            "model": self.model,
-            "n": self.n,
-            "count": self._count,
-            "budget": self.budget,
-        }
 
     def iter_transcript(self):
         """Yield (query, answer) pairs in query order."""
@@ -645,15 +643,16 @@ def instance_to_jsonable(instance) -> dict:
     return doc
 
 
-def _int_array(values, what: str, length: int | None, bound: int) -> np.ndarray:
+def _int_array(values, what: str, length: int | None,
+               bound: int | None) -> np.ndarray:
     """A JSON list as an int64 array of ``length`` entries (any length if
-    None), each in [0, bound)."""
+    None), each in [0, bound) (any integer if bound is None)."""
     arr = np.asarray(values)
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise FileFormatError(f"{what} must be a list of integers")
     if length is not None and len(arr) != length:
         raise FileFormatError(f"{what} has {len(arr)} entries, header n asks for {length}")
-    if arr.size and (arr.min() < 0 or arr.max() >= bound):
+    if bound is not None and arr.size and (arr.min() < 0 or arr.max() >= bound):
         raise FileFormatError(f"{what} has entries outside [0, {bound})")
     return arr.astype(np.int64)
 

@@ -194,3 +194,38 @@ def test_budget_replay_matches_snapshot(name, recorded, grid):
         if status is not None:
             want["result"] = {**want["result"], "status": status}
         assert got == want, (name, row["budget"], row["relabel"])
+
+
+# the sweep below runs every SearchOutcome setup of the grid, plus
+# cert-fixedpoint without primes on the fixed-point-free ring, where a
+# budget just short of the end clips the last round of long walks; and
+# each setup's extra budgets, here the ones at which cert-star's centre
+# batch is clipped and drops the certified centre
+SWEEP_EXTRA = {"cert-star": range(1960, 1990)}
+SWEEP_NAMES = tuple(name for name in SETUP_NAMES
+                    if not name.startswith("battery")) + ("cert-fixedpoint-ring",)
+
+
+@pytest.mark.parametrize("name", SWEEP_NAMES)
+def test_a_run_cut_short_is_never_exhausted(name, grid):
+    """Under a budget below its unbudgeted cost a run cannot end the way
+    the unbudgeted run did, so it ends Found or BudgetExceeded, never
+    Exhausted; checked at the grid's budgets and the last 64 before that
+    cost."""
+    if name == "cert-fixedpoint-ring":
+        setup = (grid["uniform-fixed-point-ring"][0], cert_fixedpoint_search,
+                 (Certificate("FixedPointPrimes", {"primes": []}),),
+                 {"seed": 3, "max_iterations": 1})
+    else:
+        setup = grid[name]
+    inst, fn, args, kwargs = setup
+    for relabel in (False, True):
+        relabel_seed = RELABEL_SEED if relabel else None
+        cost = fn(CountedOracle(inst, relabel_seed=relabel_seed), *args,
+                  **kwargs).queries
+        budgets = {b for b in BUDGETS if b is not None}
+        budgets |= set(range(cost - 64, cost)) | set(SWEEP_EXTRA.get(name, ()))
+        for budget in sorted(b for b in budgets if b < cost):
+            oracle = CountedOracle(inst, relabel_seed=relabel_seed, budget=budget)
+            status = fn(oracle, *args, **kwargs).status
+            assert status != "Exhausted", (name, budget, relabel)

@@ -444,6 +444,21 @@ class TestBench:
         assert xs == [float(r["n"]) for r in report["rows"]]
         assert ys == [r["mean_queries"] for r in report["rows"]]
 
+    def test_slope_series_without_budget_stops_at_16n(self, tmp_path, capsys):
+        # a restarting walker on witness-free instances has no end of its
+        # own, so a series without a "budget" stops at 16 n, as `run` does
+        spec = tmp_path / "free.json"
+        spec.write_text(json.dumps({"kind": "slope", "series": [
+            {"label": "free", "generator": "collision-fn",
+             "gen_kwargs": {"params": {"i_min": 2, "i_max": 4}, "b_override": 0},
+             "detector": "cert-collision", "ns": [1024]}]}))
+        code, _, err = run_cli(capsys, "bench", "--battery", str(spec),
+                               "--out-dir", str(tmp_path), "--threads", "1")
+        assert code == 0 and "Traceback" not in err
+        rows = read_trials_csv(tmp_path / "slope.trials.csv")
+        assert [(r["status"], int(r["queries"])) for r in rows] == \
+            [("BudgetExceeded", 16 * 1024)] * 10
+
     def test_bad_battery_kind_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps({"kind": "nope"}))
@@ -512,6 +527,37 @@ class TestVerify:
             "--cert", str(tmp_path / "star-graph.certificate.json"))
         assert code == 0
         assert any(ln.startswith("degree-uniqueness: ok") for ln in lines)
+
+    @pytest.mark.parametrize("construction, flags, path, value, message", [
+        ("collision-fn", ("--scales", "2..4"), ("kinds", 0), 9,
+         "meta kinds has entries outside [0, 7)"),
+        ("collision-fn", ("--scales", "2..4"), ("offsets", 0), 1,
+         "meta offsets must rise from 0 to len(members), one more offset "
+         "than kinds"),
+        ("collision-fn", ("--scales", "2..4"), ("members", 0), 0.5,
+         "meta members must be a list of integers"),
+        ("star-graph", ("--H", "triangle"), ("extras", "h"), None,
+         "meta extras lack 'h'"),
+    ])
+    def test_malformed_meta_exits_4(self, tmp_path, capsys, construction,
+                                    flags, path, value, message):
+        main(["gen", "--construction", construction, "--n", "1024", *flags,
+              "--out-dir", str(tmp_path)])
+        inst = tmp_path / f"{construction}.instance.json"
+        doc = json.loads(inst.read_text())
+        *keys, last = path
+        target = doc["meta"]
+        for key in keys:
+            target = target[key]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
+        inst.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code, lines, err = run_cli(capsys, "verify", "--instance", str(inst))
+        assert code == 4 and lines == [] and "Traceback" not in err
+        assert err.strip().splitlines() == [f"error: {message}"]
 
     def test_oversize_instance_exits_2(self, tmp_path, capsys):
         main(["gen", "--construction", "collision-fn", "--n", "16384",

@@ -37,7 +37,6 @@ from qsep.detectors import (
     EXHAUSTED,
     FOUND,
     SearchOutcome,
-    _clip,
 )
 from qsep.oracle import (
     BudgetExceeded,
@@ -151,6 +150,17 @@ def _arrival(pred: dict, u: int, y: int):
 _MISSING = object()
 _GO = ("go", None)
 _STOP = ("stop", None)
+
+
+def _clip(oracle, batch):
+    """The prefix of a lockstep batch that the oracle's budget still pays
+    for; BudgetExceeded when it pays for none of it."""
+    rem = oracle.remaining()
+    if rem is None or rem >= len(batch):
+        return batch
+    if rem == 0:
+        raise BudgetExceeded("budget spent")
+    return batch[:rem]
 
 
 def _reference_cert_collision(oracle, cert: Certificate, seed=None,
@@ -646,6 +656,18 @@ class TestStarpathDetector:
             out = cert_starpath_search(o, bad, seed=seed)
             if out.found:
                 assert validate_witness(inst, _unrelabel_witness(o, out.witness))
+
+    def test_backbone_walks_end_on_a_cycle_of_junctions(self):
+        # every vertex of the cube graph has degree 3, so a walk along the
+        # "backbone" never reaches a chain end; both walks stop after
+        # 2 isqrt(n) + 5 steps and leave the budget unspent
+        edges = [(a, a ^ b) for a in range(8) for b in (1, 2, 4) if a < a ^ b]
+        cube = graph_from_edges(8, np.array(edges))
+        cert = Certificate("BackboneIndex", {"index": 2, "k": 4})
+        out = cert_starpath_search(CountedOracle(cube), cert, seed=0)
+        assert out.status == EXHAUSTED and out.queries < 1000
+        assert cert_starpath_search(CountedOracle(cube, budget=1000), cert,
+                                    seed=0) == out
 
     def test_budget_honored(self):
         inst, cert, _ = gen_starpath_graph(4096, 4, seed=29)
