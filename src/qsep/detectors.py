@@ -579,19 +579,23 @@ def cert_starpath_search(f, oracle, cert: Certificate, seed=None):
         return cur
 
     def walk_to_junction(cur):
-        """Follow the chain until a degree>=3 vertex; turn around at ends."""
+        """Follow the chain until a degree>=3 vertex; turn around at ends.
+        A walk crosses a path at most twice, so one that takes 2n steps
+        goes round a cycle of degree-2 vertices and has no junction."""
         d = probe(cur)
         if d == 0:
             return None
         prev, turned = None, False
-        while d < 3:
+        for _ in range(2 * n):
+            if d >= 3:
+                return cur
             if d == 1 and prev is not None:
                 if turned:
                     return None  # isolated path, no junction
                 turned, prev = True, None  # restart the walk from this endpoint
             prev, cur = cur, onward(cur, prev)
             d = probe(cur)
-        return cur
+        return None
 
     def sweep_down(cur, prev):
         """Descend a path from cur away from prev, to its end or the backbone."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -47,6 +48,7 @@ from qsep.generators import (
 from qsep.oracle import (
     CountedOracle,
     _jsonable,
+    _relabel_maps,
     _unrelabel_witness,
     canonical_json,
     validate_witness,
@@ -376,17 +378,63 @@ def _trial(row: dict, instance, cert, rel_seed, budget, det_kwargs,
             "status": out.status, "queries": out.queries}
 
 
+# Smallest n whose relabel draw runs beside generation. Timed on a 2-core
+# Xeon VM: the draw (_relabel_maps) takes 0.13 ms at 2^12, 2.2 ms at 2^16,
+# 4.9 ms at 2^17 and 68 ms at 2^20, and a thread's start and join 0.14 ms.
+# A thread that wants the GIL back may wait a whole 5 ms switch interval,
+# so the overlap pays only for draws long against that: generation plus
+# draw took 1.2-1.7x as long with the thread at 2^12-2^14, 0.87x at 2^16
+# and 0.6-0.9x from 2^17 on. The small gain at 2^16 turns into a loss when
+# a worker pool already keeps both cores busy.
+_SIDE_DRAW_MIN_N = 1 << 17
+
+
+def _generate(generator: str, n: int, gen_ss, rel_seed, gen_kwargs):
+    """GENERATORS[generator](n, rng(gen_ss), **gen_kwargs) on this thread.
+
+    For rel_seed not None and n >= _SIDE_DRAW_MIN_N, a side thread draws
+    _relabel_maps(n, rel_seed) meanwhile and is joined before this returns,
+    so the oracles built next find the maps in its memo. numpy releases the
+    GIL while it shuffles and scatters, so the two draws overlap; they come
+    from separate seeds, so neither changes. A generator error propagates
+    once the side thread is joined; otherwise an error of the side draw is
+    raised here.
+    """
+    def make():
+        return GENERATORS[generator](n, np.random.default_rng(gen_ss), **gen_kwargs)
+
+    if rel_seed is None or n < _SIDE_DRAW_MIN_N:
+        return make()
+    failed = []
+
+    def draw():
+        try:
+            _relabel_maps(n, rel_seed)
+        except BaseException as err:  # re-raised by the caller below
+            failed.append(err)
+
+    side = threading.Thread(target=draw, name="qsep-relabel-draw")
+    side.start()
+    try:
+        made = make()
+    finally:
+        side.join()
+    if failed:
+        raise failed[0]
+    return made
+
+
 def _run_single_trial(config: TrialConfig, trial: int) -> dict:
     ss = np.random.SeedSequence([config.master_seed, config.point, trial])
     gen_ss, rel_ss, det_ss = ss.spawn(3)
-    instance, cert = GENERATORS[config.generator](
-        config.n, np.random.default_rng(gen_ss), **config.gen_kwargs)
+    rel_seed = _seed_int(rel_ss) if config.relabel else None
+    instance, cert = _generate(config.generator, config.n, gen_ss, rel_seed,
+                               config.gen_kwargs)
     row = {"config": config.config_hash(), "generator": config.generator,
            "detector": config.detector, "n": config.n, "trial": trial,
            "seed": config.master_seed}
-    return _trial(row, instance, cert,
-                  _seed_int(rel_ss) if config.relabel else None,
-                  config.budget, config.det_kwargs, det_ss)
+    return _trial(row, instance, cert, rel_seed, config.budget,
+                  config.det_kwargs, det_ss)
 
 
 def _map(fn, tasks, workers: int) -> list:
@@ -462,9 +510,9 @@ def _sep_pair(point: SeparationPoint, point_idx: int, trial: int,
     tag = trial + (1 << 30) if pilot else trial
     ss = np.random.SeedSequence([master_seed, point_idx, tag])
     gen_ss, rel_ss, cert_ss, base_ss = ss.spawn(4)
-    instance, cert = GENERATORS[point.generator](
-        point.n, np.random.default_rng(gen_ss), **point.gen_kwargs)
     rel_seed = _seed_int(rel_ss)
+    instance, cert = _generate(point.generator, point.n, gen_ss, rel_seed,
+                               point.gen_kwargs)
 
     def one(detector, det_kwargs, det_ss):
         row = {"config": f"sep-{master_seed}-{point_idx}",

@@ -669,6 +669,18 @@ class TestStarpathDetector:
         assert cert_starpath_search(CountedOracle(cube, budget=1000), cert,
                                     seed=0) == out
 
+    def test_junction_walks_end_on_a_cycle_of_degree_2(self):
+        # no vertex of the 16-cycle has degree 1 or >= 3, so a walk to a
+        # junction never turns or stops; each of the 8 walks ends after 2n
+        # steps with no junction, each step one neighbour query (the first
+        # neighbour leads on round this cycle) and one degree query
+        cycle = graph_from_edges(16, np.array([(i, (i + 1) % 16)
+                                               for i in range(16)]))
+        cert = Certificate("BackboneIndex", {"index": 2, "k": 4})
+        out = cert_starpath_search(CountedOracle(cycle), cert, seed=0)
+        assert out.status == EXHAUSTED and out.attempts == 8
+        assert out.queries == 8 * (1 + 2 * 16 * 2)
+
     def test_budget_honored(self):
         inst, cert, _ = gen_starpath_graph(4096, 4, seed=29)
         out = cert_starpath_search(CountedOracle(inst, budget=30), cert, seed=5)

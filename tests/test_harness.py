@@ -1,11 +1,18 @@
 """Harness: expectation evaluators, trial runner, separation scaffolding, I/O."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsep
 from qsep import (
     FixedPointParams,
     ScaleParams,
@@ -20,8 +27,10 @@ from qsep import (
     slope_fit,
     write_trials_csv,
 )
+from qsep import harness
+from qsep.generators import ParameterError
 from qsep.harness import SeparationPoint, _wilson, write_report_json
-from qsep.oracle import FunctionInstance
+from qsep.oracle import FunctionInstance, _relabel_maps
 
 PAR = ScaleParams(i_min=2, i_max=5)
 
@@ -197,6 +206,131 @@ class TestSeparationExperiment:
         r2 = separation_experiment(points, trials=4, master_seed=5)
         assert r1.rows == r2.rows and r1.budgets == r2.budgets
 
+
+# ---------------------------------------------------------------------------
+# the relabel draw beside generation
+
+
+SIDE_N = harness._SIDE_DRAW_MIN_N
+SIDE_PARAMS = {"params": {"i_min": 2, "i_max": 5, "c": 0.3}}
+SIDE_CFG = TrialConfig(generator="collision-fn", detector="cert-collision",
+                       n=SIDE_N, trials=2, master_seed=17,
+                       gen_kwargs=SIDE_PARAMS)
+
+
+def _side_point():
+    return SeparationPoint(x=4, n=SIDE_N, generator="collision-fn",
+                           gen_kwargs=SIDE_PARAMS,
+                           baseline_kwargs={"i_min": 2, "i_max": 5})
+
+
+def _sep(seed, trials=2, pilot_trials=1):
+    return separation_experiment([_side_point()], trials=trials,
+                                 master_seed=seed, pilot_trials=pilot_trials)
+
+
+class TestSideDraw:
+    def test_side_thread_draws_once_and_oracles_hit(self, monkeypatch):
+        # every draw is a memo miss made off the main thread; each oracle
+        # built afterwards is a memo hit
+        drawn_on = []
+
+        def draw(n, seed):
+            drawn_on.append(threading.current_thread())
+            return _relabel_maps(n, seed)
+
+        monkeypatch.setattr(harness, "_relabel_maps", draw)
+        _relabel_maps.cache_clear()
+        _sep(seed=3, trials=2, pilot_trials=1)
+        info = _relabel_maps.cache_info()
+        assert (info.misses, info.hits) == (3, 1 + 2 * 2)
+        run_trials(SIDE_CFG)
+        info = _relabel_maps.cache_info()
+        assert (info.misses, info.hits) == (3 + 2, 5 + 2)
+        assert len(drawn_on) == 5
+        assert threading.main_thread() not in drawn_on
+
+    def test_no_draw_beside_generation_below_threshold_or_unrelabelled(
+            self, monkeypatch):
+        def draw(n, seed):
+            raise AssertionError("side draw below the threshold")
+
+        monkeypatch.setattr(harness, "_relabel_maps", draw)
+        run_trials(TrialConfig(**{**SIDE_CFG.__dict__, "n": SIDE_N // 2}))
+        run_trials(TrialConfig(**{**SIDE_CFG.__dict__, "relabel": False}))
+
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        _sep(seed=4)
+        assert threading.active_count() == before
+        run_trials(SIDE_CFG)
+        assert threading.active_count() == before
+
+    def test_generator_error_raised_in_caller(self):
+        cfg = TrialConfig(**{**SIDE_CFG.__dict__,
+                             "gen_kwargs": {**SIDE_PARAMS, "t_override": 9}})
+        before = threading.active_count()
+        with pytest.raises(ParameterError, match="outside scale window"):
+            run_trials(cfg)
+        assert threading.active_count() == before
+
+    def test_side_draw_error_raised_in_caller(self, monkeypatch):
+        hooked = []
+
+        def draw(n, seed):
+            raise MemoryError("side draw failed")
+
+        monkeypatch.setattr(harness, "_relabel_maps", draw)
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="side draw failed"):
+            _sep(seed=5)
+        with pytest.raises(MemoryError, match="side draw failed"):
+            run_trials(SIDE_CFG)
+        assert hooked == [] and threading.active_count() == before
+
+    def test_worker_pool_runs_after_a_side_draw(self):
+        # the pool forks this process: a thread kept alive past a side draw
+        # would be missing in the children and could hang them
+        script = (
+            "from qsep.harness import TrialConfig, run_trials\n"
+            f"cfg = TrialConfig(**{SIDE_CFG.__dict__!r})\n"
+            "serial = run_trials(cfg)[1]\n"
+            "assert run_trials(cfg, workers=2)[1] == serial\n"
+        )
+        src = str(Path(qsep.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], timeout=120,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_and_transcripts_equal_the_serial_draw(self, seed,
+                                                        monkeypatch):
+        digests = []
+        for key in ("cert-collision", "multiscale"):
+            def run(oracle, cert, rng, _search=harness.DETECTORS[key], **kw):
+                out = _search(oracle, cert, rng, **kw)
+                digests.append(hashlib.sha256(repr(
+                    list(oracle.iter_transcript())).encode()).hexdigest())
+                return out
+            monkeypatch.setitem(harness.DETECTORS, key, run)
+
+        def recorded():
+            digests.clear()
+            rep = _sep(seed, trials=2, pilot_trials=2)
+            return rep.rows, rep.budgets, list(digests)
+
+        # a short switch interval interleaves the two threads finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            side = recorded()
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(harness, "_SIDE_DRAW_MIN_N", SIDE_N + 1)
+        assert side == recorded()
+        assert len(side[2]) == 2 + 2 * 2
 
 class TestFileIO:
     def test_csv_round_trip_and_byte_determinism(self, tmp_path):
