@@ -37,7 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-from qsep.oracle import BudgetExceeded, Certificate, Witness
+from qsep.oracle import BudgetExceeded, Certificate, Witness, index_dtype
 
 FOUND = "Found"
 EXHAUSTED = "Exhausted"
@@ -149,7 +149,7 @@ def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
     bits = (4 * (width - 1) - 1).bit_length()  # load factor at most 1/4
     size = 1 << bits
     mask = size - 1
-    traj = np.empty((lanes, width), dtype=np.int32 if n < (1 << 31) else np.int64)
+    traj = np.empty((lanes, width), dtype=index_dtype(n))
     table = np.full((lanes, size), -1,
                     dtype=np.int16 if width <= (1 << 15) else np.int32)
     flat_traj, flat_table = traj.reshape(-1), table.reshape(-1)

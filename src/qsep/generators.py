@@ -33,6 +33,7 @@ from qsep.oracle import (
     FunctionInstance,
     MetaBuilder,
     graph_from_edges,
+    index_dtype,
 )
 
 
@@ -203,7 +204,7 @@ def _carve_blocks(sigma: np.ndarray, table: ScaleTable):
 
 def _scale_layout(n, params, seed, witness_overhead, b_override, t_override):
     """The layout draw the collision and claw families share: the scale
-    table, then the permutation, then the good scale t (the rng is
+    table, then the permutation sigma, then the good scale t (the rng is
     returned for any later draws), the carved blocks, t's index and b_t."""
     rng = np.random.default_rng(seed)
     table = scale_table(n, params, witness_overhead=witness_overhead)
@@ -217,7 +218,7 @@ def _scale_layout(n, params, seed, witness_overhead, b_override, t_override):
     b_t = int(table.b[j_good]) if b_override is None else int(b_override)
     if not 0 <= b_t <= int(table.a[j_good]):
         raise ParameterError(f"witness count {b_t} outside [0, a_t]")
-    return rng, table, blocks, pool, spare, t, j_good, b_t
+    return rng, table, sigma, blocks, pool, spare, t, j_good, b_t
 
 
 def _scale_extras(table, t, b_t) -> dict:
@@ -226,32 +227,30 @@ def _scale_extras(table, t, b_t) -> dict:
             "b": table.b.tolist(), "rho": table.rho, "t": t, "b_t": b_t}
 
 
-def _close_or_fix(succ, spare, builder, filler: str):
-    """Wire the unused elements: fixed points, or 2-/3-cycles on request."""
-    if len(spare) == 0:
+def _close_or_fix(nxt, sigma, p, builder, filler: str):
+    """Wire the unused elements sigma[p:]: fixed points, or 2-/3-cycles
+    under filler="cycles". nxt is in position space (nxt[k] is the image
+    of sigma[k]) and already holds nxt[k] = sigma[k + 1] for k < n - 1,
+    so only each structure's last position is written."""
+    rest = len(sigma) - p
+    if rest == 0:
         return
     if filler == "fixed":
-        succ[spare] = spare
-        builder.add(KIND_ISOLATED, spare)
+        nxt[p:] = sigma[p:]
+        builder.add_runs(KIND_ISOLATED, 1, rest)
         return
-    if filler != "cycles":
-        raise ParameterError(f"unknown filler {filler!r}")
-    rest = spare
-    if len(rest) == 1:
+    if rest == 1:
         # a lone element has no cycle partner; a fixed point is unavoidable
         warnings.warn("one leftover element became a fixed point", stacklevel=3)
-        succ[rest] = rest
-        builder.add(KIND_ISOLATED, rest)
+        nxt[p] = sigma[p]
+        builder.add_runs(KIND_ISOLATED, 1, 1)
         return
-    if len(rest) % 2:
-        tri = rest[:3]
-        succ[tri] = np.roll(tri, -1)
-        builder.add(KIND_CYCLE, tri)
-        rest = rest[3:]
-    pairs = rest.reshape(-1, 2)
-    succ[pairs[:, 0]] = pairs[:, 1]
-    succ[pairs[:, 1]] = pairs[:, 0]
-    builder.add_blocks(KIND_CYCLE, pairs.reshape(-1), 2)
+    if rest % 2:
+        nxt[p + 2] = sigma[p]
+        builder.add_runs(KIND_CYCLE, 1, 3)
+        p += 3
+    nxt[p + 1::2] = sigma[p::2]
+    builder.add_runs(KIND_CYCLE, (len(sigma) - p) // 2, 2)
 
 
 def gen_collision_function(n: int, params: ScaleParams, seed,
@@ -266,39 +265,47 @@ def gen_collision_function(n: int, params: ScaleParams, seed,
     interior element, creating exactly one collision per witness path.
     All other paths close into cycles. Leftovers become fixed points, or
     2-/3-cycles under filler="cycles".
-    """
-    rng, table, blocks, _, spare, t, j_good, b_t = _scale_layout(
-        n, params, seed, 0, b_override, t_override)
-    succ = np.empty(n, dtype=np.int64)
-    builder = MetaBuilder()
-    for j in range(table.num_scales):
-        block = blocks[j]
-        succ[block[:, :-1]] = block[:, 1:]
-        if j == j_good:
-            wit, closed = block[:b_t], block[b_t:]
-        else:
-            wit, closed = block[:0], block
-        succ[closed[:, -1]] = closed[:, 0]
-        if len(wit):
-            builder.add_blocks(KIND_PATH, wit.reshape(-1), block.shape[1])
-        if len(closed):
-            builder.add_blocks(KIND_CYCLE, closed.reshape(-1), block.shape[1])
 
-    witness_block = blocks[j_good][:b_t]
+    The structures tile sigma in order, so sigma is the frozen member
+    list, and succ is built in position space (nxt[k] is the image of
+    sigma[k]) and scattered once.
+    """
+    if filler not in ("fixed", "cycles"):
+        raise ParameterError(f"unknown filler {filler!r}")
+    rng, table, sigma, blocks, _, _, t, j_good, b_t = _scale_layout(
+        n, params, seed, 0, b_override, t_override)
     m = rng.integers(1, (1 << t) - 1, size=b_t)
     rows = np.arange(b_t)
-    succ[witness_block[:, -1]] = witness_block[rows, m]
+    witness_block = blocks[j_good][:b_t]
+    hit = witness_block[rows, m]
+    nxt = np.empty(n, dtype=index_dtype(n))
+    nxt[:-1] = sigma[1:]
+    builder = MetaBuilder()
+    p = 0
+    for j, block in enumerate(blocks):
+        # a row's last position maps to the row's first element, except in
+        # the good scale's first b_t rows, where it maps to interior element m
+        count, length = block.shape
+        stop = p + count * length
+        nxt[p + length - 1:stop:length] = block[:, 0]
+        b = b_t if j == j_good else 0
+        if b:
+            nxt[p + length - 1:p + b * length:length] = hit
+            builder.add_runs(KIND_PATH, b, length)
+        if count > b:
+            builder.add_runs(KIND_CYCLE, count - b, length)
+        p = stop
+    _close_or_fix(nxt, sigma, p, builder, filler)
+    succ = np.empty(n, dtype=nxt.dtype)
+    succ[sigma] = nxt
+
     witness_locations = list(map(tuple, np.stack(
-        [witness_block[rows, m - 1], witness_block[:, -1], witness_block[rows, m]],
-        axis=1).tolist()))
-
-    _close_or_fix(succ, spare, builder, filler)
-
-    inst = FunctionInstance(n=n, succ=succ)
+        [witness_block[rows, m - 1], witness_block[:, -1], hit], axis=1).tolist()))
+    inst = FunctionInstance(n=n, succ=succ.astype(np.int64))
     meta = _finish(
         inst, builder, "collision-fn", seed,
         {**asdict(params), "rho_resolved": table.rho, "filler": filler, "n": n},
-        good_index=t, witness_locations=witness_locations,
+        members=sigma, good_index=t, witness_locations=witness_locations,
         extras={**_scale_extras(table, t, b_t), "witness_offsets": m.tolist(),
                 "filler": filler})
     return inst, Certificate("CollisionScale", {"t": t}), meta
@@ -349,7 +356,7 @@ def gen_claw_graph(n: int, params: ScaleParams, seed,
                    b_override: int | None = None,
                    t_override: int | None = None):
     """Undirected multi-scale instance whose good scale carries 2*b_t claws."""
-    _, table, blocks, pool, spare, t, _, b_t = _scale_layout(
+    _, table, _, blocks, pool, spare, t, _, b_t = _scale_layout(
         n, params, seed, _CLAW_OVERHEAD, b_override, t_override)
     inst = _claw_instance(n, table, blocks, pool, spare, t, b_t, "claw-graph", seed,
                           {**asdict(params), "rho_resolved": table.rho, "n": n})

@@ -51,6 +51,7 @@ from qsep.oracle import (
     _relabel_maps,
     _unrelabel_witness,
     canonical_json,
+    index_dtype,
     validate_witness,
     write_json,
 )
@@ -96,7 +97,7 @@ def exact_cert_expectation(instance, t=None) -> CertExpectation:
     t = _default_scale(instance, t)
     cap = 1 << t
     n = instance.n
-    dtype = np.int32 if n < (1 << 31) else np.int64
+    dtype = index_dtype(n)
     succ = instance.succ.astype(dtype)
 
     levels = max(1, math.ceil(math.log2(max(n, 2)))) + 1
@@ -379,13 +380,15 @@ def _trial(row: dict, instance, cert, rel_seed, budget, det_kwargs,
 
 
 # Smallest n whose relabel draw runs beside generation. Timed on a 2-core
-# Xeon VM: the draw (_relabel_maps) takes 0.13 ms at 2^12, 2.2 ms at 2^16,
-# 4.9 ms at 2^17 and 68 ms at 2^20, and a thread's start and join 0.14 ms.
-# A thread that wants the GIL back may wait a whole 5 ms switch interval,
-# so the overlap pays only for draws long against that: generation plus
-# draw took 1.2-1.7x as long with the thread at 2^12-2^14, 0.87x at 2^16
-# and 0.6-0.9x from 2^17 on. The small gain at 2^16 turns into a loss when
-# a worker pool already keeps both cores busy.
+# Xeon VM: the draw (_relabel_maps, int32 inverse) takes 0.08 ms at 2^12,
+# 1.4 ms at 2^16, 2.9 ms at 2^17 and 37 ms at 2^20, and a thread's start
+# and join 0.14 ms. A thread that wants the GIL back may wait a whole 5 ms
+# switch interval, so the overlap pays only for draws long against that:
+# generation plus draw took 1.1-2.2x as long with the thread at 2^12-2^14,
+# 0.75x at 2^16 and 0.65x from 2^17 on. The gain at 2^16 turns into a loss
+# when a worker pool already keeps both cores busy: two spawned workers
+# each doing 300 generations plus draws at 2^16 took 1.64 s with the thread
+# against 1.44 s without (medians of six runs).
 _SIDE_DRAW_MIN_N = 1 << 17
 
 

@@ -50,6 +50,14 @@ def _as_index_array(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.int64))
 
 
+def index_dtype(n: int):
+    """The narrowest integer dtype that holds every label of [n] and n
+    itself: int32 below 2^31, else int64. Arrays that only ever index
+    (walk tables, inverse maps) use it; arrays whose entries an oracle
+    returns stay int64."""
+    return np.int32 if n < (1 << 31) else np.int64
+
+
 @dataclass
 class StructureMeta:
     """Ground-truth layout of a generated instance.
@@ -174,17 +182,29 @@ class MetaBuilder:
         m = _as_index_array(flat)
         if block_len <= 0 or len(m) % block_len:
             raise ValueError("flat length must be a multiple of block_len")
-        k = len(m) // block_len
-        self._kinds.append(np.full(k, kind, dtype=np.int8))
-        self._lengths.append(np.full(k, block_len, dtype=np.int64))
+        self.add_runs(kind, len(m) // block_len, block_len)
         self._members.append(m)
 
-    def freeze(self, good_index=None, witness_locations=None, extras=None) -> StructureMeta:
+    def add_runs(self, kind: int, count: int, block_len: int) -> None:
+        """count structures of block_len members each, taken in order from
+        the members array handed to freeze."""
+        self._kinds.append(np.full(count, kind, dtype=np.int8))
+        self._lengths.append(np.full(count, block_len, dtype=np.int64))
+
+    def freeze(self, good_index=None, witness_locations=None, extras=None,
+               members=None) -> StructureMeta:
+        """members, for structures declared by add_runs, holds them all in
+        order and is frozen without a copy."""
         kinds = np.concatenate(self._kinds) if self._kinds else np.zeros(0, dtype=np.int8)
         lengths = np.concatenate(self._lengths) if self._lengths else np.zeros(0, dtype=np.int64)
-        members = np.concatenate(self._members) if self._members else np.zeros(0, dtype=np.int64)
+        if members is None:
+            members = np.concatenate(self._members) if self._members \
+                else np.zeros(0, dtype=np.int64)
+        members = _as_index_array(members)
         offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
+        if offsets[-1] != len(members):
+            raise ValueError(f"structures hold {offsets[-1]} members, not {len(members)}")
         return StructureMeta(
             kinds=kinds,
             offsets=offsets,
@@ -353,8 +373,10 @@ def validate_witness(instance, w: Witness) -> bool:
 
 
 def invert_permutation(perm: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm), dtype=perm.dtype)
+    """The inverse of perm, in index_dtype(len(perm))."""
+    dtype = index_dtype(len(perm))
+    inv = np.empty(len(perm), dtype=dtype)
+    inv[perm] = np.arange(len(perm), dtype=dtype)
     return inv
 
 
@@ -391,7 +413,9 @@ def apply_permutation(instance, perm: np.ndarray):
 @functools.lru_cache(maxsize=2)
 def _relabel_maps(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The (permutation, inverse) pair drawn from seed, read-only and
-    shared by every oracle built with the same n and seed."""
+    shared by every oracle built with the same n and seed. The permutation
+    maps to the labels an oracle returns, so it stays int64; the inverse
+    only indexes, so it is in index_dtype(n)."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     perm = rng.permutation(n)
     inv = invert_permutation(perm)
@@ -660,7 +684,8 @@ def _int_array(values, what: str, length: int | None,
 def instance_from_jsonable(doc: dict):
     """Parse an instance document; FileFormatError unless its arrays fit
     its header: succ has n entries in [0, n); a graph's indptr has n + 1
-    non-decreasing offsets from 0 to len(indices), which lie in [0, n)."""
+    non-decreasing offsets from 0 to len(indices), which lie in [0, n),
+    and every arc u->v is matched by an arc v->u, as often."""
     try:
         if doc.get("format") != "qsep-instance":
             raise FileFormatError("not an instance file")
@@ -681,8 +706,16 @@ def instance_from_jsonable(doc: dict):
             raise FileFormatError(f"unknown model {model!r}")
         indices = _int_array(payload["indices"], "indices", None, n)
         indptr = _int_array(payload["indptr"], "indptr", n + 1, len(indices) + 1)
-        if indptr[0] != 0 or indptr[-1] != len(indices) or (np.diff(indptr) < 0).any():
+        degrees = np.diff(indptr)
+        if indptr[0] != 0 or indptr[-1] != len(indices) or (degrees < 0).any():
             raise FileFormatError("indptr must rise from 0 to len(indices)")
+        # undirected: the arcs u->v, as keys u*n+v, are the reversed arcs
+        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        arcs, back = src * n + indices, indices * n + src
+        arcs.sort()
+        back.sort()
+        if not np.array_equal(arcs, back):
+            raise FileFormatError("adjacency is not symmetric: an arc lacks its reverse")
         return GraphInstance(n=n, indptr=indptr, indices=indices, meta=meta, info=info)
     except FileFormatError:
         raise

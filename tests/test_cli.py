@@ -268,6 +268,24 @@ class TestRun:
         assert err.strip().splitlines() == [
             "error: indices has entries outside [0, 2048)"]
 
+    def test_asymmetric_graph_instance_exits_4(self, tmp_path, capsys):
+        main(["gen", "--construction", "claw-graph", "--n", "2048", "--scales",
+              "2..4", "--seed", "3", "--out-dir", str(tmp_path)])
+        path = tmp_path / "claw-graph.instance.json"
+        cert = tmp_path / "claw-graph.certificate.json"
+        doc = json.loads(path.read_text())
+        # the first arc u->v becomes u->v+1; v+1 keeps no arc back for it
+        doc["payload"]["indices"][0] = (doc["payload"]["indices"][0] + 1) % 2048
+        path.write_text(json.dumps(doc))
+        for argv in (("run", "--instance", str(path), "--cert", str(cert),
+                      "--detector", "cert-claw", "--seed", "1"),
+                     ("verify", "--instance", str(path))):
+            capsys.readouterr()
+            code, lines, err = run_cli(capsys, *argv)
+            assert code == 4 and lines == [] and "Traceback" not in err
+            assert err.strip().splitlines() == [
+                "error: adjacency is not symmetric: an arc lacks its reverse"]
+
     def test_malformed_certificate_exits_4(self, collision_files, tmp_path,
                                            capsys):
         inst, _ = collision_files

@@ -11,10 +11,17 @@ from qsep import (
     BudgetExceeded,
     Certificate,
     CountedOracle,
+    FixedPointParams,
     FunctionInstance,
     ModelMismatchError,
+    ScaleParams,
     Witness,
     apply_permutation,
+    gen_claw_graph,
+    gen_collision_function,
+    gen_fixedpoint_function,
+    gen_star_graph,
+    gen_starpath_graph,
     read_certificate,
     read_instance,
     relabel,
@@ -26,7 +33,9 @@ from qsep.oracle import (
     FileFormatError,
     StructureMeta,
     _relabel_maps,
+    _unrelabel_witness,
     graph_from_edges,
+    index_dtype,
     instance_from_jsonable,
     instance_to_jsonable,
     invert_permutation,
@@ -253,6 +262,42 @@ def test_relabel_memo_is_shared_and_read_only():
             a[0] = a[1]
 
 
+def test_index_dtype_switches_at_two_to_the_31():
+    assert index_dtype((1 << 31) - 1) is np.int32
+    assert index_dtype(1 << 31) is np.int64
+    assert _relabel_maps(64, 11)[1].dtype == np.int32
+
+
+def test_instances_and_answers_stay_int64():
+    """Index-only arrays may be narrow, but instance arrays and every label
+    an oracle returns are int64: callers do arithmetic on answers (the
+    battery's Fibonacci hash overflows on int32 keys) and write them out."""
+    made = [gen_collision_function(1024, ScaleParams(2, 4), 1)[0],
+            gen_fixedpoint_function(2048, FixedPointParams(), seed=1)[0],
+            gen_claw_graph(1024, ScaleParams(2, 4), 1)[0],
+            gen_star_graph(1024, "triangle", 1)[0],
+            gen_starpath_graph(1024, 4, 1)[0]]
+    for inst in made:
+        arrays = [inst.succ] if inst.model == "function" else [inst.indptr, inst.indices]
+        assert [a.dtype for a in arrays] == [np.int64] * len(arrays), inst.info
+    fn, graph = made[0], made[2]
+    for seed in (None, 3):
+        o = CountedOracle(fn, relabel_seed=seed)
+        for xs in (np.arange(16), np.arange(16, dtype=np.int32)):
+            assert o.query_function_many(xs).dtype == np.int64
+        assert type(o.query_function(5)) is int
+        g = CountedOracle(graph, relabel_seed=seed)
+        vs = np.arange(graph.n)
+        ds = g.query_degree_many(vs)
+        assert ds.dtype == np.int64
+        hit = vs[ds > 0]
+        assert g.query_neighbor_many(hit, np.zeros_like(hit)).dtype == np.int64
+        assert type(g.query_neighbor(int(hit[0]), 0)) is int
+    w = _unrelabel_witness(CountedOracle(fn, relabel_seed=3),
+                           Witness("collision", (np.int64(1), 2, np.int32(3))))
+    assert [type(v) for v in w.vertices] == [int] * 3
+
+
 def test_one_seed_one_transcript_two_seeds_two_maps():
     rng = np.random.default_rng(8)
     n = 256
@@ -467,6 +512,8 @@ def _graph_doc(n, indptr, indices):
     (_graph_doc(3, [1, 1, 2, 2], [1, 0]), "indptr must rise"),
     (_graph_doc(3, [0, 1, 1, 1], [1, 0]), "indptr must rise"),
     (_graph_doc(3, [0, 1, 2, 2], [1, 3]), r"indices has entries outside \[0, 3\)"),
+    (_graph_doc(3, [0, 1, 2, 2], [1, 2]), "adjacency is not symmetric"),
+    (_graph_doc(2, [0, 2, 3], [1, 1, 0]), "adjacency is not symmetric"),
     ({"format": "qsep-instance", "header": {"model": "function", "n": 2}},
      "malformed instance file"),
     ({"format": "qsep-instance", "header": {"model": "hyper", "n": 2},
