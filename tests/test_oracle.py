@@ -512,13 +512,13 @@ def _graph_doc(n, indptr, indices):
     (_graph_doc(3, [1, 1, 2, 2], [1, 0]), "indptr must rise"),
     (_graph_doc(3, [0, 1, 1, 1], [1, 0]), "indptr must rise"),
     (_graph_doc(3, [0, 1, 2, 2], [1, 3]), r"indices has entries outside \[0, 3\)"),
-    (_graph_doc(3, [0, 1, 2, 2], [1, 2]), "adjacency is not symmetric"),
-    (_graph_doc(2, [0, 2, 3], [1, 1, 0]), "adjacency is not symmetric"),
     ({"format": "qsep-instance", "header": {"model": "function", "n": 2}},
      "malformed instance file"),
     ({"format": "qsep-instance", "header": {"model": "hyper", "n": 2},
       "payload": {}}, "unknown model"),
     ({"format": "qsep-certificate"}, "not an instance file"),
+    (_graph_doc(3, [0, 1, 2, 2], [1, 2]), "adjacency is not symmetric"),
+    (_graph_doc(2, [0, 2, 3], [1, 1, 0]), "adjacency is not symmetric"),
 ])
 def test_instance_loader_rejects_bad_documents(doc, message):
     with pytest.raises(FileFormatError, match=message):
