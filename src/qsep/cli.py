@@ -11,8 +11,11 @@ file, or an instance or certificate file that breaks its format).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import inspect
 import json
+import math
 import os
 import sys
 import time
@@ -36,6 +39,7 @@ from qsep.generators import (
 from qsep.harness import (
     CERT_KINDS,
     DETECTORS,
+    GENERATORS,
     SeparationPoint,
     TrialConfig,
     _seed_int,
@@ -296,14 +300,9 @@ def cmd_run(args) -> int:
 def _bench_separation(spec: dict, args, master: int):
     """Run a separation battery; return its trial rows, report fields,
     chart (series and axes), record fields and warning count."""
-    points = [SeparationPoint(
-        x=p["x"], n=p["n"], generator=p["generator"],
-        gen_kwargs=p.get("gen_kwargs", {}),
-        cert_detector=p.get("cert_detector", "cert-collision"),
-        cert_kwargs=p.get("cert_kwargs", {}),
-        baseline_detector=p.get("baseline_detector", "multiscale"),
-        baseline_kwargs=p.get("baseline_kwargs", {}),
-    ) for p in spec["points"]]
+    fields = {f.name for f in dataclasses.fields(SeparationPoint)}
+    points = [SeparationPoint(**{k: v for k, v in p.items() if k in fields})
+              for p in spec["points"]]
     rep = separation_experiment(
         points, trials=spec.get("trials", 20), master_seed=master,
         budget_factor=spec.get("budget_factor", 50.0),
@@ -372,32 +371,104 @@ def _bench_slope(spec: dict, args, master: int):
             {"rows": len(summary)}, warn)
 
 
-# per battery kind: its list of entries and the keys each entry needs
-_BATTERY_KEYS = {"separation": ("points", ("x", "n", "generator")),
-                 "slope": ("series", ("label", "generator", "detector", "ns"))}
+# per battery kind: its list of entries, the keys each entry needs, and
+# each keyword-argument object an entry may carry with the field naming
+# the generator or detector it goes to
+_BATTERY_KEYS = {
+    "separation": ("points", ("x", "n", "generator"),
+                   (("gen_kwargs", "generator"),
+                    ("cert_kwargs", "cert_detector"),
+                    ("baseline_kwargs", "baseline_detector"))),
+    "slope": ("series", ("label", "generator", "detector", "ns"),
+              (("gen_kwargs", "generator"), ("det_kwargs", "detector"))),
+}
+
+
+def _integer(lo: int):
+    return (lambda v: type(v) is int and v >= lo), f"an integer >= {lo}"
+
+
+def _named(table: dict, what: str):
+    return (lambda v: isinstance(v, str) and v in table), \
+        f"one of the {what}s {', '.join(sorted(table))}"
+
+
+# what a battery field must hold, at the top of the spec or in an entry
+_FIELD_RULES = {
+    "master_seed": _integer(0), "trials": _integer(0),
+    "pilot_trials": _integer(1), "n": _integer(1),
+    "budget": ((lambda v: v is None or type(v) is int and v >= 0),
+               "null or an integer >= 0"),
+    "budget_factor": ((lambda v: type(v) in (int, float) and 0 < v < math.inf),
+                      "a positive number"),
+    "x": ((lambda v: type(v) in (int, float) and math.isfinite(v)),
+          "a finite number"),
+    "label": ((lambda v: isinstance(v, str)), "a string"),
+    "ns": ((lambda v: isinstance(v, list) and len(v) > 0
+            and all(type(m) is int and m >= 1 for m in v)),
+           "a non-empty list of integers >= 1"),
+    "generator": _named(GENERATORS, "generator"),
+    **{key: _named(DETECTORS, "detector")
+       for key in ("detector", "cert_detector", "baseline_detector")},
+}
+
+
+def _check_fields(where: str, obj: dict) -> None:
+    for key, value in obj.items():
+        rule = _FIELD_RULES.get(key)
+        if rule is not None and not rule[0](value):
+            raise ParameterError(f"{where}{key} must be {rule[1]}, got {value!r}")
+
+
+def _check_kwargs(where: str, name: str, fn, kwargs) -> None:
+    """kwargs must be an object naming only keywords fn takes beyond
+    (n | oracle, cert, seed), and every one it needs."""
+    if not isinstance(kwargs, dict):
+        raise ParameterError(f"{where} must be a JSON object, got {kwargs!r}")
+    params = {key: p for key, p in inspect.signature(fn).parameters.items()
+              if key not in ("n", "oracle", "cert", "seed")}
+    unknown = [key for key in kwargs if key not in params]
+    if unknown:
+        raise ParameterError(f"{where} names {', '.join(map(repr, unknown))}, "
+                             f"which {name} does not take")
+    missing = [key for key, p in params.items()
+               if p.default is p.empty and key not in kwargs]
+    if missing:
+        raise ParameterError(f"{where} lacks {', '.join(map(repr, missing))}, "
+                             f"which {name} needs")
 
 
 def _check_battery(spec) -> str:
-    """Return the spec's kind, or raise ParameterError naming what is missing."""
+    """Return the spec's kind, or raise ParameterError naming the first
+    field that is missing or malformed, before any trial runs."""
     if not isinstance(spec, dict):
         raise ParameterError("battery spec must be a JSON object")
     kind = spec.get("kind")
-    if kind not in _BATTERY_KEYS:
+    if not isinstance(kind, str) or kind not in _BATTERY_KEYS:
         raise ParameterError(f"battery kind must be separation|slope, got {kind!r}")
-    key, needed = _BATTERY_KEYS[kind]
+    key, needed, kwargs_of = _BATTERY_KEYS[kind]
     entries = spec.get(key)
     if not isinstance(entries, list) or not entries:
         raise ParameterError(f"a {kind} battery needs a non-empty {key!r} list")
+    _check_fields("", spec)
     for j, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ParameterError(f"{key}[{j}] must be a JSON object")
         missing = [k for k in needed if k not in entry]
         if missing:
             raise ParameterError(f"{key}[{j}] lacks {', '.join(map(repr, missing))}")
+        _check_fields(f"{key}[{j}].", entry)
+        for kw, owner in kwargs_of:
+            # a separation point's detectors default to SeparationPoint's
+            name = entry[owner] if owner in entry else getattr(SeparationPoint, owner)
+            table = GENERATORS if owner == "generator" else DETECTORS
+            _check_kwargs(f"{key}[{j}].{kw}", name, table[name], entry.get(kw, {}))
     return kind
 
 
 def cmd_bench(args) -> int:
+    if args.threads < 1:
+        raise ParameterError(f"--threads must be >= 1, got {args.threads}")
     spec = json.loads(Path(args.battery).read_text())
     kind = _check_battery(spec)
     master = _master_seed(args, spec.get("master_seed", 0))
@@ -711,7 +782,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run a battery spec file")
     common(b)
     b.add_argument("--battery", required=True, help="battery spec JSON")
-    b.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    b.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker processes, >= 1 (default: the CPU count)")
     b.add_argument("--plot", action="store_true")
     b.add_argument("--strict", action="store_true",
                    help="exit 1 if any trial misses its witness")

@@ -15,12 +15,16 @@ files; timing belongs on stdout only.
 
 from __future__ import annotations
 
+import atexit
 import csv
+import functools
 import hashlib
 import math
+import os
 import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,6 +42,7 @@ from qsep.detectors import (
 )
 from qsep.generators import (
     FixedPointParams,
+    ParameterError,
     ScaleParams,
     gen_claw_graph,
     gen_collision_function,
@@ -223,28 +228,33 @@ def _fp_params(params) -> FixedPointParams:
     return params
 
 
-def _gen_collision(n, seed, params=None, **kw):
-    inst, cert, _ = gen_collision_function(n, _scale_params(params), seed, **kw)
+# Each wrapper names every keyword its generator takes, so a battery
+# spec's gen_kwargs can be checked against its signature.
+def _gen_collision(n, seed, params=None, filler="fixed", b_override=None,
+                   t_override=None):
+    inst, cert, _ = gen_collision_function(n, _scale_params(params), seed,
+                                           filler, b_override, t_override)
     return inst, cert
 
 
-def _gen_claw(n, seed, params=None, **kw):
-    inst, cert, _ = gen_claw_graph(n, _scale_params(params), seed, **kw)
+def _gen_claw(n, seed, params=None, b_override=None, t_override=None):
+    inst, cert, _ = gen_claw_graph(n, _scale_params(params), seed,
+                                   b_override, t_override)
     return inst, cert
 
 
-def _gen_fixedpoint(n, seed, params=None, h_spec="fixed-point", **kw):
-    inst, cert, _ = gen_fixedpoint_function(n, _fp_params(params), h_spec, seed, **kw)
+def _gen_fixedpoint(n, seed, params=None, h_spec="fixed-point"):
+    inst, cert, _ = gen_fixedpoint_function(n, _fp_params(params), h_spec, seed)
     return inst, cert
 
 
-def _gen_star(n, seed, h_spec="triangle", **kw):
-    inst, cert, _ = gen_star_graph(n, h_spec, seed, **kw)
+def _gen_star(n, seed, h_spec="triangle"):
+    inst, cert, _ = gen_star_graph(n, h_spec, seed)
     return inst, cert
 
 
-def _gen_starpath(n, seed, k=4, **kw):
-    inst, cert, _ = gen_starpath_graph(n, k, seed, **kw)
+def _gen_starpath(n, seed, k=4):
+    inst, cert, _ = gen_starpath_graph(n, k, seed)
     return inst, cert
 
 
@@ -258,7 +268,9 @@ GENERATORS = {
 
 
 def _certless(search):
-    """Give a certificate-free search the (oracle, cert, seed) signature."""
+    """Give a certificate-free search the (oracle, cert, seed) signature;
+    inspect.signature still reports the search's own keywords."""
+    @functools.wraps(search)
     def run(oracle, cert, seed, **kw):
         return search(oracle, seed=seed, **kw)
     return run
@@ -363,6 +375,11 @@ def _trial(row: dict, instance, cert, rel_seed, budget, det_kwargs,
            det_ss) -> dict:
     """Run row["detector"] once on a fresh oracle over `instance`, check
     its query accounting and witness, and return `row` with the outcome."""
+    kinds = CERT_KINDS.get(row["detector"])
+    if kinds and cert.kind not in kinds:
+        raise ParameterError(f"{row['detector']} needs a {' or '.join(kinds)} "
+                             f"certificate, got a {cert.kind} certificate "
+                             f"from {row['generator']}")
     oracle = CountedOracle(instance, relabel_seed=rel_seed, budget=budget)
     out = DETECTORS[row["detector"]](oracle, cert, np.random.default_rng(det_ss),
                                      **det_kwargs)
@@ -380,9 +397,10 @@ def _trial(row: dict, instance, cert, rel_seed, budget, det_kwargs,
 
 
 # Smallest n whose relabel draw runs beside generation. Timed on a 2-core
-# Xeon VM: the draw (_relabel_maps, int32 inverse) takes 0.08 ms at 2^12,
-# 1.4 ms at 2^16, 2.9 ms at 2^17 and 37 ms at 2^20, and a thread's start
-# and join 0.14 ms. A thread that wants the GIL back may wait a whole 5 ms
+# Xeon VM: the draw (_relabel_maps, inverse scattered in int32) takes
+# 0.08 ms at 2^12, 1.4 ms at 2^16, 2.9 ms at 2^17 and 37 ms at 2^20, the
+# inverse's int64 cast 0.8 ms more at 2^20, and a thread's start and join
+# 0.14 ms. A thread that wants the GIL back may wait a whole 5 ms
 # switch interval, so the overlap pays only for draws long against that:
 # generation plus draw took 1.1-2.2x as long with the thread at 2^12-2^14,
 # 0.75x at 2^16 and 0.65x from 2^17 on. The gain at 2^16 turns into a loss
@@ -440,12 +458,43 @@ def _run_single_trial(config: TrialConfig, trial: int) -> dict:
                   config.det_kwargs, det_ss)
 
 
+# This process's worker pool, (owner pid, workers, executor), or None.
+_pool = None
+
+
+def _executor(workers: int) -> ProcessPoolExecutor:
+    """The pool of `workers` workers, started on first use and kept for
+    every later call with the same count; another count replaces it. The
+    pool belongs to the pid that started it, so a forked child starts its
+    own."""
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        _close_pool()
+        _pool = (os.getpid(), workers, ProcessPoolExecutor(workers))
+    return _pool[2]
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Drop the pool, and shut it down if this process started it."""
+    global _pool
+    if _pool is not None:
+        pid, _, executor = _pool
+        _pool = None
+        if pid == os.getpid():
+            executor.shutdown()
+
+
 def _map(fn, tasks, workers: int) -> list:
-    """[fn(*task) for task in tasks], across a process pool when workers > 1;
-    results keep the order of tasks."""
+    """[fn(*task) for task in tasks], across the process's worker pool when
+    workers > 1; results keep the order of tasks. A broken pool is dropped
+    before its error propagates, so the next call starts a fresh one."""
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*tasks), chunksize=1))
+        try:
+            return list(_executor(workers).map(fn, *zip(*tasks), chunksize=1))
+        except BrokenProcessPool:
+            _close_pool()
+            raise
     return [fn(*task) for task in tasks]
 
 

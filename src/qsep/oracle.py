@@ -53,8 +53,10 @@ def _as_index_array(a) -> np.ndarray:
 def index_dtype(n: int):
     """The narrowest integer dtype that holds every label of [n] and n
     itself: int32 below 2^31, else int64. Arrays that only ever index
-    (walk tables, inverse maps) use it; arrays whose entries an oracle
-    returns stay int64."""
+    (walk tables) use it, and so do scatters that build an index array;
+    arrays whose entries an oracle returns stay int64, and so does the
+    relabel inverse the oracle gathers through on every call, since numpy
+    casts any other index array to intp first."""
     return np.int32 if n < (1 << 31) else np.int64
 
 
@@ -414,11 +416,12 @@ def apply_permutation(instance, perm: np.ndarray):
 def _relabel_maps(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The (permutation, inverse) pair drawn from seed, read-only and
     shared by every oracle built with the same n and seed. The permutation
-    maps to the labels an oracle returns, so it stays int64; the inverse
-    only indexes, so it is in index_dtype(n)."""
+    maps to the labels an oracle returns, so it stays int64. The inverse
+    is scattered in index_dtype(n) and stored cast once to int64, so the
+    oracle's gathers through it need no per-call cast."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     perm = rng.permutation(n)
-    inv = invert_permutation(perm)
+    inv = invert_permutation(perm).astype(np.int64)
     perm.flags.writeable = inv.flags.writeable = False
     return perm, inv
 

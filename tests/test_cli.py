@@ -1,9 +1,16 @@
 """CLI surface: exit codes, determinism, file outputs, parse-back."""
 
+import contextlib
+import copy
+import io
 import json
 import hashlib
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsep.cli import main
 from qsep.harness import read_trials_csv
@@ -506,6 +513,152 @@ class TestBench:
         assert code == 2 and lines == [] and "Traceback" not in err
         assert err.strip().splitlines() == [f"error: {message}"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("edit, message", [
+        ({"points": [{**SEP_BATTERY["points"][0], "generator": "bogus"}]},
+         "points[0].generator must be one of the generators claw-graph, "
+         "collision-fn, fixedpoint-fn, star-graph, starpath-graph, got 'bogus'"),
+        ({"points": [{**SEP_BATTERY["points"][0], "cert_detector": "bogus"}]},
+         "points[0].cert_detector must be one of the detectors cert-claw, "
+         "cert-collision, cert-fixedpoint, cert-star, cert-starpath, "
+         "multiscale, uniform-probe, got 'bogus'"),
+        ({"points": [{**SEP_BATTERY["points"][0], "n": "4096"}]},
+         "points[0].n must be an integer >= 1, got '4096'"),
+        ({"trials": "5"}, "trials must be an integer >= 0, got '5'"),
+        ({"kind": ["slope"]},
+         "battery kind must be separation|slope, got ['slope']"),
+        ({"pilot_trials": 0}, "pilot_trials must be an integer >= 1, got 0"),
+        ({"master_seed": -1}, "master_seed must be an integer >= 0, got -1"),
+        ({"budget_factor": float("inf")},
+         "budget_factor must be a positive number, got inf"),
+        ({"points": [{**SEP_BATTERY["points"][0], "baseline_kwargs": {}}]},
+         "points[0].baseline_kwargs lacks 'i_min', 'i_max', which multiscale "
+         "needs"),
+        ({"points": [{**SEP_BATTERY["points"][0], "gen_kwargs": [2, 4]}]},
+         "points[0].gen_kwargs must be a JSON object, got [2, 4]"),
+        ({"points": [{**SEP_BATTERY["points"][0], "cert_detector": "cert-star"}]},
+         "cert-star needs a StarDegrees certificate, got a CollisionScale "
+         "certificate from collision-fn"),
+        ({"kind": "slope", "series": [{**SLOPE_BATTERY["series"][0],
+                                       "detector": "bogus"}]},
+         "series[0].detector must be one of the detectors cert-claw, "
+         "cert-collision, cert-fixedpoint, cert-star, cert-starpath, "
+         "multiscale, uniform-probe, got 'bogus'"),
+        ({"kind": "slope", "series": [{**SLOPE_BATTERY["series"][0],
+                                       "trials": "3"}]},
+         "series[0].trials must be an integer >= 0, got '3'"),
+        ({"kind": "slope", "series": [{**SLOPE_BATTERY["series"][0],
+                                       "ns": [4096, "x"]}]},
+         "series[0].ns must be a non-empty list of integers >= 1, "
+         "got [4096, 'x']"),
+        ({"kind": "slope", "series": [{**SLOPE_BATTERY["series"][0],
+                                       "det_kwargs": {"C": 2.0, "k": 5}}]},
+         "series[0].det_kwargs names 'k', which cert-fixedpoint does not take"),
+        ({"kind": "slope", "series": [{**SLOPE_BATTERY["series"][0],
+                                       "gen_kwargs": {"b_override": 0}}]},
+         "series[0].gen_kwargs names 'b_override', which fixedpoint-fn does "
+         "not take"),
+    ])
+    def test_malformed_battery_spec_exits_2(self, tmp_path, capsys, edit,
+                                            message, threads):
+        # each of these ended in a traceback with exit 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SEP_BATTERY, **edit}))
+        code, lines, err = run_cli(capsys, "bench", "--battery", str(path),
+                                   "--out-dir", str(tmp_path / "out"),
+                                   "--threads", threads)
+        assert code == 2 and lines == [] and "Traceback" not in err
+        assert err.strip().splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        # these ran serially and exited 0
+        spec = tmp_path / "sep.json"
+        spec.write_text(json.dumps(SEP_BATTERY))
+        code, lines, err = run_cli(capsys, "bench", "--battery", str(spec),
+                                   "--out-dir", str(tmp_path / "out"),
+                                   "--threads", threads)
+        assert code == 2 and lines == []
+        assert err.strip().splitlines() == [
+            f"error: --threads must be >= 1, got {threads}"]
+        assert not (tmp_path / "out").exists()
+
+
+# criterion 9's two battery specs, cut to n <= 1024 and at most 2 trials
+FUZZ_SPECS = [
+    {"kind": "separation", "master_seed": 11, "trials": 2, "pilot_trials": 2,
+     "points": [
+         {"x": x, "n": 1024, "generator": "collision-fn",
+          "gen_kwargs": {"params": {"i_min": 2, "i_max": hi, "c": 0.3}},
+          "baseline_kwargs": {"i_min": 2, "i_max": hi}}
+         for x, hi in ((2, 4), (3, 5))]},
+    {"kind": "slope", "master_seed": 3, "series": [
+        {"label": "walks", "generator": "fixedpoint-fn",
+         "detector": "cert-fixedpoint", "det_kwargs": {"C": 2.0},
+         "ns": [512, 1024], "trials": 2}]},
+]
+
+# what a mutation puts in place of a value: wrong types, 0, negatives and
+# unknown names
+FUZZ_VALUES = ["x", "bogus-name", 1.5, True, None, [], [3], {}, 0, -1, -4096]
+
+
+@st.composite
+def mutated_specs(draw):
+    """One of FUZZ_SPECS with one to three mutations: drop a key, swap its
+    value, or add an unknown key. A mutation reaches the spec's own keys,
+    an entry's keys and the keys of an entry's keyword-argument objects."""
+    spec = copy.deepcopy(draw(st.sampled_from(FUZZ_SPECS)))
+    for _ in range(draw(st.integers(1, 3))):
+        entries = spec.get("points", spec.get("series"))
+        entries = [e for e in entries if isinstance(e, dict)] \
+            if isinstance(entries, list) else []
+        kwargs = [v for e in entries for k, v in e.items()
+                  if k.endswith("_kwargs") and isinstance(v, dict)]
+        i = draw(st.integers(0, len(entries) + len(kwargs)))
+        target = [spec, *entries, *kwargs][i]
+        # the values inside a keyword-argument object are its callee's to
+        # check, so such an object only loses a key or gains an unknown one
+        actions = ["add"] + (["drop"] if target else []) + \
+            (["swap"] if target and i <= len(entries) else [])
+        action = draw(st.sampled_from(actions))
+        if action == "add":
+            target["bogus_key"] = draw(st.sampled_from(FUZZ_VALUES))
+            continue
+        key = draw(st.sampled_from(sorted(target)))
+        if action == "drop":
+            del target[key]
+        else:
+            target[key] = draw(st.sampled_from(FUZZ_VALUES))
+    return spec
+
+
+def _bench_quietly(spec_path, out_dir, threads):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["bench", "--battery", str(spec_path), "--out-dir",
+                     str(out_dir), "--threads", threads])
+    return code, err.getvalue()
+
+
+class TestBenchFuzz:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(mutated_specs())
+    def test_mutated_spec_exits_with_a_documented_code(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps(spec))
+            runs = {t: _bench_quietly(path, Path(tmp) / t, t) for t in "12"}
+            (code, err), (code2, err2) = runs["1"], runs["2"]
+            assert code in range(5) and "Traceback" not in err, (code, err)
+            assert (code, err) == (code2, err2)
+            if code == 0:
+                csv_name = f"{spec['kind']}.trials.csv"
+                assert (Path(tmp) / "1" / csv_name).read_bytes() == \
+                    (Path(tmp) / "2" / csv_name).read_bytes()
 
 
 class TestVerify:

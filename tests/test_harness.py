@@ -2,10 +2,13 @@
 
 import hashlib
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
 
@@ -331,6 +334,109 @@ class TestSideDraw:
         monkeypatch.setattr(harness, "_SIDE_DRAW_MIN_N", SIDE_N + 1)
         assert side == recorded()
         assert len(side[2]) == 2 + 2 * 2
+
+# ---------------------------------------------------------------------------
+# the process's worker pool
+
+
+def _pid_after(delay):
+    # long enough that every worker takes some of a call's tasks
+    time.sleep(delay)
+    return os.getpid()
+
+
+def _raise_value_error(i):
+    raise ValueError(f"task {i} failed")
+
+
+def _exit_worker(i):
+    os._exit(3)
+
+
+def _worker_pids(workers=2):
+    """The pids a call's tasks ran on: every worker of the pool."""
+    return set(harness._map(_pid_after, [(0.03,)] * (3 * workers), workers))
+
+
+def _children():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+class TestWorkerPool:
+    def test_calls_share_one_pool(self):
+        first = _worker_pids()
+        assert len(first) == 2 and os.getpid() not in first
+        assert _worker_pids() == first
+        assert first <= _children()
+
+    def test_task_error_keeps_the_pool(self):
+        pids = _worker_pids()
+        with pytest.raises(ValueError, match="failed"):
+            harness._map(_raise_value_error, [(i,) for i in range(4)], 2)
+        assert _worker_pids() == pids
+
+    def test_broken_pool_is_replaced(self):
+        pids = _worker_pids()
+        with pytest.raises(BrokenProcessPool):
+            harness._map(_exit_worker, [(i,) for i in range(4)], 2)
+        fresh = _worker_pids()
+        assert len(fresh) == 2 and not fresh & pids
+        assert _children() == fresh
+
+    def test_another_worker_count_replaces_the_pool(self):
+        two = _worker_pids(2)
+        three = _worker_pids(3)
+        assert len(three) == 3 and not three & two
+        assert _children() == three
+        assert _worker_pids(3) == three
+        again = _worker_pids(2)
+        assert not again & three and _children() == again
+
+    def test_pool_of_another_pid_is_left_alone(self):
+        # what a forked child sees: a pool its parent started
+        pids = _worker_pids()
+        pid, workers, parents = harness._pool
+        harness._pool = (pid + 1, workers, parents)
+        try:
+            assert not _worker_pids() & pids
+            assert harness._pool[0] == os.getpid()
+            assert parents.submit(os.getpid).result() in pids
+        finally:
+            parents.shutdown()
+
+    def test_separation_rows_equal_serial(self):
+        points = [SeparationPoint(
+            x=s, n=2048, generator="collision-fn",
+            gen_kwargs={"params": {"i_min": 2, "i_max": 2 + s}},
+            baseline_kwargs={"i_min": 2, "i_max": 2 + s}) for s in (2, 3)]
+        serial = separation_experiment(points, trials=4, master_seed=23,
+                                       pilot_trials=2)
+        par = separation_experiment(points, trials=4, master_seed=23,
+                                    pilot_trials=2, workers=2)
+        assert par.rows == serial.rows and par.budgets == serial.budgets
+
+    def test_process_exits_and_leaves_no_worker(self):
+        script = (
+            "import os\n"
+            "from qsep.harness import _map\n"
+            "def pid(i):\n"
+            "    return os.getpid()\n"
+            "pids = set()\n"
+            "for _ in range(2):\n"
+            "    pids |= set(_map(pid, [(i,) for i in range(8)], 2))\n"
+            "print(*pids)\n"
+        )
+        src = str(Path(qsep.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], timeout=60,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        pids = [int(w) for w in done.stdout.split()]
+        assert pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
 
 class TestFileIO:
     def test_csv_round_trip_and_byte_determinism(self, tmp_path):
