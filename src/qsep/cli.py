@@ -25,11 +25,13 @@ import numpy as np
 
 from qsep.adversary import AdversarySession
 from qsep.detectors import brute_force_find, corrupt_certificate
-from qsep.generators import (
-    FixedPointParams,
+# the generators stay importable here, where perfbench wraps them
+from qsep.generators import (  # noqa: F401
+    FAMILIES,
     ParameterError,
     PrimeShortageError,
     ScaleParams,
+    VerifyFailure,
     gen_claw_graph,
     gen_collision_function,
     gen_fixedpoint_function,
@@ -39,7 +41,6 @@ from qsep.generators import (
 from qsep.harness import (
     CERT_KINDS,
     DETECTORS,
-    GENERATORS,
     SeparationPoint,
     TrialConfig,
     _seed_int,
@@ -53,7 +54,6 @@ from qsep.harness import (
     write_trials_csv,
 )
 from qsep.oracle import (
-    Certificate,
     CountedOracle,
     FileFormatError,
     ModelMismatchError,
@@ -67,11 +67,6 @@ from qsep.oracle import (
 from qsep.svg import line_chart
 
 EXIT_OK, EXIT_VERIFY, EXIT_PARAMS, EXIT_MODEL, EXIT_IO = 0, 1, 2, 3, 4
-
-# each construction, by its short alias
-_ALIASES = {"collision": "collision-fn", "fixedpoint": "fixedpoint-fn",
-            "claw": "claw-graph", "star": "star-graph",
-            "starpath": "starpath-graph"}
 
 
 def _emit(args, record: dict) -> None:
@@ -105,6 +100,10 @@ def _given(args, *names) -> dict:
             if getattr(args, name) is not None}
 
 
+def _rho(text: str):
+    return text if text == "auto" else float(text)
+
+
 def _out_path(args, prefix: str, name: str) -> Path:
     """<out-dir>/<prefix>.<name>, where --prefix, if given, replaces the
     command's default prefix."""
@@ -125,67 +124,23 @@ def _fit(ns, means):
 # gen
 
 
-def _scale_params(args) -> ScaleParams:
-    kw = {}
-    if args.scales:
-        kw["i_min"], kw["i_max"] = _parse_scales(args.scales)
-    kw.update(_given(args, "beta", "gamma", "c"))
-    if args.rho is not None:
-        kw["rho"] = args.rho if args.rho == "auto" else float(args.rho)
-    return ScaleParams(**kw)
-
-
-def _fixedpoint_params(args) -> FixedPointParams:
-    return FixedPointParams(widen=args.widen_primes, **_given(
-        args, "alpha", "cycle_len", "feeder_len", "T"))
-
-
-def _capacity_line(construction: str, n: int, extras: dict) -> str:
-    if construction in ("collision-fn", "claw-graph"):
-        used = sum(a << i for a, i in zip(extras["a"], extras["scales"]))
-        return (f"capacity used={used} n={n} rho={extras['rho']!r} "
-                f"window={extras['scales'][0]}..{extras['scales'][-1]} "
-                f"t={extras['t']} b_t={extras['b_t']}")
-    if construction == "fixedpoint-fn":
-        used = sum(extras["cycle_lens"]) + \
-            sum(extras["feeders_per_cycle"]) * extras["feeder_len"]
-        lo, hi = extras["window"]
-        return (f"capacity used={used} n={n} cycles={extras['N']} "
-                f"primes={len(extras['primes'])} window={lo:.6g}..{hi:.6g} "
-                f"widened={extras['widened']}")
-    if construction == "star-graph":
-        used = sum(d + 1 for d in extras["degrees"])
-        return (f"capacity used={used} n={n} centers={len(extras['degrees'])} "
-                f"h={extras['h']}")
-    used = sum(extras["sizes"]) if "sizes" in extras else n
-    return (f"capacity used={used} n={n} s={extras['s']} "
-            f"k={extras['k']} k_star={extras['k_star']}")
-
-
 def cmd_gen(args) -> int:
     seed = _master_seed(args)
-    construction = _ALIASES.get(args.construction, args.construction)
-    n = args.n
+    family = next(f for f in FAMILIES.values()
+                  if args.construction in (f.name, f.alias))
+    construction, n = family.name, args.n
     if n < 1:
         raise ParameterError(f"--n must be >= 1, got {n}")
-    if construction == "collision-fn":
-        filler = "cycles" if args.no_fixed_points else "fixed"
-        inst, cert, meta = gen_collision_function(
-            n, _scale_params(args), seed=seed, filler=filler,
-            b_override=args.b_override, t_override=args.t_override)
-    elif construction == "claw-graph":
-        inst, cert, meta = gen_claw_graph(
-            n, _scale_params(args), seed=seed,
-            b_override=args.b_override, t_override=args.t_override)
-    elif construction == "fixedpoint-fn":
-        inst, cert, meta = gen_fixedpoint_function(
-            n, _fixedpoint_params(args), seed=seed)
-    elif construction == "star-graph":
-        inst, cert, meta = gen_star_graph(n, args.H or "triangle", seed=seed)
-    elif construction == "starpath-graph":
-        inst, cert, meta = gen_starpath_graph(n, args.k, seed=seed)
-    else:
-        raise ParameterError(f"unknown construction {construction!r}")
+    # args.flags maps each construction flag's dest to its spelling
+    given = _given(args, *args.flags)
+    stray = [args.flags[dest] for dest in given if dest not in family.flags]
+    if stray:
+        raise ParameterError(f"{construction} does not read {', '.join(stray)}")
+    if "scales" in given:
+        given["i_min"], given["i_max"] = _parse_scales(given.pop("scales"))
+    params = {k: given.pop(k) for k in list(given) if k not in family.keywords}
+    inst, cert = family.make(n, seed, **given, **({"params": params} if params else {}))
+    meta = inst.meta
 
     config = {"command": "gen", "construction": construction, "n": n,
               "seed": seed, "parameters": inst.info.get("parameters", {})}
@@ -199,7 +154,7 @@ def cmd_gen(args) -> int:
     for kind, doc in docs.items():
         write_json(paths[kind], {**doc, "config_hash": h})
 
-    print(_capacity_line(construction, n, meta.extras))
+    print(family.capacity(n, meta.extras))
     _emit(args, {"command": "gen", "construction": construction, "n": n,
                  "seed": seed, "config-hash": h,
                  "files": {k: str(p) for k, p in paths.items()},
@@ -407,7 +362,7 @@ _FIELD_RULES = {
     "ns": ((lambda v: isinstance(v, list) and len(v) > 0
             and all(type(m) is int and m >= 1 for m in v)),
            "a non-empty list of integers >= 1"),
-    "generator": _named(GENERATORS, "generator"),
+    "generator": _named(FAMILIES, "generator"),
     **{key: _named(DETECTORS, "detector")
        for key in ("detector", "cert_detector", "baseline_detector")},
 }
@@ -420,22 +375,26 @@ def _check_fields(where: str, obj: dict) -> None:
             raise ParameterError(f"{where}{key} must be {rule[1]}, got {value!r}")
 
 
-def _check_kwargs(where: str, name: str, fn, kwargs) -> None:
-    """kwargs must be an object naming only keywords fn takes beyond
-    (n | oracle, cert, seed), and every one it needs."""
+def _check_kwargs(where: str, name: str, kwargs) -> None:
+    """kwargs must be an object naming only keywords the generator or
+    detector `name` takes, and every one it needs, with a generator's
+    params parsed."""
     if not isinstance(kwargs, dict):
         raise ParameterError(f"{where} must be a JSON object, got {kwargs!r}")
-    params = {key: p for key, p in inspect.signature(fn).parameters.items()
-              if key not in ("n", "oracle", "cert", "seed")}
-    unknown = [key for key in kwargs if key not in params]
+    takes = FAMILIES[name].keywords if name in FAMILIES else {
+        key: p.default for key, p in inspect.signature(DETECTORS[name]).parameters.items()
+        if key not in ("oracle", "cert", "seed")}
+    unknown = [key for key in kwargs if key not in takes]
     if unknown:
         raise ParameterError(f"{where} names {', '.join(map(repr, unknown))}, "
                              f"which {name} does not take")
-    missing = [key for key, p in params.items()
-               if p.default is p.empty and key not in kwargs]
+    missing = [key for key, default in takes.items()
+               if default is inspect.Parameter.empty and key not in kwargs]
     if missing:
         raise ParameterError(f"{where} lacks {', '.join(map(repr, missing))}, "
                              f"which {name} needs")
+    if name in FAMILIES:
+        FAMILIES[name].arguments(kwargs, f"{where}.params")
 
 
 def _check_battery(spec) -> str:
@@ -461,8 +420,7 @@ def _check_battery(spec) -> str:
         for kw, owner in kwargs_of:
             # a separation point's detectors default to SeparationPoint's
             name = entry[owner] if owner in entry else getattr(SeparationPoint, owner)
-            table = GENERATORS if owner == "generator" else DETECTORS
-            _check_kwargs(f"{key}[{j}].{kw}", name, table[name], entry.get(kw, {}))
+            _check_kwargs(f"{key}[{j}].{kw}", name, entry.get(kw, {}))
     return kind
 
 
@@ -493,55 +451,35 @@ def cmd_bench(args) -> int:
 # verify
 
 
-class _VerifyFailure(Exception):
-    def __init__(self, invariant: str, detail: str):
-        super().__init__(detail)
-        self.invariant = invariant
-
-
 def _check_function_structures(inst) -> None:
     succ, meta = inst.succ, inst.meta
+    planted = [v for w in meta.witness_locations for v in w]
     for kind, _, members in meta.structures():
         m = np.asarray(members)
         if kind in ("path", "feeder"):
             if not np.array_equal(succ[m[:-1]], m[1:]):
-                raise _VerifyFailure(
+                raise VerifyFailure(
                     "partition", f"{kind} interior does not chain under f")
         elif kind == "cycle":
-            if not np.array_equal(succ[m], np.roll(m, -1)):
-                raise _VerifyFailure("partition", "cycle does not close under f")
+            # a witness planted on a cycle is a fixed point cutting it
+            nxt = np.roll(m, -1)
+            if not np.array_equal(succ[m], nxt) and not np.all(
+                    np.where(np.isin(m, planted), succ[m] == m, succ[m] == nxt)):
+                raise VerifyFailure("partition", "cycle does not close under f")
         elif kind == "isolated":
             if not np.array_equal(succ[m], m):
-                raise _VerifyFailure("partition", "isolated element not fixed")
+                raise VerifyFailure("partition", "isolated element not fixed")
 
 
-# per construction: the brute-force target, its plural, and the meta
-# extras that verify reads
-_BRUTE_TARGETS = {
-    "collision-fn": ("collision", "collisions", ("t",)),
-    "fixedpoint-fn": ("fixed-point", "fixed points", ("primes", "cycle_lens")),
-    "claw-graph": ("claw", "claws", ("t",)),
-    "star-graph": ("clique", "cliques", ("h", "degrees")),
-    "starpath-graph": ("k-star", "k-stars", ("k", "k_star")),
-}
-
-
-def _verify_witness_counts(inst, construction: str) -> str:
-    target, label, _ = _BRUTE_TARGETS[construction]
-    extras = inst.meta.extras
-    kw = {}
-    if target == "clique":
-        kw["h"] = extras["h"]
-        if extras["h"] == 0:
-            return f"{label}: 0 expected / 0 found (no planted copy)"
-    if target == "k-star":
-        kw["k"] = extras["k"]
-    hits = brute_force_find(inst, target, **kw)
+def _verify_witness_counts(inst, family) -> str:
+    target, label, keys = family.target
+    hits = brute_force_find(inst, target,
+                            **{key: inst.meta.extras[key] for key in keys})
     expected = len(inst.meta.witness_locations)
+    line = f"{label}: {expected} expected / {len(hits)} found"
     if len(hits) != expected:
-        raise _VerifyFailure(
-            "witness-count", f"{label}: {expected} expected / {len(hits)} found")
-    return f"{label}: {expected} expected / {len(hits)} found"
+        raise VerifyFailure("witness-count", line)
+    return line
 
 
 def cmd_verify(args) -> int:
@@ -549,10 +487,10 @@ def cmd_verify(args) -> int:
     if inst.meta is None:
         raise ParameterError("instance file has no meta block to verify against")
     construction = inst.info.get("construction")
-    if construction not in _BRUTE_TARGETS:
+    if construction not in FAMILIES:
         raise ParameterError(f"unknown construction {construction!r}")
-    missing = [k for k in _BRUTE_TARGETS[construction][2]
-               if k not in inst.meta.extras]
+    family, extras = FAMILIES[construction], inst.meta.extras
+    missing = [k for k in family.extras if k not in extras]
     if missing:
         raise FileFormatError(f"meta extras lack {', '.join(map(repr, missing))}")
     limit = 1 << 13
@@ -562,67 +500,35 @@ def cmd_verify(args) -> int:
     checks: list[str] = []
     try:
         if not inst.meta.check_partition(inst.n):
-            raise _VerifyFailure("partition",
-                                 "structures do not partition the domain")
+            raise VerifyFailure("partition",
+                                "structures do not partition the domain")
         if inst.model == "function":
             _check_function_structures(inst)
         checks.append("partition: ok")
-        checks.append(_verify_witness_counts(inst, construction))
-
-        extras = inst.meta.extras
-        if construction == "fixedpoint-fn":
-            ps, lens = extras["primes"], extras["cycle_lens"]
-            if len(set(ps)) != len(ps):
-                raise _VerifyFailure("prime-spacing", "primes are not distinct")
-            if any(ln % p for p, ln in zip(ps, lens)):
-                raise _VerifyFailure(
-                    "prime-spacing", "cycle length not a multiple of its prime")
-            checks.append(f"prime-spacing: ok ({len(ps)} cycles)")
-        if construction == "star-graph":
-            degs = [int(d) for d in extras["degrees"]]
-            if len(set(degs)) != len(degs):
-                raise _VerifyFailure("degree-uniqueness",
-                                     "center degrees collide")
-            checks.append(f"degree-uniqueness: ok ({len(degs)} centers)")
+        checks.append(_verify_witness_counts(inst, family))
+        lines, payload = family.verify(extras)
+        checks.extend(lines)
         if args.cert:
             cert = read_certificate(args.cert)
-            _verify_certificate(inst, cert, construction)
+            got = {k: sorted(v) if isinstance(v, list) else v
+                   for k, v in cert.payload.items() if k in payload}
+            if cert.kind not in family.kinds or got != payload:
+                raise VerifyFailure("certificate", f"a {cert.kind} {got} does not "
+                                    f"match the meta's {payload}")
             checks.append(f"certificate: ok ({cert.kind})")
-    except _VerifyFailure as vf:
+    except VerifyFailure as vf:
         for line in checks:
             print(line)
-        print(f"FAIL {vf.invariant}: {vf}")
+        invariant, detail = vf.args
+        print(f"FAIL {invariant}: {detail}")
         _emit(args, {"command": "verify", "instance-ref": str(args.instance),
-                     "ok": False, "failed": vf.invariant})
+                     "ok": False, "failed": invariant})
         return EXIT_VERIFY
     for line in checks:
         print(line)
     _emit(args, {"command": "verify", "instance-ref": str(args.instance),
                  "ok": True, "checks": len(checks)})
     return EXIT_OK
-
-
-def _verify_certificate(inst, cert: Certificate, construction: str) -> None:
-    extras = inst.meta.extras
-    if construction in ("collision-fn", "claw-graph"):
-        if cert.kind not in ("CollisionScale", "ClawScale") \
-                or int(cert.payload["t"]) != int(extras["t"]):
-            raise _VerifyFailure("certificate", "good scale mismatch")
-    elif construction == "fixedpoint-fn":
-        if cert.kind != "FixedPointPrimes" \
-                or sorted(cert.payload["primes"]) != sorted(extras["primes"]):
-            raise _VerifyFailure("certificate", "prime set mismatch")
-    elif construction == "star-graph":
-        hosts = extras.get("host_stars", [])
-        good = sorted(int(extras["degrees"][i]) for i in hosts)
-        if cert.kind != "StarDegrees" \
-                or sorted(map(int, cert.payload["degrees"])) != good:
-            raise _VerifyFailure("certificate", "good degree set mismatch")
-    else:
-        if cert.kind != "BackboneIndex" \
-                or int(cert.payload["index"]) != int(extras["k_star"]) \
-                or int(cert.payload["k"]) != int(extras["k"]):
-            raise _VerifyFailure("certificate", "backbone index mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +538,7 @@ def _verify_certificate(inst, cert: Certificate, construction: str) -> None:
 def cmd_adversary_test(args) -> int:
     seed = _master_seed(args)
     lo, hi = _parse_scales(args.scales or "2..4")
-    params = ScaleParams(i_min=lo, i_max=hi, **(
-        {"rho": float(args.rho)} if args.rho not in (None, "auto") else {}))
+    params = ScaleParams(i_min=lo, i_max=hi, **_given(args, "rho"))
     session = AdversarySession(args.n, params, seed=_sub_seed(seed, 0))
     rng = np.random.default_rng(_sub_seed(seed, 1))
     transcript = []
@@ -738,27 +643,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate an instance with certificate")
     common(g)
-    g.add_argument("--construction", required=True,
-                   choices=sorted(_ALIASES.values()) + sorted(_ALIASES))
+    g.add_argument("--construction", required=True, choices=sorted(FAMILIES)
+                   + sorted(f.alias for f in FAMILIES.values()))
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--scales", default=None, help="scale window A..B")
-    g.add_argument("--beta", type=float, default=None)
-    g.add_argument("--gamma", type=float, default=None)
-    g.add_argument("--c", type=float, default=None)
-    g.add_argument("--rho", default=None, help="density in (0,1] or 'auto'")
-    g.add_argument("--b-override", type=int, default=None, dest="b_override")
-    g.add_argument("--t-override", type=int, default=None, dest="t_override")
-    g.add_argument("--no-fixed-points", action="store_true",
-                   dest="no_fixed_points",
-                   help="fill leftovers with 2-/3-cycles instead")
-    g.add_argument("--alpha", type=float, default=None)
-    g.add_argument("--cycle-len", type=int, default=None, dest="cycle_len")
-    g.add_argument("--feeder-len", type=int, default=None, dest="feeder_len")
-    g.add_argument("--T", type=int, default=None)
-    g.add_argument("--widen-primes", action="store_true", dest="widen_primes")
-    g.add_argument("--k", type=int, default=4)
-    g.add_argument("--H", default=None, help="clique spec: 'triangle' or size")
-    g.set_defaults(func=cmd_gen)
+    # each construction flag's dest is the generator keyword or params
+    # field it sets, save --scales (i_min and i_max)
+    flags = [
+        g.add_argument("--scales", help="scale window A..B"),
+        g.add_argument("--beta", type=float),
+        g.add_argument("--gamma", type=float),
+        g.add_argument("--c", type=float),
+        g.add_argument("--rho", type=_rho, help="density in (0,1] or 'auto'"),
+        g.add_argument("--b-override", type=int),
+        g.add_argument("--t-override", type=int),
+        g.add_argument("--no-fixed-points", action="store_const", const="cycles",
+                       dest="filler", help="fill leftovers with 2-/3-cycles instead"),
+        g.add_argument("--alpha", type=float),
+        g.add_argument("--cycle-len", type=int),
+        g.add_argument("--feeder-len", type=int),
+        g.add_argument("--T", type=int),
+        g.add_argument("--widen-primes", action="store_const", const=True,
+                       dest="widen"),
+        g.add_argument("--k", type=int, help="star size (default: 4)"),
+        g.add_argument("--H", dest="h_spec",
+                       help="clique spec: 'triangle' (default) or size"),
+    ]
+    g.set_defaults(func=cmd_gen, flags={f.dest: f.option_strings[0] for f in flags})
 
     r = sub.add_parser("run", help="run one detector against an instance file")
     common(r)
@@ -801,7 +711,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(a)
     a.add_argument("--n", type=int, required=True)
     a.add_argument("--scales", default=None, help="scale window A..B")
-    a.add_argument("--rho", default=None)
+    a.add_argument("--rho", type=_rho, default=None)
     a.add_argument("--probes", type=int, default=256)
     a.set_defaults(func=cmd_adversary_test)
 

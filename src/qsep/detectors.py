@@ -37,6 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
+from qsep.generators import FAMILIES, ParameterError
 from qsep.oracle import BudgetExceeded, Certificate, Witness, index_dtype
 
 FOUND = "Found"
@@ -394,6 +395,8 @@ def cert_fixedpoint_search(f, oracle, cert: Certificate, seed=None, C: float = 2
     follow; the next long walk is examined). After max_iterations
     iterations without a fixed point the outcome is Exhausted.
     """
+    if isinstance(C, bool) or not (isinstance(C, (int, float)) and 0 < C < math.inf):
+        raise ParameterError(f"C must be a finite number > 0, got {C!r}")
     primes = [int(p) for p in cert.payload["primes"]]
     rng = np.random.default_rng(seed)
     n = oracle.n
@@ -733,7 +736,8 @@ def brute_force_find(instance, target: str, k: int | None = None,
         adj = {v: set(instance.neighbors(v).tolist()) for v in cands}
         out = []
         for group in combinations(cands, h):
-            if all(b in adj[a] for a, b in combinations(group, 2)):
+            # h = 0 plants no clique, so the empty group is no witness
+            if group and all(b in adj[a] for a, b in combinations(group, 2)):
                 out.append(Witness("clique", group))
         return out
     raise ValueError(f"unsupported target {target!r}")
@@ -743,45 +747,12 @@ def brute_force_find(instance, target: str, k: int | None = None,
 # certificate corruption for robustness tests
 
 
-def _next_prime(p: int) -> int:
-    q = p + 1
-    while True:
-        if q > 2 and all(q % d for d in range(2, math.isqrt(q) + 1)):
-            return q
-        q += 1
-
-
 def corrupt_certificate(cert: Certificate, seed=None, scale_window=None,
                         index_range=None) -> Certificate:
-    """Produce a well-formed certificate that is wrong for its instance."""
-    rng = np.random.default_rng(seed)
-    kind, payload = cert.kind, dict(cert.payload)
-    if kind in ("CollisionScale", "ClawScale"):
-        t = int(payload["t"])
-        if scale_window is not None:
-            lo, hi = scale_window
-            choices = [i for i in range(int(lo), int(hi) + 1) if i != t]
-            if not choices:
-                raise ValueError("single-scale window has no wrong value")
-            payload["t"] = int(choices[int(rng.integers(len(choices)))])
-        else:
-            payload["t"] = t + 1
-        return Certificate(kind, payload)
-    if kind == "FixedPointPrimes":
-        shifted = []
-        for p in payload["primes"]:
-            q = _next_prime(int(p))
-            while q in payload["primes"] or q in shifted:
-                q = _next_prime(q)
-            shifted.append(q)
-        return Certificate(kind, {"primes": shifted})
-    if kind == "StarDegrees":
-        payload["degrees"] = sorted({int(d) + 1 for d in payload["degrees"]})
-        return Certificate(kind, payload)
-    if kind == "BackboneIndex":
-        idx = int(payload["index"])
-        hi = index_range if index_range is not None else idx + 1
-        choices = [j for j in range(1, int(hi) + 1) if j != idx]
-        payload["index"] = int(choices[int(rng.integers(len(choices)))])
-        return Certificate(kind, payload)
-    raise ValueError(f"unsupported certificate kind {kind!r}")
+    """Produce a well-formed certificate that is wrong for its instance, by
+    the corruption rule of the family whose certificates have its kind."""
+    family = next((f for f in FAMILIES.values() if cert.kind in f.kinds), None)
+    if family is None:
+        raise ValueError(f"unsupported certificate kind {cert.kind!r}")
+    return Certificate(cert.kind, family.corrupt(
+        dict(cert.payload), np.random.default_rng(seed), scale_window, index_range))

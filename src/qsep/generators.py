@@ -9,6 +9,9 @@ Capacity accounting is explicit: path counts follow a_i = floor(rho *
 n / beta^i) and witness counts b_i = floor(rho * n^(1-c) / gamma^i),
 with rho either given or auto-fit to the largest value <= 1 for which
 every structure plus witness overhead fits inside n elements.
+
+FAMILIES, at the end, holds one Family record per construction; `gen`,
+`bench`, `verify` and certificate corruption read a construction there.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from collections.abc import Callable
+from dataclasses import dataclass, asdict, fields
 from math import isqrt
 
 import numpy as np
@@ -94,7 +98,8 @@ class ScaleParams:
             raise ParameterError("need 1 < gamma < beta")
         if not 0.0 < self.c < 0.5:
             raise ParameterError("need 0 < c < 1/2")
-        if self.rho != "auto" and not 0.0 < float(self.rho) <= 1.0:
+        if self.rho != "auto" and not (
+                isinstance(self.rho, (int, float)) and 0.0 < self.rho <= 1.0):
             raise ParameterError("rho must lie in (0, 1] or be 'auto'")
 
 
@@ -658,3 +663,160 @@ def gen_starpath_graph(n: int, k: int, seed):
                    good_index=k_star, witness_locations=[(u, *map(int, pendants))],
                    extras={"k": k, "k_star": k_star, "sizes": sizes, "s": s})
     return inst, Certificate("BackboneIndex", {"index": k_star, "k": k}), meta
+
+
+# ---------------------------------------------------------------------------
+# the family table: everything the lab knows of each construction
+
+
+class VerifyFailure(Exception):
+    """(invariant, detail): a stored instance or certificate breaks one of
+    verify's invariants."""
+
+
+# the types a params field's annotation admits, as JSON gives them
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+                "bool": (bool,), "None": (type(None),)}
+
+
+@dataclass(frozen=True)
+class Family:
+    """One construction: how `gen` and `bench` build it, the certificates
+    its detector reads, and how `verify` and certificate corruption read it."""
+
+    name: str                 # its alias is the part before "-"
+    generator: str            # looked up in this module at call time
+    params: type | None       # the params class its generator takes
+    keywords: dict            # the generator's keywords, with their defaults
+    flags: tuple              # the `gen` flags it reads
+    detector: str             # its certificate detector
+    kinds: tuple              # the certificate kinds detector and verify read
+    target: tuple             # brute-force target, its plural, extras passed
+    extras: tuple             # the meta extras verify reads
+    verify: Callable          # extras -> (check lines, the payload implied)
+    capacity: Callable        # (n, extras) -> gen's capacity line
+    corrupt: Callable         # (payload, rng, scale_window, index_range)
+
+    @property
+    def alias(self) -> str:
+        return self.name.split("-")[0]
+
+    def arguments(self, kw: dict, where: str = "params") -> dict:
+        """The generator's keywords: the record's defaults, then kw, with
+        params built. ParameterError for a params field the class lacks or
+        a value of a type the field's annotation does not admit."""
+        kw = {**self.keywords, **kw}
+        given = kw.get("params")
+        if self.params is None or isinstance(given, self.params):
+            return kw
+        if not isinstance(given, (dict, type(None))):
+            raise ParameterError(f"{where} must be a JSON object, got {given!r}")
+        types = {f.name: f.type for f in fields(self.params)}
+        for key, value in (given or {}).items():
+            if key not in types:
+                raise ParameterError(f"{where} names {key!r}, which "
+                                     f"{self.params.__name__} does not take")
+            if not any(type(value) in _FIELD_TYPES[t] for t in types[key].split(" | ")):
+                raise ParameterError(f"{where}.{key} must be {types[key]}, got {value!r}")
+        return {**kw, "params": self.params(**(given or {}))}
+
+    def make(self, n: int, seed, **kw):
+        """(instance, certificate) from the generator; instance.meta is
+        the ground truth."""
+        return globals()[self.generator](n, seed=seed, **self.arguments(kw))[:2]
+
+
+def _verify_primes(e):
+    ps = e["primes"]
+    if len(set(ps)) != len(ps):
+        raise VerifyFailure("prime-spacing", "primes are not distinct")
+    if any(ln % p for p, ln in zip(ps, e["cycle_lens"])):
+        raise VerifyFailure("prime-spacing", "cycle length not a multiple of its prime")
+    return [f"prime-spacing: ok ({len(ps)} cycles)"], {"primes": sorted(ps)}
+
+
+def _verify_degrees(e):
+    degs = e["degrees"]
+    if len(set(degs)) != len(degs):
+        raise VerifyFailure("degree-uniqueness", "center degrees collide")
+    return ([f"degree-uniqueness: ok ({len(degs)} centers)"],
+            {"degrees": sorted(degs[i] for i in e.get("host_stars", []))})
+
+
+def _scale_capacity(n, e) -> str:
+    used = sum(a << i for a, i in zip(e["a"], e["scales"]))
+    return (f"capacity used={used} n={n} rho={e['rho']!r} "
+            f"window={e['scales'][0]}..{e['scales'][-1]} t={e['t']} b_t={e['b_t']}")
+
+
+def _primes_capacity(n, e) -> str:
+    used = sum(e["cycle_lens"]) + sum(e["feeders_per_cycle"]) * e["feeder_len"]
+    lo, hi = e["window"]
+    return (f"capacity used={used} n={n} cycles={e['N']} primes={len(e['primes'])} "
+            f"window={lo:.6g}..{hi:.6g} widened={e['widened']}")
+
+
+def _other(rng, lo, hi, value: int) -> int:
+    """A uniform draw from the integers in [lo, hi] other than value."""
+    choices = [i for i in range(int(lo), int(hi) + 1) if i != value]
+    if not choices:
+        raise ValueError(f"[{lo}, {hi}] holds no value but {value}")
+    return choices[int(rng.integers(len(choices)))]
+
+
+def _corrupt_scale(payload, rng, window, _):
+    t = int(payload["t"])
+    return {**payload, "t": t + 1 if window is None else _other(rng, *window, t)}
+
+
+def _corrupt_primes(payload, *_):
+    """Move each prime to the next prime above it that is neither
+    certified nor taken already."""
+    taken, shifted = set(payload["primes"]), []
+    for p in payload["primes"]:
+        q = int(p) + 1
+        while q < 3 or q in taken or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+            q += 1
+        taken.add(q)
+        shifted.append(q)
+    return {"primes": shifted}
+
+
+def _corrupt_index(payload, rng, _, top):
+    idx = int(payload["index"])
+    return {**payload, "index": _other(rng, 1, idx + 1 if top is None else top, idx)}
+
+
+# the two scale kinds share the payload {"t"}, so either reads either family
+_SCALE_KINDS = ("CollisionScale", "ClawScale")
+_SCALE_FLAGS = ("scales", "beta", "gamma", "c", "rho", "b_override", "t_override")
+_SCALE_KEYWORDS = {"params": None, "b_override": None, "t_override": None}
+
+FAMILIES = {f.name: f for f in (
+    Family("collision-fn", "gen_collision_function", ScaleParams,
+           {**_SCALE_KEYWORDS, "filler": "fixed"}, (*_SCALE_FLAGS, "filler"),
+           "cert-collision", _SCALE_KINDS, ("collision", "collisions", ()), ("t",),
+           lambda e: ((), {"t": e["t"]}), _scale_capacity, _corrupt_scale),
+    Family("claw-graph", "gen_claw_graph", ScaleParams, _SCALE_KEYWORDS,
+           _SCALE_FLAGS, "cert-claw", _SCALE_KINDS, ("claw", "claws", ()), ("t",),
+           lambda e: ((), {"t": e["t"]}), _scale_capacity, _corrupt_scale),
+    Family("fixedpoint-fn", "gen_fixedpoint_function", FixedPointParams,
+           {"params": None, "h_spec": "fixed-point"},
+           ("alpha", "cycle_len", "feeder_len", "T", "widen"), "cert-fixedpoint",
+           ("FixedPointPrimes",), ("fixed-point", "fixed points", ()),
+           ("primes", "cycle_lens"), _verify_primes, _primes_capacity,
+           _corrupt_primes),
+    Family("star-graph", "gen_star_graph", None, {"h_spec": "triangle"},
+           ("h_spec",), "cert-star", ("StarDegrees",), ("clique", "cliques", ("h",)),
+           ("h", "degrees"), _verify_degrees,
+           lambda n, e: (f"capacity used={sum(d + 1 for d in e['degrees'])} n={n} "
+                         f"centers={len(e['degrees'])} h={e['h']}"),
+           lambda payload, *_: {**payload, "degrees": sorted(
+               {int(d) + 1 for d in payload["degrees"]})}),
+    Family("starpath-graph", "gen_starpath_graph", None, {"k": 4}, ("k",),
+           "cert-starpath", ("BackboneIndex",), ("k-star", "k-stars", ("k",)),
+           ("k", "k_star"), lambda e: ((), {"index": e["k_star"], "k": e["k"]}),
+           lambda n, e: (f"capacity used={sum(e['sizes'])} n={n} s={e['s']} "
+                         f"k={e['k']} k_star={e['k_star']}"),
+           _corrupt_index),
+)}

@@ -22,6 +22,7 @@ import hashlib
 import math
 import os
 import threading
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -40,8 +41,9 @@ from qsep.detectors import (
     multiscale_collision_search,
     uniform_probe_baseline,
 )
-from qsep.generators import (
-    FixedPointParams,
+# the generators stay importable here, where perfbench wraps them
+from qsep.generators import (  # noqa: F401
+    FAMILIES,
     ParameterError,
     ScaleParams,
     gen_claw_graph,
@@ -212,61 +214,6 @@ def analytic_cert_expectation(n: int, params: ScaleParams, t: int,
 # registries
 
 
-def _scale_params(params) -> ScaleParams:
-    if params is None:
-        return ScaleParams()
-    if isinstance(params, dict):
-        return ScaleParams(**params)
-    return params
-
-
-def _fp_params(params) -> FixedPointParams:
-    if params is None:
-        return FixedPointParams()
-    if isinstance(params, dict):
-        return FixedPointParams(**params)
-    return params
-
-
-# Each wrapper names every keyword its generator takes, so a battery
-# spec's gen_kwargs can be checked against its signature.
-def _gen_collision(n, seed, params=None, filler="fixed", b_override=None,
-                   t_override=None):
-    inst, cert, _ = gen_collision_function(n, _scale_params(params), seed,
-                                           filler, b_override, t_override)
-    return inst, cert
-
-
-def _gen_claw(n, seed, params=None, b_override=None, t_override=None):
-    inst, cert, _ = gen_claw_graph(n, _scale_params(params), seed,
-                                   b_override, t_override)
-    return inst, cert
-
-
-def _gen_fixedpoint(n, seed, params=None, h_spec="fixed-point"):
-    inst, cert, _ = gen_fixedpoint_function(n, _fp_params(params), h_spec, seed)
-    return inst, cert
-
-
-def _gen_star(n, seed, h_spec="triangle"):
-    inst, cert, _ = gen_star_graph(n, h_spec, seed)
-    return inst, cert
-
-
-def _gen_starpath(n, seed, k=4):
-    inst, cert, _ = gen_starpath_graph(n, k, seed)
-    return inst, cert
-
-
-GENERATORS = {
-    "collision-fn": _gen_collision,
-    "claw-graph": _gen_claw,
-    "fixedpoint-fn": _gen_fixedpoint,
-    "star-graph": _gen_star,
-    "starpath-graph": _gen_starpath,
-}
-
-
 def _certless(search):
     """Give a certificate-free search the (oracle, cert, seed) signature;
     inspect.signature still reports the search's own keywords."""
@@ -286,15 +233,8 @@ DETECTORS = {
     "uniform-probe": _certless(uniform_probe_baseline),
 }
 
-# certificate kinds each certificate detector reads; the two scale kinds
-# share the payload {"t"}
-CERT_KINDS = {
-    "cert-collision": ("CollisionScale", "ClawScale"),
-    "cert-claw": ("CollisionScale", "ClawScale"),
-    "cert-fixedpoint": ("FixedPointPrimes",),
-    "cert-star": ("StarDegrees",),
-    "cert-starpath": ("BackboneIndex",),
-}
+# the certificate kinds each certificate detector reads
+CERT_KINDS = {f.detector: f.kinds for f in FAMILIES.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +351,7 @@ _SIDE_DRAW_MIN_N = 1 << 17
 
 
 def _generate(generator: str, n: int, gen_ss, rel_seed, gen_kwargs):
-    """GENERATORS[generator](n, rng(gen_ss), **gen_kwargs) on this thread.
+    """FAMILIES[generator].make(n, rng(gen_ss), **gen_kwargs) on this thread.
 
     For rel_seed not None and n >= _SIDE_DRAW_MIN_N, a side thread draws
     _relabel_maps(n, rel_seed) meanwhile and is joined before this returns,
@@ -422,7 +362,7 @@ def _generate(generator: str, n: int, gen_ss, rel_seed, gen_kwargs):
     raised here.
     """
     def make():
-        return GENERATORS[generator](n, np.random.default_rng(gen_ss), **gen_kwargs)
+        return FAMILIES[generator].make(n, np.random.default_rng(gen_ss), **gen_kwargs)
 
     if rel_seed is None or n < _SIDE_DRAW_MIN_N:
         return make()
@@ -461,6 +401,20 @@ def _run_single_trial(config: TrialConfig, trial: int) -> dict:
 # This process's worker pool, (owner pid, workers, executor), or None.
 _pool = None
 
+# How often, in seconds, a pool worker checks that its parent is alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: a daemon thread ends this worker once `parent`, the
+    pid that started the pool, is gone. Blocked on the call queue, a worker
+    never sees its parent die, but its parent pid changes on reparenting."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+    threading.Thread(target=watch, name="qsep-parent-watch", daemon=True).start()
+
 
 def _executor(workers: int) -> ProcessPoolExecutor:
     """The pool of `workers` workers, started on first use and kept for
@@ -470,7 +424,8 @@ def _executor(workers: int) -> ProcessPoolExecutor:
     global _pool
     if _pool is None or _pool[:2] != (os.getpid(), workers):
         _close_pool()
-        _pool = (os.getpid(), workers, ProcessPoolExecutor(workers))
+        _pool = (os.getpid(), workers, ProcessPoolExecutor(
+            workers, initializer=_exit_with_parent, initargs=(os.getpid(),)))
     return _pool[2]
 
 

@@ -13,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsep.cli import main
+from qsep.detectors import corrupt_certificate
+from qsep.generators import FAMILIES
 from qsep.harness import read_trials_csv
-from qsep.oracle import read_instance, write_instance
+from qsep.oracle import (read_certificate, read_instance, write_certificate,
+                         write_instance)
 from qsep.svg import parse_chart
 
 
@@ -108,6 +111,24 @@ class TestGen:
         assert code == 0
         assert last_json(lines)["witnesses"] == witnesses
 
+    @pytest.mark.parametrize("flags, message", [
+        (("star", "--alpha", "3", "--beta", "9", "--no-fixed-points"),
+         "star-graph does not read --beta, --no-fixed-points, --alpha"),
+        (("collision", "--k", "4"), "collision-fn does not read --k"),
+        (("claw-graph", "--no-fixed-points"), "claw-graph does not read --no-fixed-points"),
+        (("fixedpoint", "--scales", "2..4", "--H", "triangle"),
+         "fixedpoint-fn does not read --scales, --H"),
+        (("starpath", "--widen-primes", "--T", "1"),
+         "starpath-graph does not read --T, --widen-primes")])
+    def test_flag_the_construction_does_not_read_exits_2(self, tmp_path, capsys,
+                                                         flags, message):
+        # each of these exited 0 and ignored the flags
+        code, lines, err = run_cli(capsys, "gen", "--construction", *flags,
+                                   "--n", "1024", "--out-dir", str(tmp_path))
+        assert code == 2 and lines == [] and "Traceback" not in err
+        assert err.strip().splitlines() == [f"error: {message}"]
+        assert not list(tmp_path.iterdir())
+
     def test_qsep_seed_env_is_the_default(self, tmp_path, capsys, monkeypatch):
         d1, d2 = tmp_path / "env", tmp_path / "flag"
         monkeypatch.setenv("QSEP_SEED", "99")
@@ -118,6 +139,51 @@ class TestGen:
                 "--scales", "2..4", "--seed", "99", "--out-dir", str(d2))
         f = "collision-fn.instance.json"
         assert digest(d1 / f) == digest(d2 / f)
+
+
+# gen flags that fit each construction at a small n
+FAMILY_FLAGS = {
+    "collision-fn": ("--n", "1024", "--scales", "2..4"),
+    "claw-graph": ("--n", "1024", "--scales", "2..4"),
+    "fixedpoint-fn": ("--n", "4096"),
+    "star-graph": ("--n", "1024"),
+    "starpath-graph": ("--n", "1024"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+class TestFamilyTable:
+    def _gen(self, capsys, name, out, construction=None):
+        code, _, _ = run_cli(capsys, "gen", "--construction",
+                             construction or name, *FAMILY_FLAGS[name],
+                             "--seed", "5", "--out-dir", str(out))
+        assert code == 0
+        return out / f"{name}.instance.json", out / f"{name}.certificate.json"
+
+    def test_gen_then_verify_passes_and_a_corrupted_certificate_fails(
+            self, tmp_path, capsys, name):
+        inst, cert = self._gen(capsys, name, tmp_path)
+        code, lines, _ = run_cli(capsys, "verify", "--instance", str(inst),
+                                 "--cert", str(cert))
+        assert code == 0 and last_json(lines)["ok"] is True
+        assert lines[-2] == f"certificate: ok ({read_certificate(cert).kind})"
+        bad = tmp_path / "bad.certificate.json"
+        write_certificate(corrupt_certificate(read_certificate(cert), seed=0), bad)
+        code, lines, err = run_cli(capsys, "verify", "--instance", str(inst),
+                                   "--cert", str(bad))
+        assert code == 1 and "Traceback" not in err
+        assert lines[-2].startswith("FAIL certificate: ")
+        assert last_json(lines)["failed"] == "certificate"
+
+    def test_alias_writes_the_same_files(self, tmp_path, capsys, name):
+        alias = FAMILIES[name].alias
+        assert alias == name.split("-")[0]
+        self._gen(capsys, name, tmp_path / "name")
+        self._gen(capsys, name, tmp_path / "alias", alias)
+        for kind in ("instance", "certificate", "meta"):
+            f = f"{name}.{kind}.json"
+            assert (tmp_path / "name" / f).read_bytes() == \
+                (tmp_path / "alias" / f).read_bytes()
 
 
 @pytest.fixture()
@@ -234,6 +300,21 @@ class TestRun:
             capsys, "run", "--instance", str(inst), "--detector",
             "multiscale", "--scales", "2..5", "--max-attempts", "5", "--seed", "1")
         assert code == 0 and last_json(lines)["attempts"] <= 5
+
+    @pytest.mark.parametrize("C", ["-1", "nan", "inf", "0"])
+    def test_fixedpoint_c_not_finite_and_positive_exits_2(self, tmp_path,
+                                                          capsys, C):
+        # -1 and nan ended in a ValueError traceback, inf in an OverflowError
+        main(["gen", "--construction", "fixedpoint", "--n", "4096", "--seed",
+              "2", "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        code, lines, err = run_cli(
+            capsys, "run", "--instance", str(tmp_path / "fixedpoint-fn.instance.json"),
+            "--cert", str(tmp_path / "fixedpoint-fn.certificate.json"),
+            "--detector", "cert-fixedpoint", "--C", C, "--seed", "1")
+        assert code == 2 and lines == [] and "Traceback" not in err
+        assert err.strip().splitlines() == [
+            f"error: C must be a finite number > 0, got {float(C)!r}"]
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc["payload"].update(succ=[10 ** 9, *range(1, 4096)]),
@@ -559,6 +640,29 @@ class TestBench:
                                        "gen_kwargs": {"b_override": 0}}]},
          "series[0].gen_kwargs names 'b_override', which fixedpoint-fn does "
          "not take"),
+        # the values inside params and det_kwargs
+        ({"points": [{**SEP_BATTERY["points"][0],
+                      "gen_kwargs": {"params": {"bogus": 1}}}]},
+         "points[0].gen_kwargs.params names 'bogus', which ScaleParams does "
+         "not take"),
+        ({"points": [{**SEP_BATTERY["points"][0],
+                      "gen_kwargs": {"params": {"c": "x"}}}]},
+         "points[0].gen_kwargs.params.c must be float, got 'x'"),
+        ({"points": [{**SEP_BATTERY["points"][0],
+                      "gen_kwargs": {"params": {"rho": "x"}}}]},
+         "rho must lie in (0, 1] or be 'auto'"),
+        ({"points": [{**SEP_BATTERY["points"][0],
+                      "gen_kwargs": {"params": [2, 4]}}]},
+         "points[0].gen_kwargs.params must be a JSON object, got [2, 4]"),
+        ({"kind": "slope", "series": [{**SLOPE_BATTERY["series"][0],
+                                       "gen_kwargs": {"params": {"alpha": "x"}}}]},
+         "series[0].gen_kwargs.params.alpha must be float, got 'x'"),
+        ({"kind": "slope", "series": [{**SLOPE_BATTERY["series"][0],
+                                       "gen_kwargs": {"params": {"T": 1.0}}}]},
+         "series[0].gen_kwargs.params.T must be int, got 1.0"),
+        ({"kind": "slope", "series": [{**SLOPE_BATTERY["series"][0],
+                                       "det_kwargs": {"C": "x"}}]},
+         "C must be a finite number > 0, got 'x'"),
     ])
     def test_malformed_battery_spec_exits_2(self, tmp_path, capsys, edit,
                                             message, threads):
@@ -609,7 +713,8 @@ FUZZ_VALUES = ["x", "bogus-name", 1.5, True, None, [], [3], {}, 0, -1, -4096]
 def mutated_specs(draw):
     """One of FUZZ_SPECS with one to three mutations: drop a key, swap its
     value, or add an unknown key. A mutation reaches the spec's own keys,
-    an entry's keys and the keys of an entry's keyword-argument objects."""
+    an entry's keys, the keys of an entry's keyword-argument objects and
+    the keys of a generator's params."""
     spec = copy.deepcopy(draw(st.sampled_from(FUZZ_SPECS)))
     for _ in range(draw(st.integers(1, 3))):
         entries = spec.get("points", spec.get("series"))
@@ -617,12 +722,16 @@ def mutated_specs(draw):
             if isinstance(entries, list) else []
         kwargs = [v for e in entries for k, v in e.items()
                   if k.endswith("_kwargs") and isinstance(v, dict)]
-        i = draw(st.integers(0, len(entries) + len(kwargs)))
-        target = [spec, *entries, *kwargs][i]
-        # the values inside a keyword-argument object are its callee's to
-        # check, so such an object only loses a key or gains an unknown one
+        params = [v["params"] for v in kwargs if isinstance(v.get("params"), dict)]
+        # bench checks the values of gen_kwargs, params and det_kwargs (the
+        # fixed-point detector's C); the multiscale baseline checks none of
+        # its own, so baseline_kwargs only loses a key or gains an unknown one
+        checked = [spec, *entries, *params, *(
+            e[k] for e in entries for k in ("gen_kwargs", "det_kwargs")
+            if isinstance(e.get(k), dict))]
+        target = draw(st.sampled_from([spec, *entries, *kwargs, *params]))
         actions = ["add"] + (["drop"] if target else []) + \
-            (["swap"] if target and i <= len(entries) else [])
+            (["swap"] if target and any(target is c for c in checked) else [])
         action = draw(st.sampled_from(actions))
         if action == "add":
             target["bogus_key"] = draw(st.sampled_from(FUZZ_VALUES))

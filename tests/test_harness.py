@@ -4,6 +4,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -436,6 +437,42 @@ class TestWorkerPool:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        # the pids go through a file: a pipe the workers inherit would keep
+        # a reader waiting for as long as they live
+        pid_file = tmp_path / "pids"
+        script = (
+            "import os, signal\n"
+            "from qsep import harness\n"
+            "harness._map(abs, [(-1,), (-2,)], 2)\n"
+            f"with open({str(pid_file)!r}, 'w') as fh:\n"
+            "    fh.write(' '.join(map(str, harness._pool[2]._processes)))\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        src = str(Path(qsep.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], timeout=60,
+                              env={**os.environ, "PYTHONPATH": src},
+                              stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+        assert done.returncode == -signal.SIGKILL
+        pids = [int(p) for p in pid_file.read_text().split()]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+
+
+def _running(pid) -> bool:
+    """Whether pid is a live process: neither gone nor an unreaped zombie."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return False
 
 
 class TestFileIO:

@@ -6,8 +6,11 @@ the originals back afterwards. A name it wraps that is deleted or renamed
 should fail here, not only when the benchmark runs.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,3 +47,27 @@ def test_instrument_patches_every_name_and_restores_the_originals():
         assert not moved, (m, moved)
     assert ns.harness.DETECTORS.keys() == detectors.keys()
     assert all(ns.harness.DETECTORS[k] is fn for k, fn in detectors.items())
+
+
+def test_gen_and_bench_generate_through_a_wrapped_name(tmp_path):
+    # perfbench's generators.calls counts calls of the generator names it
+    # wraps, so generation must reach a generator by its module name
+    spans = _load_spans()
+    ns = SimpleNamespace(**{m: importlib.import_module(f"qsep.{m}") for m in MODULES})
+    spec = tmp_path / "sep.json"
+    spec.write_text(json.dumps({"kind": "separation", "trials": 1, "pilot_trials": 1,
+                                "points": [{"x": 2, "n": 1024, "generator": "collision-fn",
+                                            "gen_kwargs": {"params": {"i_min": 2, "i_max": 4}},
+                                            "baseline_kwargs": {"i_min": 2, "i_max": 4}}]}))
+    tracer = spans.Tracer()
+    inst = spans.Instrument(ns, spans.Recorder(), tracer)
+    calls = []
+    try:
+        for argv in (["gen", "--construction", "starpath", "--n", "1024"],
+                     ["bench", "--battery", str(spec), "--threads", "1"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert ns.cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+            calls.append(spans.layer_metrics(tracer)["generators.calls"][0])
+    finally:
+        inst.restore()
+    assert 0 < calls[0] < calls[1]
