@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from qsep import generators
 from qsep.adversary import AdversarySession
 from qsep.detectors import brute_force_find, corrupt_certificate
 # the generators stay importable here, where perfbench wraps them
@@ -32,6 +33,7 @@ from qsep.generators import (  # noqa: F401
     PrimeShortageError,
     ScaleParams,
     VerifyFailure,
+    check_type,
     gen_claw_graph,
     gen_collision_function,
     gen_fixedpoint_function,
@@ -39,25 +41,27 @@ from qsep.generators import (  # noqa: F401
     gen_starpath_graph,
 )
 from qsep.harness import (
-    CERT_KINDS,
+    DETECTOR_KEYWORDS,
     DETECTORS,
     SeparationPoint,
     TrialConfig,
     _seed_int,
+    _trial,
     canonical_json,
     config_hash,
     read_trials_csv,
     run_trials,
     separation_experiment,
     slope_fit,
+    trial_budget,
     write_report_json,
     write_trials_csv,
 )
-from qsep.oracle import (
+# validate_witness stays importable here, where perfbench wraps it
+from qsep.oracle import (  # noqa: F401
     CountedOracle,
     FileFormatError,
     ModelMismatchError,
-    _unrelabel_witness,
     instance_to_jsonable,
     read_certificate,
     read_instance,
@@ -166,25 +170,13 @@ def cmd_gen(args) -> int:
 # run
 
 
-# the detectors that read each detector flag of `run`; any other detector
-# given the flag is a parameter error, not a silently ignored flag
-_RESTARTING = ("cert-collision", "multiscale", "cert-claw")
-_DETECTOR_FLAGS = {"C": ("cert-fixedpoint",), "k": ("uniform-probe",),
-                   "target": ("uniform-probe",), "max_attempts": _RESTARTING}
-
-
-def _budget(detector: str, det_kwargs: dict, n: int, budget):
-    """The budget as given; else 16 n for a restarting walker without
-    max_attempts, which would never end on an instance without a witness."""
-    endless = detector in _RESTARTING and det_kwargs.get("max_attempts") is None
-    return 16 * n if budget is None and endless else budget
-
-
 def _detector_kwargs(args) -> dict:
-    for name, takers in _DETECTOR_FLAGS.items():
-        if getattr(args, name) is not None and args.detector not in takers:
-            flag = "--" + name.replace("_", "-")
-            raise ParameterError(f"{flag} does not apply to {args.detector}")
+    # a detector flag applies to the detectors whose signature takes it
+    kw = _given(args, "C", "k", "target", "max_attempts")
+    for name in kw:
+        if name not in DETECTOR_KEYWORDS[args.detector]:
+            raise ParameterError(f"--{name.replace('_', '-')} does not apply "
+                                 f"to {args.detector}")
     # --scales is multiscale's window, or the window a corrupted scale
     # certificate draws its wrong scale from
     scale_cert = args.detector in ("cert-collision", "cert-claw")
@@ -192,12 +184,10 @@ def _detector_kwargs(args) -> dict:
             and not (scale_cert and args.corrupt_cert):
         raise ParameterError(f"--scales does not apply to {args.detector}"
                              + (" without --corrupt-cert" if scale_cert else ""))
-    kw = _given(args, "C", "k", "max_attempts")
     if args.detector == "multiscale":
         kw["i_min"], kw["i_max"] = _parse_scales(args.scales or "2..8")
     if args.detector == "uniform-probe":
-        kw["target"] = args.target or "fixed-point"
-        if kw["target"] == "k-star" and "k" not in kw:
+        if kw.setdefault("target", "fixed-point") == "k-star" and "k" not in kw:
             raise ParameterError("--target k-star needs --k")
     return kw
 
@@ -209,30 +199,16 @@ def cmd_run(args) -> int:
     seed = _master_seed(args)
     inst = read_instance(args.instance)
     cert = read_certificate(args.cert) if args.cert else None
-    kinds = CERT_KINDS.get(args.detector)
-    if kinds and (cert is None or cert.kind not in kinds):
-        got = "no --cert" if cert is None else f"a {cert.kind} certificate"
-        raise ParameterError(f"{args.detector} needs a {' or '.join(kinds)} "
-                             f"certificate, got {got}")
     if args.corrupt_cert:
         if cert is None:
             raise ParameterError("--corrupt-cert needs --cert")
         window = _parse_scales(args.scales) if args.scales else None
-        index_range = None
-        if inst.meta is not None and "s" in inst.meta.extras:
-            index_range = inst.meta.extras["s"]
-        cert = corrupt_certificate(cert, seed=_sub_seed(seed, 2),
-                                   scale_window=window,
-                                   index_range=index_range)
-    relabel_seed = None if args.no_relabel else _sub_seed(seed, 0)
-    budget = _budget(args.detector, det_kwargs, inst.n, args.budget)
-    oracle = CountedOracle(inst, relabel_seed=relabel_seed, budget=budget)
-    outcome = DETECTORS[args.detector](oracle, cert, _sub_seed(seed, 1),
-                                       **det_kwargs)
-    valid = None
-    if outcome.found:
-        valid = validate_witness(inst, _unrelabel_witness(oracle,
-                                                          outcome.witness))
+        cert = corrupt_certificate(
+            cert, seed=_sub_seed(seed, 2), scale_window=window,
+            index_range=inst.meta.extras.get("s") if inst.meta is not None else None)
+    outcome, valid = _trial(args.detector, inst, cert,
+                            None if args.no_relabel else _sub_seed(seed, 0),
+                            args.budget, det_kwargs, _sub_seed(seed, 1))
     _emit(args, {
         "command": "run",
         "detector": args.detector,
@@ -263,11 +239,9 @@ def _bench_separation(spec: dict, args, master: int):
         budget_factor=spec.get("budget_factor", 50.0),
         pilot_trials=spec.get("pilot_trials", 6), workers=args.threads)
 
-    rows = [{"x": x, "n": n, "budget": b, "cert_mean": cm, "base_mean": bm,
-             "ratio": r}
-            for x, n, b, cm, bm, r in zip(rep.xs, rep.ns, rep.budgets,
-                                          rep.cert_means, rep.base_means,
-                                          rep.ratios)]
+    keys = ("x", "n", "budget", "cert_mean", "base_mean", "ratio")
+    rows = [dict(zip(keys, row)) for row in zip(
+        rep.xs, rep.ns, rep.budgets, rep.cert_means, rep.base_means, rep.ratios)]
     warn = 0
     for x, cs, bs in zip(rep.xs, rep.cert_stats, rep.base_stats):
         print(f"point x={x} cert_mean={cs.mean_queries!r} "
@@ -297,8 +271,8 @@ def _bench_slope(spec: dict, args, master: int):
                 master_seed=master,
                 gen_kwargs=series.get("gen_kwargs", {}),
                 det_kwargs=det_kwargs,
-                budget=_budget(series["detector"], det_kwargs, int(n),
-                               series.get("budget")),
+                budget=trial_budget(series["detector"], det_kwargs, int(n),
+                                    series.get("budget")),
                 point=si * 1000 + ni)
             stats, rows = run_trials(cfg, workers=args.threads)
             all_rows.extend(rows)
@@ -375,24 +349,32 @@ def _check_fields(where: str, obj: dict) -> None:
             raise ParameterError(f"{where}{key} must be {rule[1]}, got {value!r}")
 
 
+# each detector's and generator's keywords; a generator's defaults are its record's
+_KEYWORDS = {**DETECTOR_KEYWORDS, **{
+    name: {key: inspect.signature(getattr(generators, f.generator)).parameters[key]
+           .replace(default=default) for key, default in f.keywords.items()}
+    for name, f in FAMILIES.items()}}
+
+
 def _check_kwargs(where: str, name: str, kwargs) -> None:
     """kwargs must be an object naming only keywords the generator or
-    detector `name` takes, and every one it needs, with a generator's
-    params parsed."""
+    detector `name` takes, and every one it needs, each holding a value
+    its annotation admits, with a generator's params parsed."""
     if not isinstance(kwargs, dict):
         raise ParameterError(f"{where} must be a JSON object, got {kwargs!r}")
-    takes = FAMILIES[name].keywords if name in FAMILIES else {
-        key: p.default for key, p in inspect.signature(DETECTORS[name]).parameters.items()
-        if key not in ("oracle", "cert", "seed")}
+    takes = _KEYWORDS[name]
     unknown = [key for key in kwargs if key not in takes]
     if unknown:
         raise ParameterError(f"{where} names {', '.join(map(repr, unknown))}, "
                              f"which {name} does not take")
-    missing = [key for key, default in takes.items()
-               if default is inspect.Parameter.empty and key not in kwargs]
+    missing = [key for key, p in takes.items()
+               if p.default is p.empty and key not in kwargs]
     if missing:
         raise ParameterError(f"{where} lacks {', '.join(map(repr, missing))}, "
                              f"which {name} needs")
+    for key, value in kwargs.items():
+        if key != "params":
+            check_type(f"{where}.{key}", value, takes[key].annotation)
     if name in FAMILIES:
         FAMILIES[name].arguments(kwargs, f"{where}.params")
 

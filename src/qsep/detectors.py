@@ -273,7 +273,7 @@ def _shared_walk(f, oracle, caps, rng, max_attempts):
 
 @_framed
 def cert_collision_search(f, oracle, cert: Certificate, seed=None,
-                          batch: int = 16, max_attempts=None):
+                          batch: int = 16, max_attempts: int | None = None):
     """Walk forward up to 2^t steps per attempt at the certified scale t,
     `batch` lanes at a time, sharing the predecessor map across attempts."""
     t = int(cert.payload["t"])
@@ -284,10 +284,12 @@ def cert_collision_search(f, oracle, cert: Certificate, seed=None,
 
 @_framed
 def multiscale_collision_search(f, oracle, i_min: int, i_max: int, seed=None,
-                                max_attempts=None):
+                                max_attempts: int | None = None):
     """One walk per scale in strict round-robin, lowest scale first, one
     step per walk per round; the walk at scale i restarts after 2^i
     steps."""
+    if i_min < 0:
+        raise ParameterError(f"i_min must be >= 0, got {i_min}")
     scales = list(range(int(i_min), int(i_max) + 1))
     f.details = {"scales": scales}
     return _shared_walk(f, oracle, [1 << i for i in scales],
@@ -299,7 +301,8 @@ def multiscale_collision_search(f, oracle, i_min: int, i_max: int, seed=None,
 
 
 @_framed
-def cert_claw_search(f, oracle, cert: Certificate, seed=None, max_attempts=None):
+def cert_claw_search(f, oracle, cert: Certificate, seed=None,
+                     max_attempts: int | None = None):
     """Chain-walk up to 2^t steps from uniform starts until a degree-3
     vertex appears, then report it with three of its neighbors."""
     t = int(cert.payload["t"])

@@ -560,7 +560,7 @@ def star_degree_set(n: int) -> list[int]:
     return degrees
 
 
-def gen_star_graph(n: int, h_spec, seed):
+def gen_star_graph(n: int, h_spec: int | str, seed):
     """Disjoint stars with pairwise-distinct center degrees; |H| leaves of
     distinct stars form the one planted clique."""
     h = _clique_size(h_spec)
@@ -674,9 +674,15 @@ class VerifyFailure(Exception):
     verify's invariants."""
 
 
-# the types a params field's annotation admits, as JSON gives them
+# the types a params field's or keyword's annotation admits, as JSON gives them
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
                 "bool": (bool,), "None": (type(None),)}
+
+
+def check_type(where: str, value, annotation: str) -> None:
+    """ParameterError unless `annotation`, such as "int | None", admits value."""
+    if not any(type(value) in _FIELD_TYPES[t] for t in annotation.split(" | ")):
+        raise ParameterError(f"{where} must be {annotation}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -716,8 +722,7 @@ class Family:
             if key not in types:
                 raise ParameterError(f"{where} names {key!r}, which "
                                      f"{self.params.__name__} does not take")
-            if not any(type(value) in _FIELD_TYPES[t] for t in types[key].split(" | ")):
-                raise ParameterError(f"{where}.{key} must be {types[key]}, got {value!r}")
+            check_type(f"{where}.{key}", value, types[key])
         return {**kw, "params": self.params(**(given or {}))}
 
     def make(self, n: int, seed, **kw):

@@ -19,6 +19,7 @@ import atexit
 import csv
 import functools
 import hashlib
+import inspect
 import math
 import os
 import threading
@@ -236,6 +237,13 @@ DETECTORS = {
 # the certificate kinds each certificate detector reads
 CERT_KINDS = {f.detector: f.kinds for f in FAMILIES.values()}
 
+# each detector's keywords past (oracle, cert, seed), read once from the
+# signatures, which perfbench's wrappers keep
+DETECTOR_KEYWORDS = {
+    name: {key: p for key, p in inspect.signature(fn).parameters.items()
+           if key not in ("oracle", "cert", "seed")}
+    for name, fn in DETECTORS.items()}
+
 
 # ---------------------------------------------------------------------------
 # trial running
@@ -311,29 +319,34 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _trial(row: dict, instance, cert, rel_seed, budget, det_kwargs,
-           det_ss) -> dict:
-    """Run row["detector"] once on a fresh oracle over `instance`, check
-    its query accounting and witness, and return `row` with the outcome."""
-    kinds = CERT_KINDS.get(row["detector"])
-    if kinds and cert.kind not in kinds:
-        raise ParameterError(f"{row['detector']} needs a {' or '.join(kinds)} "
-                             f"certificate, got a {cert.kind} certificate "
-                             f"from {row['generator']}")
-    oracle = CountedOracle(instance, relabel_seed=rel_seed, budget=budget)
-    out = DETECTORS[row["detector"]](oracle, cert, np.random.default_rng(det_ss),
-                                     **det_kwargs)
+def trial_budget(detector: str, det_kwargs: dict, n: int, budget):
+    """The budget as given; else 16 n for a detector that takes max_attempts
+    but got none, a restarting walker that would never end without a witness."""
+    endless = "max_attempts" in DETECTOR_KEYWORDS[detector] \
+        and det_kwargs.get("max_attempts") is None
+    return 16 * n if budget is None and endless else budget
+
+
+def _trial(detector: str, instance, cert, rel_seed, budget, det_kwargs, seed,
+           source: str | None = None):
+    """Run `detector` once on a fresh oracle over `instance` under trial_budget
+    and check its query accounting; every detector run comes here. Returns the
+    outcome and whether its witness holds on `instance`, None without one.
+    `source` names the generator of `cert` in a certificate-kind error."""
+    kinds = CERT_KINDS.get(detector)
+    if kinds and (cert is None or cert.kind not in kinds):
+        got = "no --cert" if cert is None else f"a {cert.kind} certificate"
+        raise ParameterError(f"{detector} needs a {' or '.join(kinds)} certificate, "
+                             f"got {got}" + (f" from {source}" if source else ""))
+    oracle = CountedOracle(instance, relabel_seed=rel_seed, budget=trial_budget(
+        detector, det_kwargs, instance.n, budget))
+    # looked up at call time: perfbench wraps the DETECTORS entries
+    out = DETECTORS[detector](oracle, cert, seed, **det_kwargs)
     if out.queries != oracle.count:
         raise RuntimeError(
             f"query accounting drift: outcome {out.queries} vs oracle {oracle.count}")
-    if out.found and not validate_witness(
-            instance, _unrelabel_witness(oracle, out.witness)):
-        raise RuntimeError(
-            f"{row['detector']} returned an invalid witness on trial {row['trial']} "
-            f"(config {row['config']}, seed {row['seed']}, n {row['n']})")
-    scales = instance.meta.extras.get("scales")
-    return {**row, "s": len(scales) if scales is not None else "",
-            "status": out.status, "queries": out.queries}
+    return out, validate_witness(instance, _unrelabel_witness(oracle, out.witness)) \
+        if out.found else None
 
 
 # Smallest n whose relabel draw runs beside generation. Timed on a 2-core
@@ -385,17 +398,31 @@ def _generate(generator: str, n: int, gen_ss, rel_seed, gen_kwargs):
     return made
 
 
-def _run_single_trial(config: TrialConfig, trial: int) -> dict:
-    ss = np.random.SeedSequence([config.master_seed, config.point, trial])
-    gen_ss, rel_ss, det_ss = ss.spawn(3)
-    rel_seed = _seed_int(rel_ss) if config.relabel else None
-    instance, cert = _generate(config.generator, config.n, gen_ss, rel_seed,
-                               config.gen_kwargs)
-    row = {"config": config.config_hash(), "generator": config.generator,
-           "detector": config.detector, "n": config.n, "trial": trial,
-           "seed": config.master_seed}
-    return _trial(row, instance, cert, rel_seed, config.budget,
-                  config.det_kwargs, det_ss)
+def _unit(head: dict, point: int, gen_kwargs: dict, relabel: bool, budget,
+          lanes) -> list[dict]:
+    """Generate one instance and run each (detector, det_kwargs) lane on it,
+    all under `budget` and one relabeling; return a trial row per lane.
+    SeedSequence([head["seed"], point, head["trial"]]) spawns generator,
+    relabel and lane seeds in that order; a spawn's first children do not
+    depend on how many it makes, so a lane's seed is the same alone or paired."""
+    gen_ss, rel_ss, *lane_ss = np.random.SeedSequence(
+        [head["seed"], point, head["trial"]]).spawn(2 + len(lanes))
+    rel_seed = _seed_int(rel_ss) if relabel else None
+    instance, cert = _generate(head["generator"], head["n"], gen_ss, rel_seed,
+                               gen_kwargs)
+    scales = instance.meta.extras.get("scales")
+    rows = []
+    for (detector, det_kwargs), det_ss in zip(lanes, lane_ss):
+        out, valid = _trial(detector, instance, cert, rel_seed, budget, det_kwargs,
+                            np.random.default_rng(det_ss), head["generator"])
+        if valid is False:
+            raise RuntimeError(
+                f"{detector} returned an invalid witness on trial {head['trial']} "
+                f"(config {head['config']}, seed {head['seed']}, n {head['n']})")
+        rows.append({**head, "detector": detector,
+                     "s": len(scales) if scales is not None else "",
+                     "status": out.status, "queries": out.queries})
+    return rows
 
 
 # This process's worker pool, (owner pid, workers, executor), or None.
@@ -455,8 +482,12 @@ def _map(fn, tasks, workers: int) -> list:
 
 def run_trials(config: TrialConfig, workers: int = 1):
     """Run config.trials independent seeded trials; returns (stats, rows)."""
-    rows = _map(_run_single_trial,
-                [(config, i) for i in range(config.trials)], workers)
+    head = {"config": config.config_hash(), "generator": config.generator,
+            "n": config.n, "seed": config.master_seed}
+    rows = [row for row, in _map(_unit, [
+        ({**head, "trial": i}, config.point, config.gen_kwargs, config.relabel,
+         config.budget, ((config.detector, config.det_kwargs),))
+        for i in range(config.trials)], workers)]
     return TrialStats.from_rows(rows), rows
 
 
@@ -511,60 +542,38 @@ class SeparationReport:
         }
 
 
-def _sep_pair(point: SeparationPoint, point_idx: int, trial: int,
-              master_seed: int, budget, pilot: bool):
-    """Run one paired trial: same instance and relabeling for both sides."""
-    tag = trial + (1 << 30) if pilot else trial
-    ss = np.random.SeedSequence([master_seed, point_idx, tag])
-    gen_ss, rel_ss, cert_ss, base_ss = ss.spawn(4)
-    rel_seed = _seed_int(rel_ss)
-    instance, cert = _generate(point.generator, point.n, gen_ss, rel_seed,
-                               point.gen_kwargs)
-
-    def one(detector, det_kwargs, det_ss):
-        row = {"config": f"sep-{master_seed}-{point_idx}",
-               "generator": point.generator, "detector": detector,
-               "n": point.n, "trial": tag, "seed": master_seed}
-        return _trial(row, instance, cert, rel_seed, budget, det_kwargs, det_ss)
-
-    row_c = one(point.cert_detector, point.cert_kwargs, cert_ss)
-    if pilot:
-        return row_c, None
-    row_b = one(point.baseline_detector, point.baseline_kwargs, base_ss)
-    return row_c, row_b
-
-
 def separation_experiment(points, trials: int, master_seed: int,
                           budget_factor: float = 50.0, pilot_trials: int = 6,
                           workers: int = 1) -> SeparationReport:
     """Paired query-cost comparison across a list of SeparationPoints.
 
-    Per point: a small unbudgeted pilot of the certificate side fixes a
-    query budget of budget_factor times its mean cost, then both sides
-    run `trials` paired trials under that budget on fresh instances.
+    Per point: a small pilot of the certificate side, under trial_budget's
+    default, fixes a query budget of budget_factor times its mean cost, then
+    both sides run `trials` paired trials under that budget on fresh
+    instances. A pilot trial is tagged trial + 2^30.
     """
-    xs, ns, budgets, cert_stats, base_stats, all_rows = [], [], [], [], [], []
+    budgets, cert_stats, base_stats, all_rows = [], [], [], []
     for idx, pt in enumerate(points):
-        pilot_rows = [
-            _sep_pair(pt, idx, i, master_seed, None, True)[0]
-            for i in range(pilot_trials)
-        ]
+        head = {"config": f"sep-{master_seed}-{idx}", "generator": pt.generator,
+                "n": pt.n, "seed": master_seed}
+        cert_lane = (pt.cert_detector, pt.cert_kwargs)
+        pilot_rows = [_unit({**head, "trial": i + (1 << 30)}, idx, pt.gen_kwargs,
+                            True, None, (cert_lane,))[0] for i in range(pilot_trials)]
         pilot_mean = float(np.mean([r["queries"] for r in pilot_rows]))
         budget = max(1, math.ceil(budget_factor * pilot_mean))
 
-        pairs = _map(_sep_pair, [(pt, idx, i, master_seed, budget, False)
-                                 for i in range(trials)], workers)
+        lanes = (cert_lane, (pt.baseline_detector, pt.baseline_kwargs))
+        pairs = _map(_unit, [({**head, "trial": i}, idx, pt.gen_kwargs, True,
+                              budget, lanes) for i in range(trials)], workers)
         rows_c = [c for c, _ in pairs]
         rows_b = [b for _, b in pairs]
 
-        xs.append(pt.x)
-        ns.append(pt.n)
         budgets.append(budget)
         cert_stats.append(TrialStats.from_rows(rows_c))
         base_stats.append(TrialStats.from_rows(rows_b))
-        all_rows.extend(rows_c)
-        all_rows.extend(rows_b)
-    return SeparationReport(xs, ns, budgets, cert_stats, base_stats, all_rows)
+        all_rows.extend(rows_c + rows_b)
+    return SeparationReport([pt.x for pt in points], [pt.n for pt in points],
+                            budgets, cert_stats, base_stats, all_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 import contextlib
 import copy
+import inspect
 import io
 import json
 import hashlib
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsep
 from qsep.cli import main
 from qsep.detectors import corrupt_certificate
 from qsep.generators import FAMILIES
-from qsep.harness import read_trials_csv
+from qsep.harness import DETECTORS, read_trials_csv
 from qsep.oracle import (read_certificate, read_instance, write_certificate,
                          write_instance)
 from qsep.svg import parse_chart
@@ -301,6 +306,31 @@ class TestRun:
             "multiscale", "--scales", "2..5", "--max-attempts", "5", "--seed", "1")
         assert code == 0 and last_json(lines)["attempts"] <= 5
 
+    @pytest.mark.parametrize("detector", sorted(DETECTORS))
+    @pytest.mark.parametrize("flag, value", [("--C", "2"), ("--k", "5"),
+                                             ("--target", "fixed-point"),
+                                             ("--max-attempts", "5")])
+    def test_detector_flag_applies_where_the_signature_takes_it(
+            self, tmp_path, capsys, detector, flag, value):
+        keyword = flag[2:].replace("-", "_")
+        takers = {"C": {"cert-fixedpoint"}, "k": {"uniform-probe"},
+                  "target": {"uniform-probe"},
+                  "max_attempts": {"cert-collision", "multiscale", "cert-claw"}}
+        applies = detector in takers[keyword]
+        assert applies == (keyword in inspect.signature(DETECTORS[detector]).parameters)
+        # a flag that applies passes the flag checks, and the run goes on
+        # to read the instance file, which is missing
+        code, lines, err = run_cli(
+            capsys, "run", "--instance", str(tmp_path / "missing.json"),
+            "--detector", detector, flag, value, "--seed", "1")
+        assert lines == [] and "Traceback" not in err
+        if applies:
+            assert code == 4 and "does not apply" not in err
+        else:
+            assert code == 2
+            assert err.strip().splitlines() == [
+                f"error: {flag} does not apply to {detector}"]
+
     @pytest.mark.parametrize("C", ["-1", "nan", "inf", "0"])
     def test_fixedpoint_c_not_finite_and_positive_exits_2(self, tmp_path,
                                                           capsys, C):
@@ -565,6 +595,34 @@ class TestBench:
         assert [(r["status"], int(r["queries"])) for r in rows] == \
             [("BudgetExceeded", 16 * 1024)] * 10
 
+    def test_witness_free_separation_point_stops_at_the_default_budget(
+            self, tmp_path):
+        # the pilot ran the certificate walker with no budget and never
+        # ended; a subprocess with a timeout fails here instead of hanging
+        spec = tmp_path / "free.json"
+        spec.write_text(json.dumps({
+            "kind": "separation", "trials": 2, "pilot_trials": 2,
+            "budget_factor": 1, "points": [{
+                "x": 2, "n": 1024, "generator": "collision-fn",
+                "gen_kwargs": {"params": {"i_min": 2, "i_max": 4},
+                               "b_override": 0},
+                "baseline_kwargs": {"i_min": 2, "i_max": 4}}]}))
+        src = str(Path(qsep.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "qsep.cli", "bench", "--battery", str(spec),
+             "--threads", "1", "--out-dir", str(tmp_path)],
+            timeout=120, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        # the walker ends only Found or at its budget, so a pilot mean of
+        # 16 n means every pilot row spent its 16 n and ended BudgetExceeded
+        report = json.loads((tmp_path / "separation.report.json").read_text())
+        assert report["report"]["budgets"] == [16 * 1024]
+        rows = read_trials_csv(tmp_path / "separation.trials.csv")
+        assert [(r["detector"], r["status"], int(r["queries"])) for r in rows] == \
+            [("cert-collision", "BudgetExceeded", 16 * 1024)] * 2 + \
+            [("multiscale", "BudgetExceeded", 16 * 1024)] * 2
+
     def test_bad_battery_kind_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps({"kind": "nope"}))
@@ -662,7 +720,27 @@ class TestBench:
          "series[0].gen_kwargs.params.T must be int, got 1.0"),
         ({"kind": "slope", "series": [{**SLOPE_BATTERY["series"][0],
                                        "det_kwargs": {"C": "x"}}]},
-         "C must be a finite number > 0, got 'x'"),
+         "series[0].det_kwargs.C must be float, got 'x'"),
+        # the values of keywords outside params, checked against their
+        # annotations
+        ({"kind": "slope", "series": [{
+            "label": "a", "generator": "starpath-graph", "detector": "cert-starpath",
+            "ns": [1024], "gen_kwargs": {"k": "x"}}]},
+         "series[0].gen_kwargs.k must be int, got 'x'"),
+        ({"points": [{**SEP_BATTERY["points"][0],
+                      "gen_kwargs": {"params": {"i_min": 2, "i_max": 4},
+                                     "b_override": "x"}}]},
+         "points[0].gen_kwargs.b_override must be int | None, got 'x'"),
+        ({"points": [{**SEP_BATTERY["points"][0],
+                      "baseline_kwargs": {"i_min": "x", "i_max": 4}}]},
+         "points[0].baseline_kwargs.i_min must be int, got 'x'"),
+        ({"kind": "slope", "series": [{
+            "label": "a", "generator": "collision-fn", "detector": "cert-collision",
+            "ns": [1024], "det_kwargs": {"max_attempts": "x"}}]},
+         "series[0].det_kwargs.max_attempts must be int | None, got 'x'"),
+        ({"points": [{**SEP_BATTERY["points"][0],
+                      "baseline_kwargs": {"i_min": -1, "i_max": 4}}]},
+         "i_min must be >= 0, got -1"),
     ])
     def test_malformed_battery_spec_exits_2(self, tmp_path, capsys, edit,
                                             message, threads):
@@ -690,12 +768,14 @@ class TestBench:
         assert not (tmp_path / "out").exists()
 
 
-# criterion 9's two battery specs, cut to n <= 1024 and at most 2 trials
+# criterion 9's two battery specs, cut to n <= 1024 and at most 2 trials,
+# with the certificate walker's keywords spelled out at their defaults
 FUZZ_SPECS = [
     {"kind": "separation", "master_seed": 11, "trials": 2, "pilot_trials": 2,
      "points": [
          {"x": x, "n": 1024, "generator": "collision-fn",
           "gen_kwargs": {"params": {"i_min": 2, "i_max": hi, "c": 0.3}},
+          "cert_kwargs": {"batch": 16, "max_attempts": None},
           "baseline_kwargs": {"i_min": 2, "i_max": hi}}
          for x, hi in ((2, 4), (3, 5))]},
     {"kind": "slope", "master_seed": 3, "series": [
@@ -723,16 +803,8 @@ def mutated_specs(draw):
         kwargs = [v for e in entries for k, v in e.items()
                   if k.endswith("_kwargs") and isinstance(v, dict)]
         params = [v["params"] for v in kwargs if isinstance(v.get("params"), dict)]
-        # bench checks the values of gen_kwargs, params and det_kwargs (the
-        # fixed-point detector's C); the multiscale baseline checks none of
-        # its own, so baseline_kwargs only loses a key or gains an unknown one
-        checked = [spec, *entries, *params, *(
-            e[k] for e in entries for k in ("gen_kwargs", "det_kwargs")
-            if isinstance(e.get(k), dict))]
         target = draw(st.sampled_from([spec, *entries, *kwargs, *params]))
-        actions = ["add"] + (["drop"] if target else []) + \
-            (["swap"] if target and any(target is c for c in checked) else [])
-        action = draw(st.sampled_from(actions))
+        action = draw(st.sampled_from(["add", "drop", "swap"] if target else ["add"]))
         if action == "add":
             target["bogus_key"] = draw(st.sampled_from(FUZZ_VALUES))
             continue

@@ -176,6 +176,14 @@ class TestRunTrials:
 
 
 class TestSeparationExperiment:
+    def test_a_lane_keeps_its_seed_alone_or_paired(self):
+        # a pilot spawns three children where a pair spawns four; the first
+        # three must be the same draws
+        def states(k):
+            return [c.generate_state(4).tolist()
+                    for c in np.random.SeedSequence([5, 0, 1 << 30]).spawn(k)]
+        assert states(3) == states(4)[:3]
+
     def test_smoke_two_points(self):
         points = [
             SeparationPoint(

@@ -71,3 +71,28 @@ def test_gen_and_bench_generate_through_a_wrapped_name(tmp_path):
     finally:
         inst.restore()
     assert 0 < calls[0] < calls[1]
+
+
+def test_run_records_one_detector_call(tmp_path):
+    # perfbench's cli-roundtrip records every detector call made through
+    # harness.DETECTORS and checks its witness on the recording oracle's
+    # instance, so `run` must build that oracle and call through that table
+    spans = _load_spans()
+    ns = SimpleNamespace(**{m: importlib.import_module(f"qsep.{m}") for m in MODULES})
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ns.cli.main(["gen", "--construction", "collision-fn", "--n", "4096",
+                            "--scales", "2..5", "--seed", "7",
+                            "--out-dir", str(tmp_path)]) == 0
+    recorder = spans.Recorder()
+    inst = spans.Instrument(ns, recorder, spans.Tracer())
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert ns.cli.main([
+                "run", "--instance", str(tmp_path / "collision-fn.instance.json"),
+                "--cert", str(tmp_path / "collision-fn.certificate.json"),
+                "--detector", "cert-collision", "--seed", "3"]) == 0
+    finally:
+        inst.restore()
+    assert [call[:2] for call in recorder.calls] == [["cert-collision", "Found"]]
+    assert recorder.errors == []
+    assert recorder.queries() == recorder.calls[0][2] > 0
