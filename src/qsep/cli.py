@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -20,6 +21,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -59,6 +61,10 @@ from qsep.harness import (
 )
 # validate_witness stays importable here, where perfbench wraps it
 from qsep.oracle import (  # noqa: F401
+    KIND_CYCLE,
+    KIND_FEEDER,
+    KIND_ISOLATED,
+    KIND_PATH,
     CountedOracle,
     FileFormatError,
     ModelMismatchError,
@@ -93,9 +99,12 @@ def _sub_seed(master: int, *tags: int) -> int:
 
 def _parse_scales(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ParameterError(f"expected A..B scale window, got {text!r}")
-    return int(lo), int(hi)
+    try:
+        if sep:
+            return int(lo), int(hi)
+    except ValueError:
+        pass
+    raise ParameterError(f"expected A..B scale window, got {text!r}")
 
 
 def _given(args, *names) -> dict:
@@ -433,24 +442,33 @@ def cmd_bench(args) -> int:
 # verify
 
 
+_STRUCTURE_FAILURES = {KIND_PATH: "path interior does not chain under f",
+                       KIND_FEEDER: "feeder interior does not chain under f",
+                       KIND_CYCLE: "cycle does not close under f",
+                       KIND_ISOLATED: "isolated element not fixed"}
+
+
 def _check_function_structures(inst) -> None:
-    succ, meta = inst.succ, inst.meta
-    planted = [v for w in meta.witness_locations for v in w]
-    for kind, _, members in meta.structures():
-        m = np.asarray(members)
-        if kind in ("path", "feeder"):
-            if not np.array_equal(succ[m[:-1]], m[1:]):
-                raise VerifyFailure(
-                    "partition", f"{kind} interior does not chain under f")
-        elif kind == "cycle":
-            # a witness planted on a cycle is a fixed point cutting it
-            nxt = np.roll(m, -1)
-            if not np.array_equal(succ[m], nxt) and not np.all(
-                    np.where(np.isin(m, planted), succ[m] == m, succ[m] == nxt)):
-                raise VerifyFailure("partition", "cycle does not close under f")
-        elif kind == "isolated":
-            if not np.array_equal(succ[m], m):
-                raise VerifyFailure("partition", "isolated element not fixed")
+    """Paths and feeders chain under f, cycles close and isolated elements
+    are fixed: one pass over all members, reduced per structure."""
+    meta, m = inst.meta, inst.meta.members
+    held = np.diff(meta.offsets) > 0
+    starts, ends = meta.offsets[:-1][held], meta.offsets[1:][held]
+    if not len(starts):
+        return
+    kind = np.repeat(meta.kinds[held], ends - starts)
+    f, nxt = inst.succ[m], np.r_[m[1:], 0]
+    nxt[ends - 1] = m[starts]  # each structure's last member wraps to its first
+    chains, fixed = f == nxt, f == m
+    is_open, is_cycle = np.isin(kind, (KIND_PATH, KIND_FEEDER)), kind == KIND_CYCLE
+    chains[ends - 1] |= is_open[ends - 1]  # a path's last arrow leaves it
+    ok = np.select([is_open | is_cycle, kind == KIND_ISOLATED], [chains, fixed], True)
+    # a witness planted on a cycle is a fixed point cutting it
+    planted = np.isin(m, [v for w in meta.witness_locations for v in w])
+    cut = np.where(planted & is_cycle, fixed, ok)
+    ok = np.logical_and.reduceat(ok, starts) | np.logical_and.reduceat(cut, starts)
+    if not ok.all():
+        raise VerifyFailure("partition", _STRUCTURE_FAILURES[kind[starts[ok.argmin()]]])
 
 
 def _verify_witness_counts(inst, family) -> str:
@@ -608,7 +626,10 @@ def cmd_report(args) -> int:
 # argument surface
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process; it binds no command function, since main
+    looks cmd_<command> up by name when the command runs."""
     ap = argparse.ArgumentParser(
         prog="qsep",
         description="planted-substructure instances, certificate-aided "
@@ -650,7 +671,7 @@ def _build_parser() -> argparse.ArgumentParser:
         g.add_argument("--H", dest="h_spec",
                        help="clique spec: 'triangle' (default) or size"),
     ]
-    g.set_defaults(func=cmd_gen, flags={f.dest: f.option_strings[0] for f in flags})
+    g.set_defaults(flags=MappingProxyType({f.dest: f.option_strings[0] for f in flags}))
 
     r = sub.add_parser("run", help="run one detector against an instance file")
     common(r)
@@ -669,7 +690,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--C", type=float, default=None, help="cert-fixedpoint only")
     r.add_argument("--max-attempts", type=int, default=None, dest="max_attempts",
                    help="cert-collision, multiscale and cert-claw only")
-    r.set_defaults(func=cmd_run)
 
     b = sub.add_parser("bench", help="run a battery spec file")
     common(b)
@@ -679,13 +699,11 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--plot", action="store_true")
     b.add_argument("--strict", action="store_true",
                    help="exit 1 if any trial misses its witness")
-    b.set_defaults(func=cmd_bench)
 
     v = sub.add_parser("verify", help="offline ground-truth checks")
     common(v)
     v.add_argument("--instance", required=True)
     v.add_argument("--cert", default=None)
-    v.set_defaults(func=cmd_verify)
 
     a = sub.add_parser("adversary-test",
                        help="probe the online constructor and replay the "
@@ -695,13 +713,11 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--scales", default=None, help="scale window A..B")
     a.add_argument("--rho", type=_rho, default=None)
     a.add_argument("--probes", type=int, default=256)
-    a.set_defaults(func=cmd_adversary_test)
 
     rp = sub.add_parser("report", help="aggregate trial CSVs")
     common(rp)
     rp.add_argument("--csv", nargs="+", required=True)
     rp.add_argument("--plot", action="store_true")
-    rp.set_defaults(func=cmd_report)
     return ap
 
 
@@ -716,7 +732,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     args.wall_ms = lambda: round((time.perf_counter() - t0) * 1e3, 3)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, PrimeShortageError):

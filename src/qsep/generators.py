@@ -765,7 +765,7 @@ def _other(rng, lo, hi, value: int) -> int:
     """A uniform draw from the integers in [lo, hi] other than value."""
     choices = [i for i in range(int(lo), int(hi) + 1) if i != value]
     if not choices:
-        raise ValueError(f"[{lo}, {hi}] holds no value but {value}")
+        raise ParameterError(f"[{lo}, {hi}] holds no value but {value}")
     return choices[int(rng.integers(len(choices)))]
 
 

@@ -636,6 +636,9 @@ def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        # a list of plain leaves (every tolist() payload) is copied in C
+        if _PLAIN.issuperset(map(type, obj)):
+            return list(obj)
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return obj.tolist()

@@ -12,17 +12,19 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsep
-from qsep.cli import main
+from qsep.cli import _check_function_structures, main
 from qsep.detectors import corrupt_certificate
-from qsep.generators import FAMILIES
+from qsep.generators import FAMILIES, VerifyFailure
 from qsep.harness import DETECTORS, read_trials_csv
-from qsep.oracle import (read_certificate, read_instance, write_certificate,
-                         write_instance)
+from qsep.oracle import (KIND_CYCLE, KIND_FEEDER, KIND_NAMES, KIND_PATH,
+                         FunctionInstance, StructureMeta, read_certificate,
+                         read_instance, write_certificate, write_instance)
 from qsep.svg import parse_chart
 
 
@@ -89,7 +91,9 @@ class TestGen:
         (("fixedpoint-fn", "--n", "1"), "n >= 2, got 1"),
         (("star", "--n", "4096", "--H", "none"), "H-spec 'none'"),
         (("star", "--n", "4096", "--H", "clique:4"), "H-spec 'clique:4'"),
-        (("star", "--n", "4096", "--H", "abc"), "H-spec 'abc'")])
+        (("star", "--n", "4096", "--H", "abc"), "H-spec 'abc'"),
+        (("collision-fn", "--n", "4096", "--scales", "a..5"),
+         "expected A..B scale window, got 'a..5'")])
     def test_bad_sizes_exit_2_without_traceback(self, tmp_path, capsys, flags,
                                                 message):
         code, _, err = run_cli(capsys, "gen", "--construction", *flags,
@@ -99,6 +103,23 @@ class TestGen:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert message in lines[0]
         assert not list(tmp_path.iterdir())
+
+    def test_back_to_back_calls_share_no_state(self, tmp_path, capsys):
+        # the parser outlives a call: neither a flag's value nor a parse
+        # error carries over into the next command
+        args = ("gen", "--construction", "collision-fn", "--n", "1024",
+                "--scales", "2..4", "--seed", "5")
+        outs = [tmp_path / d for d in ("plain", "cycles", "again")]
+        for out, extra in zip(outs, ((), ("--no-fixed-points",), ())):
+            assert run_cli(capsys, *args, *extra, "--out-dir", str(out))[0] == 0
+        files = [out / "collision-fn.instance.json" for out in outs]
+        assert digest(files[0]) != digest(files[1])
+        assert digest(files[2]) == digest(files[0])
+        with pytest.raises(SystemExit) as exit_:
+            main(["gen", "--construction", "collision-fn"])
+        assert exit_.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *args, "--out-dir", str(tmp_path / "after"))[0] == 0
 
     def test_star_triangle_declares_one_clique(self, tmp_path, capsys):
         code, lines, _ = run_cli(
@@ -498,6 +519,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == 2 and "Traceback" not in err and "error:" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("multiscale", "--scales", "3..a"), "expected A..B scale window, got '3..a'"),
+        (("multiscale", "--scales", "3"), "expected A..B scale window, got '3'"),
+        # the certificate's scale is 5, and a one-scale window holds no other
+        (("cert-collision", "--corrupt-cert", "--scales", "5..5"),
+         "[5, 5] holds no value but 5")])
+    def test_bad_scale_window_exits_2(self, collision_files, capsys, flags,
+                                      message):
+        inst, cert = collision_files
+        capsys.readouterr()
+        code, lines, err = run_cli(
+            capsys, "run", "--instance", str(inst), "--cert", str(cert),
+            "--detector", *flags, "--seed", "1")
+        assert code == 2 and lines == [] and "Traceback" not in err
+        assert err.strip().splitlines() == [f"error: {message}"]
+
     def test_missing_instance_exits_4(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "run", "--instance", str(tmp_path / "missing.json"),
@@ -868,6 +905,103 @@ class TestVerify:
         code, lines, _ = run_cli(capsys, "verify", "--instance", str(bad))
         assert code == 1
         assert any(ln.startswith("FAIL partition") for ln in lines)
+
+    @pytest.mark.parametrize("construction, edits, message", [
+        ("collision-fn", [("path", lambda m: (m[1], m[0]))],
+         "path interior does not chain under f"),
+        ("collision-fn", [("cycle", lambda m: (m[-1], m[-1]))],
+         "cycle does not close under f"),
+        ("collision-fn", [("isolated", lambda m: (m[0], m[1]))],
+         "isolated element not fixed"),
+        ("fixedpoint-fn", [("feeder", lambda m: (m[0], m[0]))],
+         "feeder interior does not chain under f"),
+        # with two broken structures the first in structure order is named
+        ("collision-fn", [("isolated", lambda m: (m[0], m[1])),
+                          ("path", lambda m: (m[1], m[0]))],
+         "path interior does not chain under f"),
+    ])
+    def test_broken_structure_names_its_kind(self, tmp_path, capsys,
+                                             construction, edits, message):
+        main(["gen", "--construction", construction, "--n", "4096",
+              "--seed", "7", "--out-dir", str(tmp_path)])
+        path = tmp_path / f"{construction}.instance.json"
+        inst = read_instance(path)
+        # each edit maps the first structure of its kind with two or more
+        # members to (an element, its new image)
+        for kind, edit in edits:
+            v, image = edit(next(m for k, _, m in inst.meta.structures()
+                                 if k == kind and len(m) >= 2))
+            inst.succ[int(v)] = int(image)
+        write_instance(inst, path)
+        capsys.readouterr()
+        code, lines, _ = run_cli(capsys, "verify", "--instance", str(path))
+        assert code == 1
+        assert lines[:-1] == [f"FAIL partition: {message}"]
+        assert last_json(lines)["failed"] == "partition"
+
+    @staticmethod
+    def _loop_check(inst):
+        """The structure check as a loop over structures: the reference
+        for the one-pass check in qsep.cli."""
+        succ, meta = inst.succ, inst.meta
+        planted = [v for w in meta.witness_locations for v in w]
+        for kind, _, m in meta.structures():
+            if kind in ("path", "feeder"):
+                if not np.array_equal(succ[m[:-1]], m[1:]):
+                    return f"{kind} interior does not chain under f"
+            elif kind == "cycle":
+                nxt = np.roll(m, -1)
+                if not np.array_equal(succ[m], nxt) and not np.all(
+                        np.where(np.isin(m, planted), succ[m] == m, succ[m] == nxt)):
+                    return "cycle does not close under f"
+            elif kind == "isolated":
+                if not np.array_equal(succ[m], m):
+                    return "isolated element not fixed"
+        return None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_pass_check_matches_the_loop(self, seed):
+        # random layouts of every kind, empty and one-member structures
+        # included, with f mostly following them and a few arrows moved
+        rng = np.random.default_rng(seed)
+        for _ in range(400):
+            n = int(rng.integers(1, 12))
+            cuts = np.sort(rng.integers(0, n + 1, int(rng.integers(0, 6))))
+            offsets = np.r_[0, cuts, n].astype(np.int64)
+            kinds = rng.integers(0, len(KIND_NAMES), len(offsets) - 1).astype(np.int8)
+            members = rng.permutation(n).astype(np.int64)
+            succ = np.arange(n, dtype=np.int64)
+            for k, lo, hi in zip(kinds, offsets[:-1], offsets[1:]):
+                if k in (KIND_PATH, KIND_CYCLE, KIND_FEEDER):
+                    succ[members[lo:hi]] = np.roll(members[lo:hi], -1)
+            witnesses = [tuple(rng.integers(0, n, 1)) for _ in range(rng.integers(3))]
+            for (v,) in witnesses:
+                if rng.random() < 0.7:
+                    succ[v] = v
+            for _ in range(rng.integers(3)):
+                succ[rng.integers(n)] = rng.integers(n)
+            inst = FunctionInstance(n=n, succ=succ, meta=StructureMeta(
+                kinds=kinds, offsets=offsets, members=members,
+                witness_locations=witnesses))
+            try:
+                _check_function_structures(inst)
+                got = None
+            except VerifyFailure as e:
+                got = e.args[1]
+            assert got == self._loop_check(inst)
+
+    def test_fixed_point_planted_on_a_cycle_passes(self, tmp_path, capsys):
+        main(["gen", "--construction", "fixedpoint-fn", "--n", "4096",
+              "--seed", "7", "--out-dir", str(tmp_path)])
+        path = tmp_path / "fixedpoint-fn.instance.json"
+        inst = read_instance(path)
+        (v,), = inst.meta.witness_locations
+        assert inst.succ[v] == v
+        assert any(k == "cycle" and v in m for k, _, m in inst.meta.structures())
+        capsys.readouterr()
+        code, lines, _ = run_cli(capsys, "verify", "--instance", str(path))
+        assert code == 0 and "partition: ok" in lines
+        assert last_json(lines)["ok"] is True
 
     def test_star_degree_uniqueness_line(self, tmp_path, capsys):
         main(["gen", "--construction", "star", "--n", "4096", "--H",

@@ -1,5 +1,6 @@
 """Oracle layer: counting, relabeling, witnesses, serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -34,6 +35,7 @@ from qsep.oracle import (
     StructureMeta,
     _relabel_maps,
     _unrelabel_witness,
+    canonical_json,
     graph_from_edges,
     index_dtype,
     instance_from_jsonable,
@@ -437,6 +439,30 @@ def test_instance_file_roundtrip(tmp_path):
     g2 = read_instance(gp)
     assert np.array_equal(g2.indptr, g.indptr)
     assert np.array_equal(g2.indices, g.indices)
+
+
+@dataclasses.dataclass
+class _Point:
+    a: int
+    b: list
+
+
+def test_canonical_json_of_mixed_values():
+    # int keys become strings before sorting, so -1 < 10 < 2; numpy
+    # scalars become Python values wherever they sit
+    doc = {"ints": {10: "ten", 2: "two", -1: [np.int64(3)]},
+           "mixed": [1, np.int64(2), np.float64(0.5), np.bool_(True), None, "x", False],
+           "tuple": (np.int64(7), 1.25, (np.bool_(False), 3)),
+           "nested": [[1, 2], [np.int64(3), [np.float64(4.0)]], []],
+           "array": np.arange(4, dtype=np.int64).reshape(2, 2),
+           "farray": np.array([0.5, 1.5]),
+           "dc": _Point(a=np.int64(5), b=[np.float64(2.5), {3: np.bool_(True)}]),
+           "plain": [1, 2.5, "y", True, None]}
+    assert canonical_json(doc) == (
+        '{"array":[[0,1],[2,3]],"dc":{"a":5,"b":[2.5,{"3":true}]},'
+        '"farray":[0.5,1.5],"ints":{"-1":[3],"10":"ten","2":"two"},'
+        '"mixed":[1,2,0.5,true,null,"x",false],"nested":[[1,2],[3,[4.0]],[]],'
+        '"plain":[1,2.5,"y",true,null],"tuple":[7,1.25,[false,3]]}')
 
 
 def test_certificate_roundtrip(tmp_path):

@@ -96,3 +96,24 @@ def test_run_records_one_detector_call(tmp_path):
     assert [call[:2] for call in recorder.calls] == [["cert-collision", "Found"]]
     assert recorder.errors == []
     assert recorder.queries() == recorder.calls[0][2] > 0
+
+
+def test_a_command_replaced_after_the_parser_is_built_is_the_one_that_runs(tmp_path):
+    # the parser is built once per process, but perfbench swaps timed cmd_*
+    # wrappers into qsep.cli unit by unit, so main must look the command up
+    # when it runs rather than when the parser was built
+    spans = _load_spans()
+    ns = SimpleNamespace(**{m: importlib.import_module(f"qsep.{m}") for m in MODULES})
+    argv = ["gen", "--construction", "collision-fn", "--n", "1024", "--scales", "2..4",
+            "--out-dir", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ns.cli.main(argv) == 0
+    tracer = spans.Tracer()
+    inst = spans.Instrument(ns, spans.Recorder(), tracer)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert ns.cli.main(argv) == 0
+    finally:
+        inst.restore()
+    assert "cli.gen" in tracer.names
+    assert spans.layer_metrics(tracer)["cli.gen.ms"][0] > 0
