@@ -6,81 +6,42 @@ Second, the polynomial gap on the backbone construction: the certificate
 search grows like a fractional power of n while the uniform baseline stays
 essentially linear, so their curves diverge on a log-log plot.
 
-Both experiments run through the trial harness, so every number here is a
-mean over seeded, relabeled trials. Charts land in demos/out/ as plain SVG.
+Both experiments are committed battery files, batteries/criterion4-1000.json
+and batteries/criterion6.json, and this demo runs them through `qsep bench`
+as the command line would, so every number here is a mean over seeded,
+relabeled trials of the trial harness. Trial CSVs, reports and SVG charts
+land in demos/out/.
 """
 
+import json
 import pathlib
 
-from qsep import (
-    CountedOracle,
-    cert_starpath_search,
-    gen_starpath_graph,
-    slope_fit,
-    uniform_probe_baseline,
-)
-from qsep.harness import SeparationPoint, separation_experiment
-from qsep.svg import line_chart
+from qsep.cli import main
 
-OUT = pathlib.Path(__file__).parent / "out"
-OUT.mkdir(exist_ok=True)
+HERE = pathlib.Path(__file__).parent
+OUT = HERE / "out"
+
+
+def bench(battery, prefix):
+    """Run batteries/<battery>.json; return the report it wrote."""
+    code = main(["bench", "--battery", str(HERE.parent / "batteries" / f"{battery}.json"),
+                 "--threads", "1", "--plot", "--prefix", prefix, "--out-dir", str(OUT)])
+    if code:
+        raise SystemExit(code)
+    print(f"  chart: {OUT / prefix}.svg")
+    return json.loads((OUT / f"{prefix}.report.json").read_text())
+
 
 # The sweep's handicap scales with how many wrong scales it must clear,
 # and the per-scale cost spread needs a large n to rise above trial noise.
 print("scale-count separation at n = 2^20")
-points = [
-    SeparationPoint(
-        x=s, n=1 << 20, generator="collision-fn",
-        gen_kwargs={"params": {"i_min": 2, "i_max": 1 + s, "c": 0.3}},
-        baseline_kwargs={"i_min": 2, "i_max": 1 + s})
-    for s in (2, 4, 8, 16)
-]
-rep = separation_experiment(points, trials=40, master_seed=1000,
-                            budget_factor=50.0, pilot_trials=6)
-for x, c, b, r in zip(rep.xs, rep.cert_means, rep.base_means, rep.ratios):
-    print(f"  s = {x:>2}: certificate {c:9.0f}   sweep {b:9.0f}   "
-          f"ratio {r:.2f}")
-
-svg = line_chart(
-    [("certificate", [float(x) for x in rep.xs], rep.cert_means),
-     ("multiscale sweep", [float(x) for x in rep.xs], rep.base_means)],
-    title="mean queries vs live scale count (n = 2^20)",
-    xlabel="live scales s", ylabel="mean queries", logy=True)
-(OUT / "scales.svg").write_text(svg)
-print(f"  chart: {OUT / 'scales.svg'}")
+rep = bench("criterion4-1000", "scales")
+print("  sweep / certificate: "
+      + ", ".join(f"s = {r['x']}: {r['ratio']:.2f}" for r in rep["rows"]))
 
 print()
 print("polynomial gap on the backbone k-star construction, k = 4")
-ns = [1 << 12, 1 << 14, 1 << 16, 1 << 18]
-cert_means, base_means = [], []
-for n in ns:
-    cq, bq = [], []
-    for s in range(12):
-        inst, cert, _ = gen_starpath_graph(n, 4, seed=s)
-        o = CountedOracle(inst, relabel_seed=s)
-        out = cert_starpath_search(o, cert, seed=s)
-        assert out.found
-        cq.append(out.queries)
-        o = CountedOracle(inst, relabel_seed=s)
-        out = uniform_probe_baseline(o, "k-star", seed=s, k=4)
-        assert out.found
-        bq.append(out.queries)
-    cert_means.append(sum(cq) / len(cq))
-    base_means.append(sum(bq) / len(bq))
-    print(f"  n = 2^{n.bit_length() - 1:<2d} certificate {cert_means[-1]:9.0f}"
-          f"   baseline {base_means[-1]:9.0f}")
-
-cfit = slope_fit([float(n) for n in ns], cert_means)
-bfit = slope_fit([float(n) for n in ns], base_means)
-print(f"  log-log slopes: certificate {cfit.slope:.3f} (r2 {cfit.r2:.3f}), "
-      f"baseline {bfit.slope:.3f} (r2 {bfit.r2:.3f})")
+rep = bench("criterion6", "backbone")
+top = {r["label"]: r["mean_queries"] for r in rep["rows"] if r["n"] == 1 << 18}
 print(f"  baseline / certificate at n = 2^18: "
-      f"{base_means[-1] / cert_means[-1]:.1f}x")
-
-svg = line_chart(
-    [("certificate", [float(n) for n in ns], cert_means),
-     ("uniform baseline", [float(n) for n in ns], base_means)],
-    title="query growth, backbone k-star (k = 4)",
-    xlabel="n", ylabel="mean queries", logx=True, logy=True)
-(OUT / "backbone.svg").write_text(svg)
-print(f"  chart: {OUT / 'backbone.svg'}")
+      f"{top['baseline'] / top['certificate']:.1f}x")

@@ -252,12 +252,13 @@ def _bench_separation(spec: dict, args, master: int):
     rows = [dict(zip(keys, row)) for row in zip(
         rep.xs, rep.ns, rep.budgets, rep.cert_means, rep.base_means, rep.ratios)]
     warn = 0
-    for x, cs, bs in zip(rep.xs, rep.cert_stats, rep.base_stats):
+    for x, found, cs, bs in zip(rep.xs, rep.pilot_found, rep.cert_stats, rep.base_stats):
         print(f"point x={x} cert_mean={cs.mean_queries!r} "
               f"base_mean={bs.mean_queries!r} "
               f"cert_found={cs.successes}/{cs.trials} "
               f"base_found={bs.successes}/{bs.trials}")
-        warn += cs.trials - cs.successes
+        # a lane cut short, or a pilot that set no budget, is a warning
+        warn += cs.trials - cs.successes + bs.trials - bs.successes + (found == 0)
     chart = ([("certificate", rep.xs, rep.cert_means),
               ("baseline", rep.xs, rep.base_means)],
              {"title": "mean queries per point", "xlabel": "x",
@@ -586,14 +587,18 @@ def cmd_adversary_test(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = []
-    for path in args.csv:
-        rows.extend(read_trials_csv(path))
     groups: dict[tuple, dict[int, list[int]]] = {}
-    for r in rows:
-        key = (r["generator"], r["detector"])
-        groups.setdefault(key, {}).setdefault(int(r["n"]), []).append(
-            int(r["queries"]))
+    for path in args.csv:
+        for r in read_trials_csv(path):
+            try:
+                key = (r["generator"], r["detector"])
+                n, queries = int(r["n"]), int(r["queries"])
+            except KeyError as e:
+                raise FileFormatError(f"{path} has no {e} column") from None
+            except (TypeError, ValueError):
+                raise FileFormatError(f"{path}: n and queries must be integers, "
+                                      f"got {r['n']!r} and {r['queries']!r}") from None
+            groups.setdefault(key, {}).setdefault(n, []).append(queries)
     summary, svg_series = [], []
     for (gen, det), per_n in sorted(groups.items()):
         ns = sorted(per_n)
@@ -724,7 +729,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # the exit code of each error a command may end in
 _EXIT_CODES = {ParameterError: EXIT_PARAMS, ModelMismatchError: EXIT_MODEL,
                OSError: EXIT_IO, json.JSONDecodeError: EXIT_IO,
-               FileFormatError: EXIT_IO}
+               UnicodeDecodeError: EXIT_IO, FileFormatError: EXIT_IO}
 
 
 def main(argv=None) -> int:

@@ -514,6 +514,7 @@ class SeparationReport:
     xs: list
     ns: list
     budgets: list
+    pilot_found: list
     cert_stats: list
     base_stats: list
     rows: list
@@ -548,19 +549,22 @@ def separation_experiment(points, trials: int, master_seed: int,
     """Paired query-cost comparison across a list of SeparationPoints.
 
     Per point: a small pilot of the certificate side, under trial_budget's
-    default, fixes a query budget of budget_factor times its mean cost, then
-    both sides run `trials` paired trials under that budget on fresh
-    instances. A pilot trial is tagged trial + 2^30.
+    default, fixes a query budget of budget_factor times the mean cost of its
+    Found rows, then both sides run `trials` paired trials under that budget
+    on fresh instances. A censored row's count bounds its cost from below, so
+    a pilot without a Found row keeps the budget it ran under. A pilot trial
+    is tagged trial + 2^30.
     """
-    budgets, cert_stats, base_stats, all_rows = [], [], [], []
+    budgets, pilot_found, cert_stats, base_stats, all_rows = [], [], [], [], []
     for idx, pt in enumerate(points):
         head = {"config": f"sep-{master_seed}-{idx}", "generator": pt.generator,
                 "n": pt.n, "seed": master_seed}
         cert_lane = (pt.cert_detector, pt.cert_kwargs)
         pilot_rows = [_unit({**head, "trial": i + (1 << 30)}, idx, pt.gen_kwargs,
                             True, None, (cert_lane,))[0] for i in range(pilot_trials)]
-        pilot_mean = float(np.mean([r["queries"] for r in pilot_rows]))
-        budget = max(1, math.ceil(budget_factor * pilot_mean))
+        found = [r["queries"] for r in pilot_rows if r["status"] == FOUND]
+        budget = max(1, math.ceil(budget_factor * float(np.mean(found)))) if found \
+            else trial_budget(*cert_lane, pt.n, None)
 
         lanes = (cert_lane, (pt.baseline_detector, pt.baseline_kwargs))
         pairs = _map(_unit, [({**head, "trial": i}, idx, pt.gen_kwargs, True,
@@ -569,11 +573,12 @@ def separation_experiment(points, trials: int, master_seed: int,
         rows_b = [b for _, b in pairs]
 
         budgets.append(budget)
+        pilot_found.append(len(found))
         cert_stats.append(TrialStats.from_rows(rows_c))
         base_stats.append(TrialStats.from_rows(rows_b))
         all_rows.extend(rows_c + rows_b)
     return SeparationReport([pt.x for pt in points], [pt.n for pt in points],
-                            budgets, cert_stats, base_stats, all_rows)
+                            budgets, pilot_found, cert_stats, base_stats, all_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,11 @@ from qsep import (
     gen_starpath_graph,
     meta_cert_expectation,
     slope_fit,
-    uniform_probe_baseline,
     validate_witness,
 )
 from qsep.adversary import AdversarySession
 from qsep.cli import main as cli_main
-from qsep.harness import SeparationPoint, separation_experiment
+from qsep.harness import _trial
 from qsep.oracle import _unrelabel_witness
 
 
@@ -195,67 +194,42 @@ def test_criterion_3_online_offline_distribution(capsys):
     assert ok
 
 
-C4_N = 1 << 20
-C4_S = (2, 4, 8, 16)
-C4_TRIALS = 40
-C4_BATTERY_SEEDS = (1000, 2000, 3000)
+BATTERIES = Path(__file__).parents[1] / "batteries"
 
 
-def test_criterion_4_scale_count_separation(capsys):
+def bench_battery(name, tmp_path):
+    """Run batteries/<name>.json through `qsep bench` as a user would;
+    return its exit code under --strict and the report it wrote."""
+    out = tmp_path / name
+    code = cli_main(["bench", "--battery", str(BATTERIES / f"{name}.json"),
+                     "--threads", "1", "--strict", "--out-dir", str(out)])
+    return code, json.loads(next(out.glob("*.report.json")).read_text())
+
+
+C4_BATTERIES = ("criterion4-1000", "criterion4-2000", "criterion4-3000")
+
+
+def test_criterion_4_scale_count_separation(tmp_path, capsys):
     t0 = time.perf_counter()
-    points = [SeparationPoint(
-        x=s, n=C4_N, generator="collision-fn",
-        gen_kwargs={"params": {"i_min": 2, "i_max": 1 + s, "c": 0.3}},
-        baseline_kwargs={"i_min": 2, "i_max": 1 + s},
-    ) for s in C4_S]
-    all_ratios, mono = [], True
-    for seed in C4_BATTERY_SEEDS:
-        rep = separation_experiment(points, trials=C4_TRIALS,
-                                    master_seed=seed, budget_factor=50.0,
-                                    pilot_trials=6)
-        mono &= all(a < b for a, b in zip(rep.ratios, rep.ratios[1:]))
-        all_ratios.append(rep.ratios)
-    xs = np.array([s for _ in C4_BATTERY_SEEDS for s in C4_S], dtype=float)
+    codes, reports = zip(*(bench_battery(b, tmp_path) for b in C4_BATTERIES))
+    all_ratios = [rep["report"]["ratios"] for rep in reports]
+    mono = all(a < b for ratios in all_ratios for a, b in zip(ratios, ratios[1:]))
+    xs = np.array([x for rep in reports for x in rep["report"]["xs"]], dtype=float)
     ys = np.array([r for ratios in all_ratios for r in ratios])
     design = np.vstack([xs, np.ones_like(xs)]).T
     (slope, _), res, *_ = np.linalg.lstsq(design, ys, rcond=None)
     r2 = 1 - res[0] / ((ys - ys.mean()) ** 2).sum()
     elapsed = time.perf_counter() - t0
-    same = matches_golden(4, {"ratios": [[float(r) for r in rs]
-                                          for rs in all_ratios]})
-    ok = mono and slope > 0 and r2 >= 0.8 and elapsed < 1800 and same
+    same = matches_golden(4, {"ratios": all_ratios})
+    ok = not any(codes) and mono and slope > 0 and r2 >= 0.8 and elapsed < 1800 and same
     emit(capsys, 4, ok,
-         f"n=2^20, s in {C4_S}, 3 batteries x {C4_TRIALS} trials: ratios "
-         f"{[[round(r, 2) for r in rs] for rs in all_ratios]} strictly "
-         f"increasing={mono}, pooled linear fit slope={slope:.3f}>0, "
-         f"R^2={r2:.3f}>=0.8, {elapsed:.0f}s (cap 1800s), golden={same}")
+         f"n=2^20, s in {tuple(reports[0]['report']['xs'])}, "
+         f"{len(reports)} batteries x {reports[0]['report']['cert'][0]['trials']} "
+         f"trials: ratios {[[round(r, 2) for r in rs] for rs in all_ratios]} "
+         f"strictly increasing={mono}, pooled linear fit slope={slope:.3f}>0, "
+         f"R^2={r2:.3f}>=0.8, bench --strict exits {list(codes)}, "
+         f"{elapsed:.0f}s (cap 1800s), golden={same}")
     assert ok
-
-
-C56_NS = (1 << 12, 1 << 14, 1 << 16, 1 << 18)
-C56_TRIALS = 16
-
-
-def _slope_lane(gen_one, cert_det, base_target, base_k=None):
-    cert_means, base_means = [], []
-    for n in C56_NS:
-        cq, bq = [], []
-        for s in range(C56_TRIALS):
-            inst, cert = gen_one(n, s)
-            o = CountedOracle(inst, relabel_seed=s)
-            out = cert_det(o, cert, s)
-            assert out.found, (n, s, out.status)
-            cq.append(out.queries)
-            o = CountedOracle(inst, relabel_seed=s)
-            kw = {"k": base_k} if base_k is not None else {}
-            out = uniform_probe_baseline(o, base_target, seed=s, **kw)
-            assert out.found
-            bq.append(out.queries)
-        cert_means.append(float(np.mean(cq)))
-        base_means.append(float(np.mean(bq)))
-    ns = [float(n) for n in C56_NS]
-    return (slope_fit(ns, cert_means).slope, slope_fit(ns, base_means).slope,
-            cert_means[-1], base_means[-1])
 
 
 def fixedpoint_iteration_bound(n, C):
@@ -267,20 +241,35 @@ def fixedpoint_iteration_bound(n, C):
     return 2 * math.ceil(C * rt2) * math.ceil(C * rt4) + int(n ** 0.75)
 
 
+C5_NS = (1 << 12, 1 << 14, 1 << 16, 1 << 18)
+C5_TRIALS = 16
 C5_C = 2.0
+C5_LANES = (("cert-fixedpoint", {"C": C5_C}),
+            ("uniform-probe", {"target": "fixed-point"}))
 
 
 def test_criterion_5_function_polynomial_separation(capsys):
     t0 = time.perf_counter()
-    cs, bs, cert_top, base_top = _slope_lane(
-        lambda n, s: gen_fixedpoint_function(n, FixedPointParams(), seed=s)[:2],
-        lambda o, cert, s: cert_fixedpoint_search(o, cert, seed=s, C=C5_C),
-        "fixed-point")
+    means = {det: [] for det, _ in C5_LANES}
+    for n in C5_NS:
+        queries = {det: [] for det, _ in C5_LANES}
+        for s in range(C5_TRIALS):
+            # seed s drives generator, relabel and detector alike
+            inst, cert, _ = gen_fixedpoint_function(n, FixedPointParams(), seed=s)
+            for det, kw in C5_LANES:
+                out, valid = _trial(det, inst, cert, s, None, kw, s)
+                assert out.found and valid, (det, n, s, out.status)
+                queries[det].append(out.queries)
+        for det, qs in queries.items():
+            means[det].append(float(np.mean(qs)))
+    ns = [float(n) for n in C5_NS]
+    cs, bs = (slope_fit(ns, m).slope for m in means.values())
+    cert_top, base_top = (m[-1] for m in means.values())
     elapsed = time.perf_counter() - t0
     # the paper promises a separation polynomial in n, not a constant at a
     # fixed n; at the top size the certificate must let the detector finish
     # within one iteration's worth of queries
-    bound = fixedpoint_iteration_bound(C56_NS[-1], C5_C)
+    bound = fixedpoint_iteration_bound(C5_NS[-1], C5_C)
     same = matches_golden(5, {"cert_slope": cs, "base_slope": bs,
                               "cert_top": cert_top, "base_top": base_top})
     ok = 0.6 <= cs <= 0.9 and 0.85 <= bs <= 1.15 and cert_top <= bound \
@@ -296,23 +285,23 @@ def test_criterion_5_function_polynomial_separation(capsys):
     assert ok, detail
 
 
-def test_criterion_6_graph_polynomial_separation(capsys):
+def test_criterion_6_graph_polynomial_separation(tmp_path, capsys):
     t0 = time.perf_counter()
-    cs, bs, cert_top, base_top = _slope_lane(
-        lambda n, s: gen_starpath_graph(n, 4, seed=s)[:2],
-        lambda o, cert, s: cert_starpath_search(o, cert, seed=s),
-        "k-star", base_k=4)
+    code, rep = bench_battery("criterion6", tmp_path)
+    cs, bs = (rep["fits"][label]["slope"] for label in ("certificate", "baseline"))
+    top = {r["label"]: r["mean_queries"] for r in rep["rows"] if r["n"] == 1 << 18}
+    cert_top, base_top = top["certificate"], top["baseline"]
     ratio = base_top / cert_top
     elapsed = time.perf_counter() - t0
     same = matches_golden(6, {"cert_slope": cs, "base_slope": bs,
                               "cert_top": cert_top, "base_top": base_top})
-    ok = 0.35 <= cs <= 0.65 and 0.85 <= bs <= 1.15 and ratio >= 10 \
-        and elapsed < 1200 and same
+    ok = code == 0 and 0.35 <= cs <= 0.65 and 0.85 <= bs <= 1.15 \
+        and ratio >= 10 and elapsed < 1200 and same
     emit(capsys, 6, ok,
          f"backbone k-star search over n=2^12..2^18: cert slope {cs:.3f} "
          f"(need [0.35, 0.65]), baseline slope {bs:.3f} (need [0.85, 1.15]), "
-         f"ratio at 2^18 = {ratio:.2f} (need >= 10), {elapsed:.0f}s "
-         f"(cap 1200s), golden={same}")
+         f"ratio at 2^18 = {ratio:.2f} (need >= 10), bench --strict exit "
+         f"{code}, {elapsed:.0f}s (cap 1200s), golden={same}")
     assert ok
 
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsep
-from qsep.cli import _check_function_structures, main
+from qsep.cli import _check_battery, _check_function_structures, main
 from qsep.detectors import corrupt_certificate
 from qsep.generators import FAMILIES, VerifyFailure
 from qsep.harness import DETECTORS, read_trials_csv
@@ -26,6 +27,9 @@ from qsep.oracle import (KIND_CYCLE, KIND_FEEDER, KIND_NAMES, KIND_PATH,
                          FunctionInstance, StructureMeta, read_certificate,
                          read_instance, write_certificate, write_instance)
 from qsep.svg import parse_chart
+
+
+BATTERIES = Path(__file__).parents[1] / "batteries"
 
 
 def run_cli(capsys, *argv):
@@ -376,14 +380,18 @@ class TestRun:
          "error: succ has 4000 entries, header n asks for 4096"),
         (lambda doc: doc["payload"].pop("succ"),
          "error: malformed instance file (KeyError: 'succ')"),
+        # an edit that returns bytes is the whole file
+        (lambda doc: b"\xff\xfe" + json.dumps(doc).encode(),
+         "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
     ])
     def test_malformed_instance_exits_4(self, collision_files, tmp_path, capsys,
                                         edit, message):
         inst, cert = collision_files
         doc = json.loads(inst.read_text())
-        edit(doc)
+        raw = edit(doc)
         bad = tmp_path / "bad.instance.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_bytes(raw if isinstance(raw, bytes) else json.dumps(doc).encode())
         capsys.readouterr()
         for argv in (("run", "--instance", str(bad), "--detector", "multiscale",
                       "--seed", "1"),
@@ -659,6 +667,60 @@ class TestBench:
         assert [(r["detector"], r["status"], int(r["queries"])) for r in rows] == \
             [("cert-collision", "BudgetExceeded", 16 * 1024)] * 2 + \
             [("multiscale", "BudgetExceeded", 16 * 1024)] * 2
+
+    def test_pilot_without_a_found_row_keeps_its_budget(self, tmp_path, capsys):
+        # a censored pilot row's count is a lower bound, not a cost, so a
+        # pilot without a Found row keeps its own 16 n budget
+        spec = tmp_path / "free.json"
+        spec.write_text(json.dumps({
+            "kind": "separation", "trials": 2, "pilot_trials": 2, "points": [{
+                "x": 2, "n": 1024, "generator": "collision-fn",
+                "gen_kwargs": {"params": {"i_min": 2, "i_max": 4},
+                               "b_override": 0},
+                "baseline_kwargs": {"i_min": 2, "i_max": 4}}]}))
+        code, lines, _ = run_cli(capsys, "bench", "--battery", str(spec),
+                                 "--out-dir", str(tmp_path), "--threads", "1",
+                                 "--strict")
+        assert code == 1 and last_json(lines)["warnings"] == 5
+        report = json.loads((tmp_path / "separation.report.json").read_text())
+        assert report["report"]["budgets"] == [16 * 1024]
+        rows = read_trials_csv(tmp_path / "separation.trials.csv")
+        assert len(rows) == 4
+        assert all(int(r["queries"]) <= 16 * 1024 for r in rows)
+
+    def test_starved_baseline_lane_is_a_warning(self, tmp_path, capsys):
+        # the good scale is the window's top, so the baseline's sweep over a
+        # wider window outruns a budget of twice the certificate pilot's mean
+        spec = tmp_path / "starved.json"
+        spec.write_text(json.dumps({
+            "kind": "separation", "master_seed": 5, "trials": 4,
+            "pilot_trials": 4, "budget_factor": 2, "points": [{
+                "x": 2, "n": 4096, "generator": "collision-fn",
+                "gen_kwargs": {"params": {"i_min": 2, "i_max": 8},
+                               "t_override": 8},
+                "baseline_kwargs": {"i_min": 2, "i_max": 11}}]}))
+        code, lines, _ = run_cli(capsys, "bench", "--battery", str(spec),
+                                 "--out-dir", str(tmp_path), "--threads", "1",
+                                 "--strict")
+        rows = read_trials_csv(tmp_path / "separation.trials.csv")
+        missed = Counter(r["detector"] for r in rows if r["status"] != "Found")
+        assert missed == {"multiscale": 1}
+        assert code == 1 and last_json(lines)["warnings"] == 1
+
+    def test_undecodable_battery_exits_4(self, tmp_path, capsys):
+        spec = tmp_path / "sep.json"
+        spec.write_bytes(b"\xff\xfe" + json.dumps(SEP_BATTERY).encode())
+        code, lines, err = run_cli(capsys, "bench", "--battery", str(spec),
+                                   "--out-dir", str(tmp_path / "out"))
+        assert code == 4 and lines == [] and "Traceback" not in err
+        assert err.strip().splitlines() == [
+            "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte"]
+
+    @pytest.mark.parametrize("path", sorted(BATTERIES.glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_committed_battery_passes_the_spec_check(self, path):
+        assert _check_battery(json.loads(path.read_text())) in ("separation", "slope")
 
     def test_bad_battery_kind_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"
@@ -1081,3 +1143,19 @@ class TestAdversaryAndReport:
         assert (tmp_path / "report.json").exists()
         series = parse_chart((tmp_path / "report.svg").read_text())
         assert "fixedpoint-fn/cert-fixedpoint" in series
+
+    @pytest.mark.parametrize("body, message", [
+        (b"a,b\n1,2\n", "{path} has no 'generator' column"),
+        (b"config,generator,detector,n,s,trial,seed,status,queries\n"
+         b"c,collision-fn,multiscale,abc,,0,1,Found,5\n",
+         "{path}: n and queries must be integers, got 'abc' and '5'"),
+        (b"\xff\xfeconfig,generator\n",
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ])
+    def test_malformed_trials_csv_exits_4(self, tmp_path, capsys, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(body)
+        code, lines, err = run_cli(capsys, "report", "--csv", str(path),
+                                   "--out-dir", str(tmp_path / "out"))
+        assert code == 4 and lines == [] and "Traceback" not in err
+        assert err.strip().splitlines() == [f"error: {message.format(path=path)}"]
