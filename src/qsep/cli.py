@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import hashlib
 import inspect
-import json
 import math
 import os
 import sys
@@ -71,6 +70,7 @@ from qsep.oracle import (  # noqa: F401
     instance_to_jsonable,
     read_certificate,
     read_instance,
+    read_json,
     validate_witness,
     write_json,
 )
@@ -86,11 +86,17 @@ def _emit(args, record: dict) -> None:
 
 
 def _master_seed(args, default: int = 0) -> int:
-    """--seed, else $QSEP_SEED, else default."""
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("QSEP_SEED")
-    return int(env) if env else int(default)
+    """--seed, else $QSEP_SEED, else default; a seed given must be an
+    integer >= 0."""
+    name, seed = ("--seed", args.seed) if args.seed is not None else \
+        ("$QSEP_SEED", os.environ.get("QSEP_SEED") or default)
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise ParameterError(f"{name} must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ParameterError(f"{name} must be >= 0, got {seed}")
+    return seed
 
 
 def _sub_seed(master: int, *tags: int) -> int:
@@ -419,7 +425,7 @@ def _check_battery(spec) -> str:
 def cmd_bench(args) -> int:
     if args.threads < 1:
         raise ParameterError(f"--threads must be >= 1, got {args.threads}")
-    spec = json.loads(Path(args.battery).read_text())
+    spec = read_json(args.battery)
     kind = _check_battery(spec)
     master = _master_seed(args, spec.get("master_seed", 0))
     h = config_hash({"battery": {k: v for k, v in spec.items()
@@ -506,8 +512,11 @@ def cmd_verify(args) -> int:
         if inst.model == "function":
             _check_function_structures(inst)
         checks.append("partition: ok")
-        checks.append(_verify_witness_counts(inst, family))
-        lines, payload = family.verify(extras)
+        try:  # the extras hold whatever JSON the file gives
+            checks.append(_verify_witness_counts(inst, family))
+            lines, payload = family.verify(extras)
+        except (TypeError, ValueError, IndexError, ZeroDivisionError) as e:
+            raise FileFormatError(f"malformed meta extras ({type(e).__name__}: {e})") from None
         checks.extend(lines)
         if args.cert:
             cert = read_certificate(args.cert)
@@ -537,6 +546,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_adversary_test(args) -> int:
+    if args.n < 1:
+        raise ParameterError(f"--n must be >= 1, got {args.n}")
     seed = _master_seed(args)
     lo, hi = _parse_scales(args.scales or "2..4")
     params = ScaleParams(i_min=lo, i_max=hi, **_given(args, "rho"))
@@ -598,6 +609,9 @@ def cmd_report(args) -> int:
             except (TypeError, ValueError):
                 raise FileFormatError(f"{path}: n and queries must be integers, "
                                       f"got {r['n']!r} and {r['queries']!r}") from None
+            if n < 1 or queries < 0:
+                raise FileFormatError(f"{path}: n must be >= 1 and queries >= 0, "
+                                      f"got {n} and {queries}")
             groups.setdefault(key, {}).setdefault(n, []).append(queries)
     summary, svg_series = [], []
     for (gen, det), per_n in sorted(groups.items()):
@@ -728,8 +742,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # the exit code of each error a command may end in
 _EXIT_CODES = {ParameterError: EXIT_PARAMS, ModelMismatchError: EXIT_MODEL,
-               OSError: EXIT_IO, json.JSONDecodeError: EXIT_IO,
-               UnicodeDecodeError: EXIT_IO, FileFormatError: EXIT_IO}
+               OSError: EXIT_IO, FileFormatError: EXIT_IO}
 
 
 def main(argv=None) -> int:

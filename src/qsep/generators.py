@@ -420,6 +420,8 @@ def gen_fixedpoint_function(n: int, params: FixedPointParams,
         raise ParameterError("T must be >= 1")
     if n < 2:
         raise ParameterError(f"fixedpoint-fn needs n >= 2, got {n}")
+    if not math.isfinite(params.alpha):
+        raise ParameterError(f"alpha must be a finite number, got {params.alpha!r}")
     rng = np.random.default_rng(seed)
     q4 = n ** 0.25
     cycle_len = params.cycle_len if params.cycle_len is not None else int(n ** 0.75)

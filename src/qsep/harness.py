@@ -60,6 +60,7 @@ from qsep.oracle import (
     _unrelabel_witness,
     canonical_json,
     index_dtype,
+    read_text,
     validate_witness,
     write_json,
 )
@@ -640,7 +641,7 @@ def write_trials_csv(path, rows, config_hash: str | None = None) -> None:
 
 
 def read_trials_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
+    with read_text(path, newline="") as fh:
         body = (line for line in fh if not line.startswith("#"))
         return list(csv.DictReader(body))
 

@@ -6,18 +6,19 @@ Two query models share one accounting discipline:
 * graph model: adjacency lists; queries are degree(v) and neighbor(v, i)
 
 ``CountedOracle`` wraps an instance behind this query surface. It counts
-every query (repeated queries count again), keeps a transcript, enforces
-an optional hard budget, and can apply a hidden relabeling permutation so
-that algorithms only ever see conjugated labels. Ground-truth structure
-travels with the instance as ``StructureMeta``; the oracle never exposes
-it, and nothing in the public query API reveals the permutation.
+every query (repeated queries count again), enforces an optional hard
+budget, and can apply a hidden relabeling permutation so that algorithms
+only ever see conjugated labels. It keeps no log of the queries it
+answers. Ground-truth structure travels with the instance as
+``StructureMeta``; the oracle never exposes it, and nothing in the public
+query API reveals the permutation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
-from array import array
 from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Iterator
 
@@ -146,8 +147,9 @@ class StructureMeta:
     @staticmethod
     def from_jsonable(d: dict) -> "StructureMeta":
         """FileFormatError unless the kinds are known codes, the members
-        are integers, and the offsets rise from 0 to len(members), one
-        more than there are kinds."""
+        are integers, the offsets rise from 0 to len(members), one more
+        than there are kinds, each witness location is a list of integers
+        and the extras are an object."""
         kinds = _int_array(d["kinds"], "meta kinds", None, len(KIND_NAMES))
         members = _int_array(d["members"], "meta members", None, None)
         offsets = _int_array(d["offsets"], "meta offsets", None, None)
@@ -155,12 +157,17 @@ class StructureMeta:
                 or offsets[-1] != len(members) or (np.diff(offsets) < 0).any():
             raise FileFormatError("meta offsets must rise from 0 to len(members), "
                                   "one more offset than kinds")
+        locations = [tuple(loc) for loc in d.get("witness_locations", [])]
+        if not all(type(v) is int for loc in locations for v in loc):
+            raise FileFormatError("meta witness locations must be lists of integers")
+        if not isinstance(d.get("extras", {}), dict):
+            raise FileFormatError("meta extras must be a JSON object")
         return StructureMeta(
             kinds=kinds.astype(np.int8),
             offsets=offsets,
             members=members,
             good_index=d.get("good_index"),
-            witness_locations=[tuple(loc) for loc in d.get("witness_locations", [])],
+            witness_locations=locations,
             extras=d.get("extras", {}),
         )
 
@@ -320,7 +327,9 @@ class Certificate:
         if not isinstance(d.get("kind"), str) or not isinstance(d.get("payload"), dict):
             raise FileFormatError("a certificate needs a kind string and a payload object")
         kind, payload = d["kind"], d["payload"]
-        for key, (what, ok) in _PAYLOAD_KEYS.get(kind, {}).items():
+        if kind not in _PAYLOAD_KEYS:
+            raise FileFormatError(f"unknown certificate kind {kind!r}")
+        for key, (what, ok) in _PAYLOAD_KEYS[kind].items():
             if key not in payload or not ok(payload[key]):
                 raise FileFormatError(f"a {kind} payload needs {key!r} as {what}, "
                                       f"got {payload.get(key)!r}")
@@ -451,7 +460,6 @@ class CountedOracle:
         self.model = instance.model
         self.budget = budget
         self._count = 0
-        self._rec = array("q")
         if instance.model == "function":
             self._succ = instance.succ
         else:
@@ -485,20 +493,6 @@ class CountedOracle:
             raise BudgetExceeded(f"budget {self.budget} reached at count {self._count}")
         self._count += k
 
-    def iter_transcript(self):
-        """Yield (query, answer) pairs in query order."""
-        r = self._rec
-        if self.model == "function":
-            for i in range(0, len(r), 2):
-                yield (r[i], r[i + 1])
-        else:
-            for i in range(0, len(r), 3):
-                op, va, ans = r[i], r[i + 1], r[i + 2]
-                if op >= 0:
-                    yield (("nbr", va, op), ans)
-                else:
-                    yield (("deg", va), ans)
-
     # -- function queries ---------------------------------------------------
 
     def query_function(self, x: int) -> int:
@@ -510,10 +504,7 @@ class CountedOracle:
         self._charge()
         xi = self._in[x] if self._in is not None else x
         yi = self._succ[xi]
-        y = self._out[yi] if self._out is not None else yi
-        self._rec.append(x)
-        self._rec.append(y)
-        return int(y)
+        return int(self._out[yi] if self._out is not None else yi)
 
     def query_function_many(self, xs) -> np.ndarray:
         """Batch form of query_function; counts len(xs) queries."""
@@ -526,12 +517,7 @@ class CountedOracle:
         self._charge(len(xs))
         xi = self._in[xs] if self._in is not None else xs
         yi = self._succ[xi]
-        ys = self._out[yi] if self._out is not None else yi
-        flat = np.empty(2 * len(xs), dtype=np.int64)
-        flat[0::2] = xs
-        flat[1::2] = ys
-        self._rec.frombytes(flat.tobytes())
-        return ys
+        return self._out[yi] if self._out is not None else yi
 
     # -- graph queries ------------------------------------------------------
 
@@ -543,11 +529,7 @@ class CountedOracle:
             raise ValueError(f"vertex {v} out of range")
         self._charge()
         vi = self._in[v] if self._in is not None else v
-        d = int(self._indptr[vi + 1] - self._indptr[vi])
-        self._rec.append(-1)
-        self._rec.append(v)
-        self._rec.append(d)
-        return d
+        return int(self._indptr[vi + 1] - self._indptr[vi])
 
     def query_neighbor(self, v: int, i: int) -> int:
         if self.model != "graph":
@@ -561,11 +543,7 @@ class CountedOracle:
             raise IndexError(f"neighbor index {i} out of range for degree {d}")
         self._charge()
         wi = self._indices[self._indptr[vi] + i]
-        w = self._out[wi] if self._out is not None else wi
-        self._rec.append(i)
-        self._rec.append(v)
-        self._rec.append(w)
-        return int(w)
+        return int(self._out[wi] if self._out is not None else wi)
 
     def query_degree_many(self, vs) -> np.ndarray:
         """Batch form of query_degree; counts len(vs) queries."""
@@ -577,13 +555,7 @@ class CountedOracle:
         self._check_range(vs, "vertex")
         self._charge(len(vs))
         vi = self._in[vs] if self._in is not None else vs
-        ds = self._indptr[vi + 1] - self._indptr[vi]
-        flat = np.empty(3 * len(vs), dtype=np.int64)
-        flat[0::3] = -1
-        flat[1::3] = vs
-        flat[2::3] = ds
-        self._rec.frombytes(flat.tobytes())
-        return ds
+        return self._indptr[vi + 1] - self._indptr[vi]
 
     def query_neighbor_many(self, vs, is_) -> np.ndarray:
         """Batch form of query_neighbor; counts len(vs) queries."""
@@ -602,13 +574,7 @@ class CountedOracle:
             raise IndexError("neighbor index out of range")
         self._charge(len(vs))
         wi = self._indices[self._indptr[vi] + is_]
-        ws = self._out[wi] if self._out is not None else wi
-        flat = np.empty(3 * len(vs), dtype=np.int64)
-        flat[0::3] = is_
-        flat[1::3] = vs
-        flat[2::3] = ws
-        self._rec.frombytes(flat.tobytes())
-        return ws
+        return self._out[wi] if self._out is not None else wi
 
 
 def _unrelabel_witness(oracle: CountedOracle, w: Witness) -> Witness:
@@ -736,13 +702,29 @@ def write_json(path, doc) -> None:
         fh.write(canonical_json(doc) + "\n")
 
 
+@contextlib.contextmanager
+def read_text(path, **kwargs):
+    """Open a UTF-8 text file to read. Bytes that are not UTF-8, or a JSON
+    parse of text that is not JSON or nests too deep, raise FileFormatError
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise FileFormatError(f"{path}: {e}") from None
+
+
+def read_json(path):
+    with read_text(path) as fh:
+        return json.load(fh)
+
+
 def write_instance(instance, path) -> None:
     write_json(path, instance_to_jsonable(instance))
 
 
 def read_instance(path):
-    with open(path) as fh:
-        return instance_from_jsonable(json.load(fh))
+    return instance_from_jsonable(read_json(path))
 
 
 def write_certificate(cert: Certificate, path) -> None:
@@ -750,5 +732,4 @@ def write_certificate(cert: Certificate, path) -> None:
 
 
 def read_certificate(path) -> Certificate:
-    with open(path) as fh:
-        return Certificate.from_jsonable(json.load(fh))
+    return Certificate.from_jsonable(read_json(path))

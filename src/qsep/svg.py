@@ -50,8 +50,8 @@ def line_chart(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
                header: str | None = None) -> str:
     """Render named (xs, ys) series to an SVG string.
 
-    series: iterable of (name, xs, ys). All coordinates must be finite,
-    and positive on any log-scaled axis.
+    series: iterable of (name, xs, ys). All coordinates must be finite.
+    A log-scaled axis that holds a coordinate <= 0 is drawn linear.
     """
     series = [(str(name), [float(x) for x in xs], [float(y) for y in ys])
               for name, xs, ys in series]
@@ -60,8 +60,7 @@ def line_chart(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
         raise ValueError("each series needs matching, non-empty xs and ys")
     all_x = [x for _, xs, _ in series for x in xs]
     all_y = [y for _, _, ys in series for y in ys]
-    if logx and min(all_x) <= 0 or logy and min(all_y) <= 0:
-        raise ValueError("log axis requires positive coordinates")
+    logx, logy = logx and min(all_x) > 0, logy and min(all_y) > 0
 
     def tx(v):
         return math.log10(v) if logx else v

@@ -5,10 +5,11 @@ the detector's result (status, queries, attempts, witness, details; the
 battery's result dict), the oracle's final count and a sha256 of its
 transcript. It was recorded at commit 346c08c, where each detector still
 took its own ``budget=`` argument; the replay puts the same budget on the
-``CountedOracle``. The grid reaches every clipping rule (a batch cut in
-the middle, a budget smaller than one lockstep round) and every early
-refusal (claw's 2- and 3-query steps, uniform-probe's 2*d star checks),
-so a change to how budgets are spent shows up here.
+oracle, a ``RecordingOracle`` that logs the transcript. The grid reaches
+every clipping rule (a batch cut in the middle, a budget smaller than one
+lockstep round) and every early refusal (claw's 2- and 3-query steps,
+uniform-probe's 2*d star checks), so a change to how budgets are spent
+shows up here.
 Besides the fixed BUDGETS, each (setup, relabel) pair is cut one and two
 queries before its unbudgeted run ends, which lands inside its last step.
 
@@ -45,6 +46,7 @@ from qsep import (
     uniform_probe_baseline,
 )
 from qsep.oracle import FunctionInstance, Witness, canonical_json
+from recording_oracle import RecordingOracle
 
 SNAPSHOT = Path(__file__).with_name("budget_snapshot.json")
 
@@ -147,7 +149,7 @@ def _plain(obj):
 def summarize(result, oracle) -> dict:
     """The pinned record of one detector call."""
     res = result if isinstance(result, dict) else result.to_jsonable()
-    transcript = repr(list(oracle.iter_transcript())).encode()
+    transcript = repr(oracle.transcript).encode()
     return {
         "result": json.loads(canonical_json(_plain(res))),
         "count": oracle.count,
@@ -157,8 +159,8 @@ def summarize(result, oracle) -> dict:
 
 def replay(setup, budget, relabel) -> dict:
     inst, fn, args, kwargs = setup
-    oracle = CountedOracle(inst, relabel_seed=RELABEL_SEED if relabel else None,
-                           budget=budget)
+    oracle = RecordingOracle(inst, relabel_seed=RELABEL_SEED if relabel else None,
+                             budget=budget)
     return summarize(fn(oracle, *args, **kwargs), oracle)
 
 

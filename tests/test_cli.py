@@ -1,7 +1,9 @@
 """CLI surface: exit codes, determinism, file outputs, parse-back."""
 
+import argparse
 import contextlib
 import copy
+import functools
 import inspect
 import io
 import json
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsep
-from qsep.cli import _check_battery, _check_function_structures, main
+from qsep.cli import _build_parser, _check_battery, _check_function_structures, main
 from qsep.detectors import corrupt_certificate
 from qsep.generators import FAMILIES, VerifyFailure
 from qsep.harness import DETECTORS, read_trials_csv
@@ -30,6 +32,7 @@ from qsep.svg import parse_chart
 
 
 BATTERIES = Path(__file__).parents[1] / "batteries"
+COMMANDS = ("gen", "run", "bench", "verify", "adversary-test", "report")
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +90,8 @@ class TestGen:
         assert code == 2
         assert "needs" in err and "> n = 64" in err
 
+    # gen's cases, then the seed and size checks other commands share; a
+    # leading NAME=value sets the environment, as in a shell
     @pytest.mark.parametrize("flags, message", [
         (("fixedpoint-fn", "--n", "4096", "--cycle-len", "0"), "cycle_len"),
         (("fixedpoint-fn", "--n", "4096", "--feeder-len", "0"), "feeder_len"),
@@ -97,11 +102,29 @@ class TestGen:
         (("star", "--n", "4096", "--H", "clique:4"), "H-spec 'clique:4'"),
         (("star", "--n", "4096", "--H", "abc"), "H-spec 'abc'"),
         (("collision-fn", "--n", "4096", "--scales", "a..5"),
-         "expected A..B scale window, got 'a..5'")])
-    def test_bad_sizes_exit_2_without_traceback(self, tmp_path, capsys, flags,
-                                                message):
-        code, _, err = run_cli(capsys, "gen", "--construction", *flags,
-                               "--out-dir", str(tmp_path))
+         "expected A..B scale window, got 'a..5'"),
+        (("fixedpoint-fn", "--n", "4096", "--alpha", "inf"),
+         "alpha must be a finite number, got inf"),
+        (("fixedpoint-fn", "--n", "4096", "--alpha", "nan"),
+         "alpha must be a finite number, got nan"),
+        # each of these ended in a traceback with exit 1
+        (("collision-fn", "--n", "1024", "--seed", "-1"), "--seed must be >= 0, got -1"),
+        (("QSEP_SEED=x", "collision-fn", "--n", "1024"),
+         "$QSEP_SEED must be an integer, got 'x'"),
+        (("QSEP_SEED=-3", "collision-fn", "--n", "1024"),
+         "$QSEP_SEED must be >= 0, got -3"),
+        (("run", "--instance", "missing.json", "--detector", "multiscale",
+          "--seed", "-2"), "--seed must be >= 0, got -2"),
+        (("bench", "--battery", str(BATTERIES / "criterion6.json"), "--seed", "-1"),
+         "--seed must be >= 0, got -1"),
+        (("adversary-test", "--n", "-5"), "--n must be >= 1, got -5")])
+    def test_bad_sizes_exit_2_without_traceback(self, tmp_path, capsys,
+                                                monkeypatch, flags, message):
+        if "=" in flags[0]:
+            monkeypatch.setenv(*flags[0].split("=", 1))
+            flags = flags[1:]
+        argv = flags if flags[0] in COMMANDS else ("gen", "--construction", *flags)
+        code, _, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
         assert code == 2 and "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
@@ -382,8 +405,12 @@ class TestRun:
          "error: malformed instance file (KeyError: 'succ')"),
         # an edit that returns bytes is the whole file
         (lambda doc: b"\xff\xfe" + json.dumps(doc).encode(),
-         "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+         "error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
          "invalid start byte"),
+        # JSON nested past the parser's recursion limit raised RecursionError
+        (lambda doc: b"[" * 100000,
+         "error: {path}: maximum recursion depth exceeded while decoding a "
+         "JSON array from a unicode string"),
     ])
     def test_malformed_instance_exits_4(self, collision_files, tmp_path, capsys,
                                         edit, message):
@@ -400,7 +427,7 @@ class TestRun:
                      ("verify", "--instance", str(bad))):
             code, lines, err = run_cli(capsys, *argv)
             assert code == 4 and lines == [] and "Traceback" not in err
-            assert err.strip().splitlines() == [message]
+            assert err.strip().splitlines() == [message.format(path=bad)]
 
     def test_malformed_graph_instance_exits_4(self, tmp_path, capsys):
         main(["gen", "--construction", "claw-graph", "--n", "2048", "--scales",
@@ -445,6 +472,24 @@ class TestRun:
         assert code == 4 and lines == [] and "Traceback" not in err
         assert err.strip().splitlines() == [
             "error: a certificate needs a kind string and a payload object"]
+        # an unknown kind's payload went unchecked: verify sorted its lists
+        # and --corrupt-cert found no rule, each ending in a traceback
+        unknown = json.dumps({"format": "qsep-certificate", "kind": "Bogus",
+                              "payload": {"t": [1, "x"]}}).encode()
+        for body, message in [
+                (b"\xff\xfe" + bad.read_bytes(),
+                 f"{bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                 "invalid start byte"),
+                (unknown, "unknown certificate kind 'Bogus'")]:
+            bad.write_bytes(body)
+            for argv in (("run", "--instance", str(inst), "--cert", str(bad),
+                          "--detector", "cert-collision", "--seed", "1"),
+                         ("run", "--instance", str(inst), "--cert", str(bad),
+                          "--detector", "cert-collision", "--corrupt-cert"),
+                         ("verify", "--instance", str(inst), "--cert", str(bad))):
+                code, lines, err = run_cli(capsys, *argv)
+                assert code == 4 and lines == [] and "Traceback" not in err
+                assert err.strip().splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("kind, payload, message", [
         ("CollisionScale", {"t": "x"}, "'t' as an integer in [0, 64), got 'x'"),
@@ -613,17 +658,21 @@ class TestBench:
         assert len(rows) == 2 * 3 * 5
 
     def test_slope_plot_parses_back_to_report_rows(self, tmp_path, capsys):
-        spec = tmp_path / "slope.json"
-        spec.write_text(json.dumps(SLOPE_BATTERY))
-        code, _, _ = run_cli(capsys, "bench", "--battery", str(spec),
-                             "--out-dir", str(tmp_path), "--threads", "1",
-                             "--plot")
-        assert code == 0
-        series = parse_chart((tmp_path / "slope.svg").read_text())
-        report = json.loads((tmp_path / "slope.report.json").read_text())
-        xs, ys = series["walks"]
-        assert xs == [float(r["n"]) for r in report["rows"]]
-        assert ys == [r["mean_queries"] for r in report["rows"]]
+        # a budget of 0 makes every mean 0, which a log axis cannot hold:
+        # that axis is drawn linear, where it raised a ValueError
+        for extra in ({}, {"budget": 0}):
+            spec = tmp_path / "slope.json"
+            spec.write_text(json.dumps({**SLOPE_BATTERY, "series": [
+                {**SLOPE_BATTERY["series"][0], **extra}]}))
+            code, _, _ = run_cli(capsys, "bench", "--battery", str(spec),
+                                 "--out-dir", str(tmp_path), "--threads", "1",
+                                 "--plot")
+            assert code == 0
+            series = parse_chart((tmp_path / "slope.svg").read_text())
+            report = json.loads((tmp_path / "slope.report.json").read_text())
+            xs, ys = series["walks"]
+            assert xs == [float(r["n"]) for r in report["rows"]]
+            assert ys == [r["mean_queries"] for r in report["rows"]]
 
     def test_slope_series_without_budget_stops_at_16n(self, tmp_path, capsys):
         # a restarting walker on witness-free instances has no end of its
@@ -714,7 +763,7 @@ class TestBench:
                                    "--out-dir", str(tmp_path / "out"))
         assert code == 4 and lines == [] and "Traceback" not in err
         assert err.strip().splitlines() == [
-            "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+            f"error: {spec}: 'utf-8' codec can't decode byte 0xff in position 0: "
             "invalid start byte"]
 
     @pytest.mark.parametrize("path", sorted(BATTERIES.glob("*.json")),
@@ -915,11 +964,15 @@ def mutated_specs(draw):
     return spec
 
 
-def _bench_quietly(spec_path, out_dir, threads):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["bench", "--battery", str(spec_path), "--out-dir",
-                     str(out_dir), "--threads", threads])
+def _quietly(argv):
+    """Run a command with its output captured; return its exit code, or
+    argparse's, and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
     return code, err.getvalue()
 
 
@@ -931,7 +984,9 @@ class TestBenchFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "spec.json"
             path.write_text(json.dumps(spec))
-            runs = {t: _bench_quietly(path, Path(tmp) / t, t) for t in "12"}
+            runs = {t: _quietly(["bench", "--battery", str(path), "--out-dir",
+                                 str(Path(tmp) / t), "--threads", t])
+                    for t in "12"}
             (code, err), (code2, err2) = runs["1"], runs["2"]
             assert code in range(5) and "Traceback" not in err, (code, err)
             assert (code, err) == (code2, err2)
@@ -1086,6 +1141,14 @@ class TestVerify:
          "meta members must be a list of integers"),
         ("star-graph", ("--H", "triangle"), ("extras", "h"), None,
          "meta extras lack 'h'"),
+        # each of these ended in a traceback with exit 1
+        ("star-graph", ("--H", "triangle"), ("extras", "host_stars"), [0.5],
+         "malformed meta extras (TypeError: list indices must be integers or "
+         "slices, not float)"),
+        ("collision-fn", ("--scales", "2..4"), ("extras",), 3,
+         "meta extras must be a JSON object"),
+        ("collision-fn", ("--scales", "2..4"), ("witness_locations", 0), [[1, 2]],
+         "meta witness locations must be lists of integers"),
     ])
     def test_malformed_meta_exits_4(self, tmp_path, capsys, construction,
                                     flags, path, value, message):
@@ -1149,8 +1212,13 @@ class TestAdversaryAndReport:
         (b"config,generator,detector,n,s,trial,seed,status,queries\n"
          b"c,collision-fn,multiscale,abc,,0,1,Found,5\n",
          "{path}: n and queries must be integers, got 'abc' and '5'"),
+        # n = 0 ended in a ZeroDivisionError in the slope fit
+        (b"config,generator,detector,n,s,trial,seed,status,queries\n"
+         b"c,collision-fn,multiscale,0,,0,1,Found,5\n",
+         "{path}: n must be >= 1 and queries >= 0, got 0 and 5"),
         (b"\xff\xfeconfig,generator\n",
-         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+         "{path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
     ])
     def test_malformed_trials_csv_exits_4(self, tmp_path, capsys, body, message):
         path = tmp_path / "bad.csv"
@@ -1159,3 +1227,162 @@ class TestAdversaryAndReport:
                                    "--out-dir", str(tmp_path / "out"))
         assert code == 4 and lines == [] and "Traceback" not in err
         assert err.strip().splitlines() == [f"error: {message.format(path=path)}"]
+
+
+# what a mutation puts in place of a flag's value: wrong types, empty,
+# negatives, zero, non-finite numbers and malformed scale windows. Sizes
+# stay small, since a command asked for 2^40 elements or 10^20 probes
+# would try to do that much work.
+FUZZ_FLAG_VALUES = ["x", "", "-1", "0", "1", "3", "1025", "1.5", "nan", "inf",
+                    "2..4", "4..2", "a..b", "0..40", "-1..3"]
+# what a mutation puts in a JSON file: FUZZ_VALUES, labels at and past n,
+# integers past int64 and NaN
+FUZZ_JSON_VALUES = [*FUZZ_VALUES, 1023, 1024, 4096, 2 ** 63, -2 ** 63 - 1,
+                    10 ** 30, float("nan"), "1"]
+
+
+@functools.cache
+def _fuzz_inputs():
+    """Each construction's instance and certificate documents as gen writes
+    them (the same flags as TestFamilyTable), and a small slope battery's
+    trials CSV."""
+    docs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in FAMILIES:
+            assert _quietly(["gen", "--construction", name, *FAMILY_FLAGS[name],
+                             "--seed", "1", "--out-dir", tmp])[0] == 0
+            for kind in ("instance", "certificate"):
+                docs[name, kind] = json.loads(
+                    (Path(tmp) / f"{name}.{kind}.json").read_text())
+        spec = Path(tmp) / "slope.json"
+        spec.write_text(json.dumps(FUZZ_SPECS[1]))
+        assert _quietly(["bench", "--battery", str(spec), "--out-dir", tmp,
+                         "--threads", "1"])[0] == 0
+        csv_text = (Path(tmp) / "slope.trials.csv").read_text()
+    return docs, csv_text
+
+
+@functools.cache
+def _fuzz_flags(command):
+    """The command's flags but --out-dir, each with whether it takes a value."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return {a.option_strings[0]: a.nargs != 0 for a in sub._actions
+            if a.option_strings and a.dest not in ("help", "out_dir")}
+
+
+def _mutate_json(draw, doc):
+    """Drop, swap or add a key of one of doc's objects, or swap, drop or
+    add an entry of one of its lists."""
+    containers, todo = [], [doc]
+    while todo:
+        c = todo.pop()
+        containers.append(c)
+        todo.extend(v for v in (c.values() if isinstance(c, dict) else c)
+                    if isinstance(v, (dict, list)))
+    target = draw(st.sampled_from(containers))
+    # a copy: a shared [] put in twice could come to hold itself
+    value = copy.deepcopy(draw(st.sampled_from(FUZZ_JSON_VALUES)))
+    action = draw(st.sampled_from(["add", "drop", "swap"] if target else ["add"]))
+    if isinstance(target, dict):
+        key = "bogus_key" if action == "add" else draw(st.sampled_from(sorted(target)))
+    else:
+        key = draw(st.integers(0, len(target) - 1)) if target else 0
+    if action == "drop":
+        del target[key]
+    elif action == "add" and isinstance(target, list):
+        target.append(value)
+    else:
+        target[key] = value
+
+
+def _mutate_csv(draw, text):
+    """Swap one cell for a value, or drop one line."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    if draw(st.booleans()):
+        del lines[i]
+    else:
+        cells = lines[i].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = str(
+            draw(st.sampled_from(FUZZ_JSON_VALUES)))
+        lines[i] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def _file_bytes(body) -> bytes:
+    """A fuzzed file's contents: bytes as they are, CSV text or a JSON
+    document encoded."""
+    if isinstance(body, bytes):
+        return body
+    return (body if isinstance(body, str) else json.dumps(body)).encode()
+
+
+@st.composite
+def mutated_commands(draw):
+    """A command line of gen, run, verify, adversary-test or report (bench
+    has TestBenchFuzz) over files gen and bench wrote, with one to three mutations: drop a flag,
+    swap its value, add a flag the command takes, edit a file's JSON or
+    CSV, or replace a file's bytes with a cut, an empty or a non-UTF-8
+    copy. Returns the argument pairs, and the files by the placeholder
+    that stands for each one's path."""
+    docs, csv_text = _fuzz_inputs()
+    command = draw(st.sampled_from([c for c in COMMANDS if c != "bench"]))
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    files = {}
+    if command == "gen":
+        flags = ["--construction", name, *FAMILY_FLAGS[name]]
+    elif command == "adversary-test":
+        flags = ["--n", "1024", "--scales", "2..4", "--probes", "64"]
+    elif command == "report":
+        flags, files["@csv"] = ["--csv", "@csv"], csv_text
+    else:
+        flags = ["--instance", "@instance", "--cert", "@certificate"]
+        files["@instance"] = copy.deepcopy(docs[name, "instance"])
+        files["@certificate"] = copy.deepcopy(docs[name, "certificate"])
+        if command == "run":  # the construction's own detector, or any
+            flags += ["--detector", draw(st.one_of(
+                st.just(FAMILIES[name].detector), st.sampled_from(sorted(DETECTORS))))]
+    pairs = [[f, v] for f, v in zip(flags[::2], flags[1::2])] + [["--seed", "1"]]
+    takes = _fuzz_flags(command)
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["drop", "swap", "add", "file", "bytes"]))
+        if action == "drop" and pairs:
+            del pairs[draw(st.integers(0, len(pairs) - 1))]
+        elif action == "swap" and pairs:
+            pairs[draw(st.integers(0, len(pairs) - 1))][1] = draw(
+                st.sampled_from(FUZZ_FLAG_VALUES))
+        elif action == "add":
+            flag = draw(st.sampled_from(sorted(takes)))
+            pairs.append([flag, draw(st.sampled_from(FUZZ_FLAG_VALUES))
+                          if takes[flag] else None])
+        elif files:
+            key = draw(st.sampled_from(sorted(files)))
+            body = files[key]
+            if action == "bytes" or isinstance(body, bytes):
+                raw = _file_bytes(body)
+                files[key] = draw(st.sampled_from([
+                    b"", b"\xff\xfe" + raw, raw[:draw(st.integers(0, len(raw)))]]))
+            elif isinstance(body, str):
+                files[key] = _mutate_csv(draw, body)
+            else:
+                _mutate_json(draw, body)
+    return command, pairs, files
+
+
+class TestCliFuzz:
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(mutated_commands())
+    def test_mutated_command_exits_with_a_documented_code(self, case):
+        command, pairs, files = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for key, body in files.items():
+                paths[key] = Path(tmp) / key[1:]
+                paths[key].write_bytes(_file_bytes(body))
+            argv = [command, "--out-dir", str(Path(tmp) / "out")]
+            for flag, value in pairs:
+                argv += [flag] if value is None else [flag, str(paths.get(value, value))]
+            code, err = _quietly(argv)
+            assert code in range(5) and "Traceback" not in err, (argv, code, err)

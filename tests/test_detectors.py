@@ -44,6 +44,7 @@ from qsep.oracle import (
     _unrelabel_witness,
     graph_from_edges,
 )
+from recording_oracle import RecordingOracle
 
 PAR = ScaleParams(i_min=2, i_max=5)
 
@@ -348,8 +349,8 @@ def _reference_battery(oracle, t, attempts, seed=None, batch=512):
 
 
 def _battery_run(fn, inst, relabel_seed, budget=None, **kw):
-    o = CountedOracle(inst, relabel_seed=relabel_seed, budget=budget)
-    return fn(o, **kw), list(o.iter_transcript())
+    o = RecordingOracle(inst, relabel_seed=relabel_seed, budget=budget)
+    return fn(o, **kw), o.transcript
 
 
 def _scalar_expectation(succ, t):
@@ -420,8 +421,8 @@ class TestBatteryDifferential:
 
 
 def _walk_run(fn, inst, relabel_seed, budget, args, kw):
-    o = CountedOracle(inst, relabel_seed=relabel_seed, budget=budget)
-    return fn(o, *args, **kw), list(o.iter_transcript())
+    o = RecordingOracle(inst, relabel_seed=relabel_seed, budget=budget)
+    return fn(o, *args, **kw), o.transcript
 
 
 def _walker_configs(n):
@@ -863,9 +864,9 @@ def _reference_starpath_search(oracle, cert: Certificate, seed=None):
 
 
 def _starpath_run(fn, inst, cert, seed, budget, relabel_seed):
-    o = CountedOracle(inst, relabel_seed=relabel_seed, budget=budget)
+    o = RecordingOracle(inst, relabel_seed=relabel_seed, budget=budget)
     out = fn(o, cert, seed=seed)
-    return out, hashlib.sha256(repr(list(o.iter_transcript())).encode()).hexdigest()
+    return out, hashlib.sha256(repr(o.transcript).encode()).hexdigest()
 
 
 def _starpath_certs(cert, s, seed):

@@ -42,6 +42,7 @@ from qsep.oracle import (
     instance_to_jsonable,
     invert_permutation,
 )
+from recording_oracle import RecordingOracle
 
 
 def identity_instance(n):
@@ -62,11 +63,11 @@ def test_three_cycle_query():
 
 
 def test_repeated_queries_count():
-    oracle = CountedOracle(identity_instance(4))
+    oracle = RecordingOracle(identity_instance(4))
     for _ in range(5):
         oracle.query_function(1)
     assert oracle.count == 5
-    assert list(oracle.iter_transcript()) == [(1, 1)] * 5
+    assert oracle.transcript == [(1, 1)] * 5
 
 
 def test_out_of_range_does_not_count():
@@ -85,11 +86,11 @@ def test_out_of_range_does_not_count():
     }
     for inst, call in batches.values():
         for relabel_seed in (None, 3):
-            o = CountedOracle(inst, relabel_seed=relabel_seed)
+            o = RecordingOracle(inst, relabel_seed=relabel_seed)
             for xs in ([-1], [4], [0, 4, -1, 2], [-(1 << 63)]):
                 with pytest.raises(ValueError, match="out of range"):
                     call(o, np.array(xs, dtype=np.int64))
-            assert o.count == 0 and list(o.iter_transcript()) == []
+            assert o.count == 0 and o.transcript == []
 
 
 def test_model_mismatch():
@@ -131,10 +132,10 @@ def test_query_many_matches_singles_and_is_all_or_nothing():
 
 def test_transcript_records_queries():
     inst = FunctionInstance(n=4, succ=np.array([1, 2, 3, 0], dtype=np.int64))
-    oracle = CountedOracle(inst)
+    oracle = RecordingOracle(inst)
     oracle.query_function(0)
     oracle.query_function_many([1, 2])
-    assert list(oracle.iter_transcript()) == [(0, 1), (1, 2), (2, 3)]
+    assert oracle.transcript == [(0, 1), (1, 2), (2, 3)]
     assert oracle.count == 3
 
 
@@ -309,11 +310,11 @@ def test_one_seed_one_transcript_two_seeds_two_maps():
     xs = rng.integers(0, n, 100)
 
     def transcript(seed):
-        o = CountedOracle(inst, relabel_seed=seed)
+        o = RecordingOracle(inst, relabel_seed=seed)
         o.query_function_many(xs)
         for x in xs[:10]:
             o.query_function(int(x))
-        return list(o.iter_transcript())
+        return o.transcript
 
     first = transcript(4)
     assert transcript(4) == first
@@ -321,6 +322,58 @@ def test_one_seed_one_transcript_two_seeds_two_maps():
     transcript(6)  # evicts seed 4 from the memo
     assert transcript(4) == first
     assert not np.array_equal(_relabel_maps(n, 4)[0], _relabel_maps(n, 5)[0])
+
+
+def _answer(call, oracle):
+    """What a query returns, as plain ints, or the error it raises."""
+    try:
+        out = call(oracle)
+    except Exception as e:
+        return type(e), str(e)
+    return out.tolist() if isinstance(out, np.ndarray) else out
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 7])
+@pytest.mark.parametrize("model", ["function", "graph"])
+def test_recorder_answers_and_refuses_like_the_oracle(model, relabel_seed):
+    """Over a seeded mix of scalar and batch queries, some out of range and
+    some past a budget that refuses partway, RecordingOracle and
+    CountedOracle give the same answers, counts and errors at every step,
+    and the log holds the answered queries, each once, as Python ints."""
+    rng = np.random.default_rng(18)
+    n = 64
+    if model == "function":
+        inst = FunctionInstance(n=n, succ=rng.integers(0, n, n))
+        kinds = ("f", "f*")
+    else:
+        inst = graph_from_edges(n, rng.integers(0, n, (96, 2)))
+        kinds = ("deg", "nbr", "deg*", "nbr*")
+    plain = CountedOracle(inst, relabel_seed=relabel_seed, budget=300)
+    rec = RecordingOracle(inst, relabel_seed=relabel_seed, budget=300)
+    logged, refused = [], set()
+    for _ in range(400):
+        kind = kinds[rng.integers(len(kinds))]
+        vs = rng.integers(-1, n + 1, rng.integers(0, 6)).tolist()
+        is_ = rng.integers(-1, 4, len(vs)).tolist()
+        v, i = (vs[0], is_[0]) if vs else (0, 0)
+        call = {"f": lambda o: o.query_function(v),
+                "f*": lambda o: o.query_function_many(vs),
+                "deg": lambda o: o.query_degree(v),
+                "nbr": lambda o: o.query_neighbor(v, i),
+                "deg*": lambda o: o.query_degree_many(vs),
+                "nbr*": lambda o: o.query_neighbor_many(vs, is_)}[kind]
+        want = _answer(call, plain)
+        assert _answer(call, rec) == want and rec.count == plain.count
+        if isinstance(want, tuple):
+            refused.add(want[0])
+            continue
+        queries = {"f": [v], "f*": vs, "deg": [("deg", v)], "nbr": [("nbr", v, i)],
+                   "deg*": [("deg", u) for u in vs],
+                   "nbr*": [("nbr", u, j) for u, j in zip(vs, is_)]}[kind]
+        logged.extend(zip(queries, want if kind.endswith("*") else [want]))
+    assert {BudgetExceeded, ValueError} <= refused
+    assert plain.count == len(rec.transcript) and rec.transcript == logged
+    json.dumps(rec.transcript)  # raises on a numpy scalar
 
 
 def _one_structure(members):
