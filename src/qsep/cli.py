@@ -740,9 +740,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# the exit code of each error a command may end in
-_EXIT_CODES = {ParameterError: EXIT_PARAMS, ModelMismatchError: EXIT_MODEL,
-               OSError: EXIT_IO, FileFormatError: EXIT_IO}
+# the exit code of each error a command may end in; a size too large to
+# allocate is an infeasible parameter
+_EXIT_CODES = {ParameterError: EXIT_PARAMS, MemoryError: EXIT_PARAMS,
+               ModelMismatchError: EXIT_MODEL, OSError: EXIT_IO,
+               FileFormatError: EXIT_IO}
 
 
 def main(argv=None) -> int:
@@ -752,7 +754,11 @@ def main(argv=None) -> int:
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except tuple(_EXIT_CODES) as e:
-        print(f"error: {e}", file=sys.stderr)
+        msg = str(e)
+        if isinstance(e, MemoryError):
+            at = f" for --n {args.n}" if hasattr(args, "n") else ""
+            msg = f"not enough memory{at}" + (f": {msg}" if msg else "")
+        print(f"error: {msg}", file=sys.stderr)
         if isinstance(e, PrimeShortageError):
             print("hint: widen the prime window with --widen-primes",
                   file=sys.stderr)

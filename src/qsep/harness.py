@@ -54,12 +54,14 @@ from qsep.generators import (  # noqa: F401
     gen_starpath_graph,
 )
 from qsep.oracle import (
+    KIND_CYCLE,
+    KIND_ISOLATED,
+    KIND_PATH,
     CountedOracle,
     _jsonable,
     _relabel_maps,
     _unrelabel_witness,
     canonical_json,
-    index_dtype,
     read_text,
     validate_witness,
     write_json,
@@ -84,13 +86,20 @@ class CertExpectation:
     expected_total: Fraction | None
 
 
-def _default_scale(instance, t):
-    if t is not None:
-        return int(t)
-    t = instance.meta.extras.get("t")
+def _law(good_sum: int, cost_sum: int, n: int) -> CertExpectation:
+    """The law from its totals over all n starts."""
+    return CertExpectation(Fraction(good_sum, n), Fraction(cost_sum, n),
+                           Fraction(cost_sum, good_sum) if good_sum else None)
+
+
+def _walk_cap(instance, t):
+    """The walk's cap 2^t, clamped to n: a walk meets at most n distinct
+    elements, so tau + sigma <= n and the clamp changes no law."""
     if t is None:
-        raise ValueError("instance carries no scale; pass t explicitly")
-    return int(t)
+        t = instance.meta.extras.get("t")
+        if t is None:
+            raise ValueError("instance carries no scale; pass t explicitly")
+    return min(1 << int(t), instance.n)
 
 
 def exact_cert_expectation(instance, t=None) -> CertExpectation:
@@ -100,49 +109,47 @@ def exact_cert_expectation(instance, t=None) -> CertExpectation:
     walk from x costs min(tau + sigma, 2^t) queries and succeeds exactly
     when tau >= 1 and tau + sigma <= 2^t, where tau is the distance from
     x to its cycle and sigma that cycle's length.
+
+    Round k of the doubling holds jump = f^(2^k) and label[x], the least
+    of x, f(x), ..., f^(2^k - 1)(x). It stops once label holds still, so
+    it is the least element of x's forward orbit (on a cycle, the cycle's
+    least), and the image of jump stops shrinking: image(f^a) =
+    image(f^2a) leaves no off-cycle element at height a or more, so jump
+    lands on a cycle from every start and its image is the cycle set.
+    Pointer jumping with cycle elements as roots then gives tau. Both
+    loops run about log2 of the longest tail or cycle rounds, not log2 n.
     """
     if instance.model != "function":
         raise ValueError("exact enumeration needs a function instance")
-    t = _default_scale(instance, t)
-    cap = 1 << t
+    cap = _walk_cap(instance, t)
     n = instance.n
-    dtype = index_dtype(n)
-    succ = instance.succ.astype(dtype)
-
-    levels = max(1, math.ceil(math.log2(max(n, 2)))) + 1
-    jumps = [succ]
-    for _ in range(levels):
-        jumps.append(jumps[-1][jumps[-1]])
-    far = jumps[-1]  # 2^levels >= 2n steps: on-cycle for every start
-
-    on_cycle = np.zeros(n, dtype=bool)
-    on_cycle[far] = True
-    # label[x]: least element within 2^(levels+1) steps of x; on a cycle that
-    # is the cycle's least element, so on-cycle label counts are cycle lengths
-    label = np.arange(n, dtype=dtype)
-    for jump in jumps:
-        label = np.minimum(label, label[jump])
+    succ = instance.succ.astype(np.intp)
+    jump, label, image = succ, np.arange(n), None
+    while True:
+        on_cycle = np.zeros(n, dtype=bool)
+        on_cycle[jump] = True
+        size = np.count_nonzero(on_cycle)
+        nxt = np.minimum(label, label[jump])
+        if size == image and np.array_equal(nxt, label):
+            break
+        label, image, jump = nxt, size, jump[jump]
     cyc_len = np.bincount(label[on_cycle], minlength=n)
-    sigma = cyc_len[label[far]]
 
-    tau = np.zeros(n, dtype=np.int64)
-    cur = np.arange(n, dtype=dtype)
-    for k in range(levels, -1, -1):
-        nxt = jumps[k][cur]
-        off = ~on_cycle[nxt]
-        tau[off] += 1 << k
-        cur[off] = nxt[off]
-    tau += ~on_cycle[np.arange(n)]
+    # tau[x] is the distance from x to root[x]; only starts whose root is
+    # not yet on a cycle take part in a round
+    root = np.where(on_cycle, np.arange(n), succ)
+    tau = (~on_cycle).astype(np.int64)
+    live = np.flatnonzero(~on_cycle)
+    while live.size:
+        hop = root[live]
+        tau[live] += tau[hop]
+        root[live] = root[hop]
+        live = live[~on_cycle[root[live]]]
 
-    cost = np.minimum(tau + sigma, cap)
-    good = (tau >= 1) & (tau + sigma <= cap)
-    cost_sum = int(cost.sum())
-    good_sum = int(good.sum())
-    return CertExpectation(
-        Fraction(good_sum, n),
-        Fraction(cost_sum, n),
-        Fraction(cost_sum, good_sum) if good_sum else None,
-    )
+    walk = tau + cyc_len[label[root]]
+    cost_sum = int(np.minimum(walk, cap).sum())
+    good_sum = int(np.count_nonzero((tau >= 1) & (walk <= cap)))
+    return _law(good_sum, cost_sum, n)
 
 
 def meta_cert_expectation(instance, t=None) -> CertExpectation:
@@ -152,33 +159,27 @@ def meta_cert_expectation(instance, t=None) -> CertExpectation:
     successes; an open path of length L rewired at offset m contributes m
     successes and m*L - m*(m-1)/2 + (L-m)^2 cost; an isolated element
     costs one query. Must agree exactly with exact_cert_expectation.
+    The cost total is the whole walk cost over all n starts, at most n^2,
+    so the int64 sums are exact for any n below 2^31.
     """
-    t = _default_scale(instance, t)
-    cap = 1 << t
+    cap = _walk_cap(instance, t)
     n = instance.n
-    offsets = [int(m) for m in instance.meta.extras.get("witness_offsets", [])]
-    path_idx = 0
-    cost_sum = 0
-    good_sum = 0
-    for kind, length, _ in instance.meta.structures():
-        if kind == "cycle":
-            cost_sum += length * min(length, cap)
-        elif kind == "path":
-            m = offsets[path_idx]
-            path_idx += 1
-            good_sum += m
-            cost_sum += m * length - m * (m - 1) // 2 + (length - m) ** 2
-        elif kind == "isolated":
-            cost_sum += length
-        else:
-            raise ValueError(f"unexpected structure kind {kind!r}")
-    if path_idx != len(offsets):
+    meta = instance.meta
+    kinds, lengths = meta.kinds, np.diff(meta.offsets).astype(np.int64)
+    other = ~np.isin(kinds, (KIND_PATH, KIND_CYCLE, KIND_ISOLATED))
+    if other.any():
+        kind = meta.kind_name(int(np.argmax(other)))
+        raise ValueError(f"unexpected structure kind {kind!r}")
+    m = np.asarray(meta.extras.get("witness_offsets", []), dtype=np.int64)
+    path = lengths[kinds == KIND_PATH]
+    if len(m) != len(path):
         raise ValueError("witness offset list does not match path structures")
-    return CertExpectation(
-        Fraction(good_sum, n),
-        Fraction(cost_sum, n),
-        Fraction(cost_sum, good_sum) if good_sum else None,
-    )
+    cyc = lengths[kinds == KIND_CYCLE]
+    cost_sum = int((cyc * np.minimum(cyc, cap)).sum()
+                   + (m * path - m * (m - 1) // 2 + (path - m) ** 2).sum()
+                   + lengths[kinds == KIND_ISOLATED].sum())
+    good_sum = int(m.sum())
+    return _law(good_sum, cost_sum, n)
 
 
 def analytic_cert_expectation(n: int, params: ScaleParams, t: int,

@@ -9,6 +9,7 @@ import io
 import json
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -64,6 +65,26 @@ class TestGen:
         for name in ("instance", "certificate", "meta"):
             f = f"collision-fn.{name}.json"
             assert digest(d1 / f) == digest(d2 / f)
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--construction", "collision-fn"), ("adversary-test",)])
+    def test_size_beyond_memory_exits_2(self, tmp_path, argv):
+        # a child under its own address-space limit, so the allocation
+        # fails at once whatever the machine's overcommit policy
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+        n = str(1 << 40)
+        src = str(Path(qsep.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "qsep.cli", *argv, "--n", n,
+             "--out-dir", str(tmp_path)],
+            preexec_fn=limit, timeout=120, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith(f"error: not enough memory for --n {n}: ")
+        assert len(done.stderr.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
 
     def test_files_carry_config_hash(self, tmp_path, capsys):
         code, lines, _ = run_cli(

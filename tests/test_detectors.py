@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsep import (
     Certificate,
@@ -370,6 +372,39 @@ def _scalar_expectation(succ, t):
         good += tau >= 1 and tau + sigma <= cap
     return (Fraction(good, n), Fraction(cost, n),
             Fraction(cost, good) if good else None)
+
+
+
+@st.composite
+def functional_graphs(draw):
+    """A map on [n]: uniform, or a shape that stretches one stopping rule
+    of the exact enumerator (one tail of length n - 1 into a fixed point,
+    one n-cycle, only fixed points), optionally relabelled."""
+    n = draw(st.integers(1, 200))
+    shape = draw(st.sampled_from(["random", "tail", "cycle", "fixed"]))
+    if shape == "random":
+        return np.array(draw(st.lists(st.integers(0, n - 1), min_size=n,
+                                      max_size=n)), dtype=np.int64)
+    base = {"tail": np.minimum(np.arange(n) + 1, n - 1),
+            "cycle": (np.arange(n) + 1) % n,
+            "fixed": np.arange(n)}[shape]
+    if not draw(st.booleans()):
+        return base
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    succ = np.empty(n, dtype=np.int64)
+    succ[perm] = perm[base]
+    return succ
+
+
+class TestExactEnumeratorProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(functional_graphs(), st.integers(0, 12))
+    def test_matches_scalar_walks(self, succ, t):
+        inst = FunctionInstance(n=len(succ), succ=succ, meta=None, info={})
+        e = exact_cert_expectation(inst, t)
+        assert ((e.success_prob, e.cost_per_attempt, e.expected_total)
+                == _scalar_expectation(succ, t))
 
 
 class TestBatteryDifferential:

@@ -32,7 +32,7 @@ from qsep import (
     write_trials_csv,
 )
 from qsep import harness
-from qsep.generators import ParameterError
+from qsep.generators import FAMILIES, ParameterError
 from qsep.harness import SeparationPoint, _wilson, write_report_json
 from qsep.oracle import FunctionInstance, _relabel_maps
 from recording_oracle import RecordingOracle
@@ -75,6 +75,60 @@ class TestExpectationEvaluators:
         b = meta_cert_expectation(inst, t=3)
         assert a.success_prob == 0 == b.success_prob
         assert a.expected_total is None and b.expected_total is None
+
+    def test_graph_instance_is_refused(self):
+        inst, _ = FAMILIES["claw-graph"].make(4096, 0)
+        with pytest.raises(ValueError,
+                           match="^exact enumeration needs a function instance$"):
+            exact_cert_expectation(inst, t=2)
+
+    @pytest.mark.parametrize("calc", [exact_cert_expectation,
+                                      meta_cert_expectation])
+    def test_instance_without_scale_needs_t(self, calc):
+        inst, _ = FAMILIES["fixedpoint-fn"].make(4096, 0)  # no "t" extra
+        with pytest.raises(ValueError,
+                           match="^instance carries no scale; pass t explicitly$"):
+            calc(inst)
+
+    def test_structure_kind_outside_the_closed_form_is_refused(self):
+        inst, _ = FAMILIES["fixedpoint-fn"].make(4096, 0)  # cycles and feeders
+        with pytest.raises(ValueError,
+                           match="^unexpected structure kind 'feeder'$"):
+            meta_cert_expectation(inst, t=3)
+
+    @pytest.mark.parametrize("change", [lambda m: m + [1], lambda m: m[1:]],
+                             ids=["one more", "one fewer"])
+    def test_witness_offsets_must_match_the_path_count(self, change):
+        inst, _ = FAMILIES["collision-fn"].make(2048, 0, params=PAR)
+        extras = inst.meta.extras
+        extras["witness_offsets"] = change(extras["witness_offsets"])
+        with pytest.raises(ValueError, match="^witness offset list does not "
+                                             "match path structures$"):
+            meta_cert_expectation(inst)
+
+    @pytest.mark.parametrize("n, par", [(1 << 10, ScaleParams(2, 5)),
+                                        (1 << 12, ScaleParams(2, 7))])
+    @pytest.mark.parametrize("filler", ["fixed", "cycles"])
+    def test_meta_equals_exact_at_every_scale(self, n, par, filler):
+        instances = [gen_collision_function(n, par, seed=t, filler=filler,
+                                            t_override=t)[0]
+                     for t in range(par.i_min, par.i_max + 1)]
+        instances.append(gen_collision_function(n, par, seed=1, filler=filler,
+                                                b_override=0)[0])
+        for inst in instances:
+            assert exact_cert_expectation(inst) == meta_cert_expectation(inst), \
+                inst.meta.extras["t"]
+
+    @pytest.mark.parametrize("t", [62, 63, 64, 100])
+    def test_a_cap_beyond_n_gives_the_law_of_a_cap_of_n(self, t):
+        inst, _ = FAMILIES["collision-fn"].make(2048, 3, params=PAR)
+        succ = np.random.default_rng(t).integers(0, 2048, 2048)
+        walk = FunctionInstance(n=2048, succ=succ, meta=None, info={})
+        whole = math.ceil(math.log2(2048))
+        for calc, case in ((exact_cert_expectation, inst),
+                           (meta_cert_expectation, inst),
+                           (exact_cert_expectation, walk)):
+            assert calc(case, t=t) == calc(case, t=whole)
 
     def test_analytic_tracks_exact_cost_per_attempt(self):
         par = ScaleParams(i_min=4, i_max=8, c=0.3)
