@@ -156,9 +156,11 @@ def meta_cert_expectation(instance, t=None) -> CertExpectation:
     """Closed-form sum over the realized structure list.
 
     A cycle of length lam contributes lam * min(lam, cap) cost and no
-    successes; an open path of length L rewired at offset m contributes m
-    successes and m*L - m*(m-1)/2 + (L-m)^2 cost; an isolated element
-    costs one query. Must agree exactly with exact_cert_expectation.
+    successes. An open path of length L rewired at offset m has m tail
+    starts j < m, whose walk costs min(L - j, cap) and succeeds when
+    L - j <= cap (all but the first k = clip(L - cap, 0, m)), and L - m
+    cycle starts costing min(L - m, cap) each. An isolated element costs
+    one query. Must agree exactly with exact_cert_expectation at any t.
     The cost total is the whole walk cost over all n starts, at most n^2,
     so the int64 sums are exact for any n below 2^31.
     """
@@ -175,10 +177,12 @@ def meta_cert_expectation(instance, t=None) -> CertExpectation:
     if len(m) != len(path):
         raise ValueError("witness offset list does not match path structures")
     cyc = lengths[kinds == KIND_CYCLE]
+    k = np.clip(path - cap, 0, m)
+    tail = k * cap + (m - k) * path - (m * (m - 1) - k * (k - 1)) // 2
     cost_sum = int((cyc * np.minimum(cyc, cap)).sum()
-                   + (m * path - m * (m - 1) // 2 + (path - m) ** 2).sum()
+                   + (tail + (path - m) * np.minimum(path - m, cap)).sum()
                    + lengths[kinds == KIND_ISOLATED].sum())
-    good_sum = int(m.sum())
+    good_sum = int((m - k).sum())
     return _law(good_sum, cost_sum, n)
 
 

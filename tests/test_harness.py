@@ -115,9 +115,13 @@ class TestExpectationEvaluators:
                      for t in range(par.i_min, par.i_max + 1)]
         instances.append(gen_collision_function(n, par, seed=1, filler=filler,
                                                 b_override=0)[0])
+        # t=None reads the instance's scale; the others cap walks below
+        # and above the paths' length
         for inst in instances:
-            assert exact_cert_expectation(inst) == meta_cert_expectation(inst), \
-                inst.meta.extras["t"]
+            for t in (None, *range(par.i_max + 2)):
+                assert (exact_cert_expectation(inst, t)
+                        == meta_cert_expectation(inst, t)), \
+                    (inst.meta.extras["t"], t)
 
     @pytest.mark.parametrize("t", [62, 63, 64, 100])
     def test_a_cap_beyond_n_gives_the_law_of_a_cap_of_n(self, t):
