@@ -46,6 +46,7 @@ from qsep.harness import (
     DETECTORS,
     SeparationPoint,
     TrialConfig,
+    _naming,
     _seed_int,
     _trial,
     canonical_json,
@@ -290,7 +291,8 @@ def _bench_slope(spec: dict, args, master: int):
                 budget=trial_budget(series["detector"], det_kwargs, int(n),
                                     series.get("budget")),
                 point=si * 1000 + ni)
-            stats, rows = run_trials(cfg, workers=args.threads)
+            with _naming(f"series[{si}] (n {n})"):
+                stats, rows = run_trials(cfg, workers=args.threads)
             all_rows.extend(rows)
             means.append(stats.mean_queries)
             warn += stats.trials - stats.successes
@@ -756,8 +758,10 @@ def main(argv=None) -> int:
     except tuple(_EXIT_CODES) as e:
         msg = str(e)
         if isinstance(e, MemoryError):
-            at = f" for --n {args.n}" if hasattr(args, "n") else ""
-            msg = f"not enough memory{at}" + (f": {msg}" if msg else "")
+            # the size that failed: the command's --n, or a battery entry's
+            at = f"--n {args.n}" if hasattr(args, "n") else getattr(e, "entry", None)
+            msg = "not enough memory" + (f" for {at}" if at else "") \
+                + (f": {msg}" if msg else "")
         print(f"error: {msg}", file=sys.stderr)
         if isinstance(e, PrimeShortageError):
             print("hint: widen the prime window with --widen-primes",

@@ -12,12 +12,12 @@ arriving over the same edge, or at a recorded start, just ends the walk
 one shared-map walker with a step cap per lane (2^t on each of `batch`
 lanes, or 2^i on one lane per scale i): every walk of every lane reads
 and extends the same map. The per-attempt battery gives every attempt a
-fresh record instead, which is what the exact enumerator models: the
-attempt's trajectory plus an open-addressed table of its positions, so
-the predecessor of a recorded element is the trajectory entry before
-it. The battery is vectorised across lanes, one numpy pass per lockstep
-round, and sends the same queries in the same order as one Python step
-per lane would.
+fresh record instead, which is what the exact enumerator models: its
+trajectory row, filtered by a preimage record all lanes share (about 5n
+bytes), since a repeat at a later element y has answered two distinct
+queries. The battery is vectorised across lanes, one numpy pass per
+lockstep round, and sends the same queries in the same order as one
+Python step per lane would.
 
 Budgets live on the oracle only. A query the budget cannot pay for is
 refused uncounted; lockstep batches are clipped to what it still pays
@@ -121,7 +121,10 @@ def _framed(body):
 # collision walkers
 
 
-_HASH_MULT = 0x9E3779B1  # odd, about 2^32 / golden ratio (Fibonacci hashing)
+def _at_least(name: str, value, lo: int) -> None:
+    """Refuse a count below lo; None, no limit, passes."""
+    if value is not None and value < lo:
+        raise ParameterError(f"{name} must be >= {lo}, got {value}")
 
 
 def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
@@ -129,16 +132,21 @@ def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
     """Run independent single walk attempts at scale t in lockstep batches.
 
     Each round sends one query per live lane, in ascending lane order, in
-    one query_function_many call. A lane holds its current walk in a row
-    of a (lanes, min(2^t, n) + 1) trajectory array, and a fresh open-
-    addressed table of trajectory positions (cleared when the lane
-    respawns) answers "did this attempt already reach y?" in O(1).
-    Reaching the walk's start again ends the attempt; reaching any later
-    element certifies a collision with that element's predecessor.
+    one query_function_many call. A lane holds its walk x_0, x_1, ... in a
+    row of a (lanes, min(2^t, n) + 1) trajectory array. Reaching x_0 again
+    ends the attempt; reaching any x_j, j >= 1, certifies a collision with
+    x_{j-1}, and then x_j has answered two distinct queries. So two arrays
+    shared by all lanes, `pre` (the first element that answered y) and
+    `multi` (a second one did), filter the repeat check: only a lane whose
+    answer is in `multi` searches its own row, up to its step. Memory is
+    lanes x (min(2^t, n) + 1) trajectory entries plus about 5n bytes.
     Finished lanes respawn in ascending lane order from one upfront draw
     of starts. Per-attempt statistics match the exact all-starts
     enumeration.
     """
+    _at_least("t", t, 0)
+    _at_least("attempts", attempts, 0)
+    _at_least("batch", batch, 1)
     rng = np.random.default_rng(seed)
     f = _Frame(oracle)
     n = oracle.n
@@ -146,74 +154,73 @@ def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
     starts = rng.integers(0, n, size=attempts)
 
     lanes = min(batch, attempts)
-    width = min(cap, n) + 1  # positions stored in a table stay below width - 1
-    bits = (4 * (width - 1) - 1).bit_length()  # load factor at most 1/4
-    size = 1 << bits
-    mask = size - 1
-    traj = np.empty((lanes, width), dtype=index_dtype(n))
-    table = np.full((lanes, size), -1,
-                    dtype=np.int16 if width <= (1 << 15) else np.int32)
-    flat_traj, flat_table = traj.reshape(-1), table.reshape(-1)
-    steps = np.zeros(lanes, dtype=np.int64)
+    width = min(cap, n) + 1
+    traj = np.empty(lanes * width, dtype=index_dtype(n))
+    pre = np.full(n, -1, dtype=index_dtype(n))
+    multi = np.zeros(n, dtype=bool)
 
-    def home(keys):
-        return ((keys * _HASH_MULT) & 0xFFFFFFFF) >> (32 - bits)
-
-    def spawn(new, xs):
-        traj[new, 0] = xs
-        steps[new] = 0
-        table[new] = -1
-        table[new, home(xs)] = 0
-
-    live = np.arange(lanes)
-    spawn(live, starts[:lanes])
+    # per live lane, in ascending lane order: its row offset in traj, its
+    # walk's start and current element, and the steps taken
+    row = np.arange(lanes) * width
+    x0 = starts[:lanes].copy()
+    us = x0.copy()
+    step = np.zeros(lanes, dtype=np.int64)
+    traj[row] = x0
     next_attempt = lanes
 
     successes = 0
     finished = 0
     sample_witnesses: list[Witness] = []
-    while len(live):
+    while len(row):
         try:
-            live = f.clip(live)
+            k = len(f.clip(row))
         except BudgetExceeded:
             break
-        row = live * width
-        us = flat_traj[row + steps[live]]
+        row, x0, us, step = row[:k], x0[:k], us[:k], step[:k]
         ys = oracle.query_function_many(us)
-        # linear probing within each lane's row: pos ends as y's position
-        # in the walk, or -1 with `at` on the free entry where y goes
-        at = live * size + home(ys)
-        pos = flat_table[at]
-        pend = np.flatnonzero((pos >= 0) & (flat_traj[row + pos] != ys))
-        while len(pend):
-            nxt = at[pend] + 1
-            nxt -= ((nxt & mask) == 0) * size
-            at[pend] = nxt
-            p = flat_table[nxt]
-            pos[pend] = p
-            pend = pend[(p >= 0) & (flat_traj[row[pend] + p] != ys[pend])]
+        # y answers a second distinct element when p is neither unset nor u
+        p = pre[ys]
+        seen = multi[ys]
+        fresh = p < 0
+        twice = (p != us) & ~fresh
+        multi[ys[twice]] = True
+        seen |= twice
+        if fresh.any():
+            yf, uf = ys[fresh], us[fresh]
+            pre[yf] = uf
+            multi[yf[pre[yf] != uf]] = True
 
-        step = steps[live] + 1
-        go = (pos < 0) & (step < cap)
-        g, sg = live[go], step[go]
-        traj[g, sg] = ys[go]
-        flat_table[at[go]] = sg
-        steps[g] = sg
+        stop = ys == x0
+        step += 1
+        ask = np.flatnonzero(seen & ~stop)
+        if len(ask):
+            cols = np.arange(int(step[ask].max()))
+            found = traj[row[ask, None] + cols] == ys[ask, None]
+            found &= cols < step[ask, None]
+            pos = found.argmax(1)
+            hit = found[np.arange(len(ask)), pos]
+            ask, pos = ask[hit], pos[hit]
+            stop[ask] = True
+            successes += len(ask)
+            for i, j in zip(ask[:32 - len(sample_witnesses)].tolist(), pos.tolist()):
+                sample_witnesses.append(Witness(
+                    "collision", (int(us[i]), int(traj[row[i] + j - 1]), int(ys[i]))))
+        stop |= step >= cap
+        traj[row + step] = ys
+        us = ys
 
-        done = np.flatnonzero(~go)
-        hits = done[pos[done] > 0]
-        successes += len(hits)
-        for i in hits[:32 - len(sample_witnesses)].tolist():
-            prev = flat_traj[row[i] + pos[i] - 1]
-            sample_witnesses.append(
-                Witness("collision", (int(us[i]), int(prev), int(ys[i]))))
+        done = np.flatnonzero(stop)
+        if not len(done):
+            continue
         finished += len(done)
         k = min(len(done), attempts - next_attempt)
-        if k:
-            spawn(live[done[:k]], starts[next_attempt:next_attempt + k])
-            next_attempt += k
-            go[done[:k]] = True
-        live = live[go]
+        new, drop = done[:k], done[k:]
+        x0[new] = us[new] = traj[row[new]] = starts[next_attempt:next_attempt + k]
+        step[new] = 0
+        next_attempt += k
+        if len(drop):
+            stop[new] = False
+            row, x0, us, step = (a[~stop] for a in (row, x0, us, step))
 
     return {
         "attempts": finished,
@@ -233,6 +240,7 @@ def _shared_walk(f, oracle, caps, rng, max_attempts):
     after caps[k] steps or a terminal arrival. Each round queries every
     live lane, in lane order, in one call; all walks share one
     predecessor map, so cross-walk arrivals certify collisions too."""
+    _at_least("max_attempts", max_attempts, 0)
     n = oracle.n
     pred: dict = {}
     get = pred.get
@@ -276,6 +284,7 @@ def cert_collision_search(f, oracle, cert: Certificate, seed=None,
                           batch: int = 16, max_attempts: int | None = None):
     """Walk forward up to 2^t steps per attempt at the certified scale t,
     `batch` lanes at a time, sharing the predecessor map across attempts."""
+    _at_least("batch", batch, 1)
     t = int(cert.payload["t"])
     f.details = {"t": t}
     return _shared_walk(f, oracle, [1 << t] * batch, np.random.default_rng(seed),
@@ -288,8 +297,7 @@ def multiscale_collision_search(f, oracle, i_min: int, i_max: int, seed=None,
     """One walk per scale in strict round-robin, lowest scale first, one
     step per walk per round; the walk at scale i restarts after 2^i
     steps."""
-    if i_min < 0:
-        raise ParameterError(f"i_min must be >= 0, got {i_min}")
+    _at_least("i_min", i_min, 0)
     scales = list(range(int(i_min), int(i_max) + 1))
     f.details = {"scales": scales}
     return _shared_walk(f, oracle, [1 << i for i in scales],
@@ -305,6 +313,7 @@ def cert_claw_search(f, oracle, cert: Certificate, seed=None,
                      max_attempts: int | None = None):
     """Chain-walk up to 2^t steps from uniform starts until a degree-3
     vertex appears, then report it with three of its neighbors."""
+    _at_least("max_attempts", max_attempts, 0)
     t = int(cert.payload["t"])
     f.details = {"t": t}
     rng = np.random.default_rng(seed)

@@ -16,6 +16,7 @@ files; timing belongs on stdout only.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import csv
 import functools
 import hashlib
@@ -404,6 +405,17 @@ def _generate(generator: str, n: int, gen_ss, rel_seed, gen_kwargs):
     return made
 
 
+@contextlib.contextmanager
+def _naming(entry: str):
+    """Tag a MemoryError raised inside with the battery entry it ran, for
+    the CLI's error line."""
+    try:
+        yield
+    except MemoryError as e:
+        e.entry = entry
+        raise
+
+
 def _unit(head: dict, point: int, gen_kwargs: dict, relabel: bool, budget,
           lanes) -> list[dict]:
     """Generate one instance and run each (detector, det_kwargs) lane on it,
@@ -566,15 +578,15 @@ def separation_experiment(points, trials: int, master_seed: int,
         head = {"config": f"sep-{master_seed}-{idx}", "generator": pt.generator,
                 "n": pt.n, "seed": master_seed}
         cert_lane = (pt.cert_detector, pt.cert_kwargs)
-        pilot_rows = [_unit({**head, "trial": i + (1 << 30)}, idx, pt.gen_kwargs,
-                            True, None, (cert_lane,))[0] for i in range(pilot_trials)]
-        found = [r["queries"] for r in pilot_rows if r["status"] == FOUND]
-        budget = max(1, math.ceil(budget_factor * float(np.mean(found)))) if found \
-            else trial_budget(*cert_lane, pt.n, None)
-
-        lanes = (cert_lane, (pt.baseline_detector, pt.baseline_kwargs))
-        pairs = _map(_unit, [({**head, "trial": i}, idx, pt.gen_kwargs, True,
-                              budget, lanes) for i in range(trials)], workers)
+        with _naming(f"points[{idx}] (n {pt.n})"):
+            pilot_rows = [_unit({**head, "trial": i + (1 << 30)}, idx, pt.gen_kwargs,
+                                True, None, (cert_lane,))[0] for i in range(pilot_trials)]
+            found = [r["queries"] for r in pilot_rows if r["status"] == FOUND]
+            budget = max(1, math.ceil(budget_factor * float(np.mean(found)))) \
+                if found else trial_budget(*cert_lane, pt.n, None)
+            lanes = (cert_lane, (pt.baseline_detector, pt.baseline_kwargs))
+            pairs = _map(_unit, [({**head, "trial": i}, idx, pt.gen_kwargs, True,
+                                  budget, lanes) for i in range(trials)], workers)
         rows_c = [c for c, _ in pairs]
         rows_b = [b for _, b in pairs]
 

@@ -36,6 +36,20 @@ BATTERIES = Path(__file__).parents[1] / "batteries"
 COMMANDS = ("gen", "run", "bench", "verify", "adversary-test", "report")
 
 
+def _run_in_2_gib(*argv):
+    """Run the CLI in a child under its own 2 GiB address-space limit, so an
+    allocation beyond it fails at once whatever the machine's overcommit
+    policy."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+    src = str(Path(qsep.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "qsep.cli", *argv],
+        preexec_fn=limit, timeout=120, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -69,18 +83,8 @@ class TestGen:
     @pytest.mark.parametrize("argv", [
         ("gen", "--construction", "collision-fn"), ("adversary-test",)])
     def test_size_beyond_memory_exits_2(self, tmp_path, argv):
-        # a child under its own address-space limit, so the allocation
-        # fails at once whatever the machine's overcommit policy
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
-
         n = str(1 << 40)
-        src = str(Path(qsep.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "qsep.cli", *argv, "--n", n,
-             "--out-dir", str(tmp_path)],
-            preexec_fn=limit, timeout=120, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+        done = _run_in_2_gib(*argv, "--n", n, "--out-dir", str(tmp_path))
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith(f"error: not enough memory for --n {n}: ")
         assert len(done.stderr.splitlines()) == 1
@@ -312,6 +316,19 @@ class TestRun:
             "--detector", "cert-collision", "--seed", "1", "--budget", "-5")
         assert code == 2 and "Traceback" not in err
         assert err.strip().splitlines() == ["error: --budget must be >= 0, got -5"]
+
+    @pytest.mark.parametrize("detector", ["cert-collision", "multiscale"])
+    def test_negative_max_attempts_exits_2(self, collision_files, capsys,
+                                           detector):
+        # this exited 0 with Exhausted after 0 queries
+        inst, cert = collision_files
+        capsys.readouterr()
+        code, lines, err = run_cli(
+            capsys, "run", "--instance", str(inst), "--cert", str(cert),
+            "--detector", detector, "--seed", "1", "--max-attempts", "-1")
+        assert code == 2 and lines == [] and "Traceback" not in err
+        assert err.strip().splitlines() == [
+            "error: max_attempts must be >= 0, got -1"]
 
     def test_cert_detector_without_cert_exits_2(self, collision_files, capsys):
         inst, _ = collision_files
@@ -910,6 +927,20 @@ class TestBench:
         ({"points": [{**SEP_BATTERY["points"][0],
                       "baseline_kwargs": {"i_min": -1, "i_max": 4}}]},
          "i_min must be >= 0, got -1"),
+        # counts the walkers cannot run with: batch 0 reported ratios
+        # [Infinity], a negative max_attempts Exhausted after 0 queries
+        ({"points": [{**SEP_BATTERY["points"][0], "cert_kwargs": {"batch": 0}}]},
+         "batch must be >= 1, got 0"),
+        ({"points": [{**SEP_BATTERY["points"][0],
+                      "cert_kwargs": {"max_attempts": -1}}]},
+         "max_attempts must be >= 0, got -1"),
+        ({"points": [{**SEP_BATTERY["points"][0], "baseline_kwargs": {
+            "i_min": 2, "i_max": 4, "max_attempts": -1}}]},
+         "max_attempts must be >= 0, got -1"),
+        ({"kind": "slope", "series": [{
+            "label": "a", "generator": "claw-graph", "detector": "cert-claw",
+            "ns": [1024], "det_kwargs": {"max_attempts": -1}}]},
+         "max_attempts must be >= 0, got -1"),
     ])
     def test_malformed_battery_spec_exits_2(self, tmp_path, capsys, edit,
                                             message, threads):
@@ -921,6 +952,29 @@ class TestBench:
                                    "--threads", threads)
         assert code == 2 and lines == [] and "Traceback" not in err
         assert err.strip().splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, entry", [("separation", "points[1]"),
+                                             ("slope", "series[1]")])
+    def test_entry_beyond_memory_names_it_and_exits_2(self, tmp_path, kind,
+                                                      entry):
+        # the error line named no point, series or n
+        n = 1 << 40
+        if kind == "separation":
+            spec = {**SEP_BATTERY, "trials": 1, "pilot_trials": 1, "points": [
+                SEP_BATTERY["points"][0], {**SEP_BATTERY["points"][0], "n": n}]}
+        else:
+            series = {**SLOPE_BATTERY["series"][0], "ns": [1024], "trials": 1}
+            spec = {**SLOPE_BATTERY, "series": [
+                series, {**series, "label": "big", "ns": [1024, n]}]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(spec))
+        done = _run_in_2_gib("bench", "--battery", str(path), "--threads", "1",
+                             "--out-dir", str(tmp_path / "out"))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith(
+            f"error: not enough memory for {entry} (n {n}): ")
+        assert len(done.stderr.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -40,6 +40,7 @@ from qsep.detectors import (
     FOUND,
     SearchOutcome,
 )
+from qsep.generators import ParameterError
 from qsep.oracle import (
     BudgetExceeded,
     FunctionInstance,
@@ -82,6 +83,19 @@ class TestCollisionDetectors:
         res = collision_attempt_battery(o, cert.payload["t"], 20000, seed=1)
         assert res["truncated"] and res["queries"] <= 500
         assert o.count == res["queries"]
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(t=-1, attempts=100), "t must be >= 0, got -1"),
+        (dict(t=3, attempts=-1), "attempts must be >= 0, got -1"),
+        (dict(t=3, attempts=100, batch=0), "batch must be >= 1, got 0")])
+    def test_battery_refuses_nonsense_counts(self, kw, message):
+        # batch=0 returned attempts 0; a negative t or attempts ended in a
+        # bare ValueError
+        inst = FunctionInstance(n=8, succ=np.arange(8), meta=None, info={})
+        o = CountedOracle(inst)
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            collision_attempt_battery(o, **kw)
+        assert o.count == 0
 
     def test_cert_search_finds_and_validates(self):
         inst, cert, _ = gen_collision_function(4096, PAR, seed=5)
@@ -376,14 +390,18 @@ def _scalar_expectation(succ, t):
 
 
 @st.composite
-def functional_graphs(draw):
+def functional_graphs(draw, heavy=False):
     """A map on [n]: uniform, or a shape that stretches one stopping rule
     of the exact enumerator (one tail of length n - 1 into a fixed point,
-    one n-cycle, only fixed points), optionally relabelled."""
+    one n-cycle, only fixed points), optionally relabelled. With `heavy`,
+    also a map into at most four values, where nearly every element
+    collides."""
     n = draw(st.integers(1, 200))
-    shape = draw(st.sampled_from(["random", "tail", "cycle", "fixed"]))
-    if shape == "random":
-        return np.array(draw(st.lists(st.integers(0, n - 1), min_size=n,
+    shape = draw(st.sampled_from(["random", "tail", "cycle", "fixed"]
+                                 + ["few"] * heavy))
+    if shape in ("random", "few"):
+        top = n - 1 if shape == "random" else min(n - 1, 3)
+        return np.array(draw(st.lists(st.integers(0, top), min_size=n,
                                       max_size=n)), dtype=np.int64)
     base = {"tail": np.minimum(np.arange(n) + 1, n - 1),
             "cycle": (np.arange(n) + 1) % n,
@@ -443,6 +461,23 @@ class TestBatteryDifferential:
                 kw = dict(t=t, attempts=300, seed=n + t, batch=13)
                 assert (_battery_run(collision_attempt_battery, inst, None, **kw)
                         == _battery_run(_reference_battery, inst, None, **kw))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(functional_graphs(heavy=True), st.data())
+    def test_matches_reference_on_drawn_maps(self, succ, data):
+        # the preimage filter may miss no repeat, whatever the map's shape
+        n = len(succ)
+        attempts = data.draw(st.integers(1, 120))
+        kw = dict(t=data.draw(st.integers(0, 9)), attempts=attempts,
+                  batch=data.draw(st.sampled_from([attempts, 1, 7])
+                                  | st.integers(1, attempts)),
+                  seed=data.draw(st.integers(0, 2**32 - 1)),
+                  budget=data.draw(st.none() | st.integers(0, 3000)))
+        relabel_seed = data.draw(st.none() | st.integers(0, 2**32 - 1))
+        inst = FunctionInstance(n=n, succ=succ, meta=None, info={})
+        assert (_battery_run(collision_attempt_battery, inst, relabel_seed, **kw)
+                == _battery_run(_reference_battery, inst, relabel_seed, **kw))
 
     def test_exact_enumerator_matches_scalar_walks(self):
         rng = np.random.default_rng(5)
