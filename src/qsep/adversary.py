@@ -1,15 +1,15 @@
 """Lazy online opponent for the claw family.
 
 The session fixes the multi-scale path layout up front but defers the
-choice of which scale carries the witness claws. Path ends that could
-become claw centers are tracked as "red", the reserved leaf elements as
-"blue", everything else as "black". Probes against red or blue elements
-force partial commitment:
+choice of which scale carries the witness claws. One role array marks
+path ends that could become claw centers as "red" (the entry holds the
+end's scale), the reserved leaf elements as "blue", everything else as
+"black". Probes against red or blue elements force partial commitment:
 
-  * touching a red end of scale i flips a coin with heads probability
-    1/|I| (I = surviving scales). Heads fixes the good scale to i and
-    resolves the full instance; tails eliminates scale i and blackens
-    all its candidate ends.
+  * touching a red end of surviving scale i flips a coin with heads
+    probability 1/|I| (I = surviving scales). Heads fixes the good scale
+    to i and resolves the full instance; tails eliminates scale i, whose
+    candidate ends then answer as black.
   * touching a blue element draws the good scale uniformly from I and
     resolves.
   * black elements answer from the committed partial structure and
@@ -26,9 +26,13 @@ import json
 
 import numpy as np
 
-from qsep.generators import (_CLAW_OVERHEAD, ScaleParams, _carve_blocks,
-                             _claw_instance, scale_table)
+# scale_table is unused here but stays importable: perfbench's tracer
+# wraps it in every module that names it
+from qsep.generators import (_CLAW_OVERHEAD, ScaleParams, _claw_instance,
+                             _draw_layout, scale_table)  # noqa: F401
 from qsep.oracle import GraphInstance
+
+_BLUE = 1   # a reserved leaf's role; black is 0, a red end holds its scale >= 2
 
 
 class AdversarySession:
@@ -42,27 +46,21 @@ class AdversarySession:
         self._params = params
         self._seed = seed
         self._rng = rng
-        self._table = scale_table(n, params, witness_overhead=_CLAW_OVERHEAD)
-        sigma = rng.permutation(n)
-        self._blocks, self._pool, self._spare = _carve_blocks(sigma, self._table)
+        self._table, _, self._blocks, self._pool, self._spare = _draw_layout(
+            n, params, rng, _CLAW_OVERHEAD)
 
-        # partial structure: forward/backward neighbor inside a path
+        # partial structure: forward/backward neighbor inside a path, and
+        # each element's role
         nxt = np.full(n, -1, dtype=np.int64)
         prv = np.full(n, -1, dtype=np.int64)
-        for block in self._blocks:
-            nxt[block[:, :-1]] = block[:, 1:]
-            prv[block[:, 1:]] = block[:, :-1]
-        self._nxt, self._prv = nxt, prv
-
-        self._red = {}             # candidate claw center -> its scale
-        self._red_by_scale = {}    # scale -> its candidate ends, row by row
+        role = np.zeros(n, dtype=np.int8)
         for i, block, b in zip(self._table.scales.tolist(), self._blocks,
                                self._table.b.tolist()):
-            rows = block[:b]
-            ends = np.stack((rows[:, 0], rows[:, -1]), 1).ravel().tolist()
-            self._red.update(dict.fromkeys(ends, i))
-            self._red_by_scale[i] = ends
-        self._blue = set(self._pool.tolist())
+            nxt[block[:, :-1]] = block[:, 1:]
+            prv[block[:, 1:]] = block[:, :-1]
+            role[block[:b, [0, -1]]] = i
+        role[self._pool] = _BLUE
+        self._nxt, self._prv, self._role = nxt, prv, role
 
         self._alive = self._table.scales.tolist()
         self._resolved: GraphInstance | None = None
@@ -146,18 +144,16 @@ class AdversarySession:
     def _touch(self, v: int) -> str | None:
         if self._resolved is not None:
             return None
-        scale = self._red.get(v)
-        if scale is not None:
+        role = self._role.item(v)
+        if role in self._alive:
+            # a red end of a surviving scale; a dead scale's ends are black
             if self._rng.random() < 1.0 / len(self._alive):
-                self._resolve(scale)
+                self._resolve(role)
                 return "heads"
-            for end in self._red_by_scale.pop(scale):
-                del self._red[end]
-            self._alive.remove(scale)
+            self._alive.remove(role)
             return "tails"
-        if v in self._blue:
-            good = self._alive[int(self._rng.integers(len(self._alive)))]
-            self._resolve(good)
+        if role == _BLUE:
+            self._resolve(self._alive[int(self._rng.integers(len(self._alive)))])
             return "blue"
         return None
 
@@ -169,9 +165,6 @@ class AdversarySession:
             {"n": self.n, "i_min": self._params.i_min, "i_max": self._params.i_max})
         self._good = good
         self._alive = [good]
-        self._red.clear()
-        self._red_by_scale.clear()
-        self._blue.clear()
 
     def _degree(self, v: int) -> int:
         if self._resolved is not None:

@@ -550,35 +550,33 @@ def cmd_verify(args) -> int:
 def cmd_adversary_test(args) -> int:
     if args.n < 1:
         raise ParameterError(f"--n must be >= 1, got {args.n}")
+    if args.probes < 0:
+        raise ParameterError(f"--probes must be >= 0, got {args.probes}")
     seed = _master_seed(args)
     lo, hi = _parse_scales(args.scales or "2..4")
     params = ScaleParams(i_min=lo, i_max=hi, **_given(args, "rho"))
     session = AdversarySession(args.n, params, seed=_sub_seed(seed, 0))
     rng = np.random.default_rng(_sub_seed(seed, 1))
-    transcript = []
     for _ in range(args.probes):
         v = int(rng.integers(args.n))
         if rng.random() < 0.5:
-            transcript.append(("degree", v, None, session.probe_degree(v)))
+            session.probe_degree(v)
         else:
-            i = int(rng.integers(3))
             try:
-                ans = session.probe_neighbor(v, i)
+                session.probe_neighbor(v, int(rng.integers(3)))
             except IndexError:
-                ans = "index-error"
-            transcript.append(("neighbor", v, i, ans))
-    inst = session.finalize()
-    offline = CountedOracle(inst)
+                pass
+    # replay the session's trace, where an index out of range answered None
+    offline = CountedOracle(session.finalize())
     consistent = True
-    for op, v, i, ans in transcript:
-        if op == "degree":
-            replay = offline.query_degree(v)
-        else:
-            try:
-                replay = offline.query_neighbor(v, i)
-            except IndexError:
-                replay = "index-error"
-        if replay != ans:
+    for row in session.trace:
+        op, v, *i = row["query"]
+        try:
+            replay = offline.query_degree(v) if op == "deg" \
+                else offline.query_neighbor(v, *i)
+        except IndexError:
+            replay = None
+        if replay != row["answer"]:
             consistent = False
             break
     session.write_trace(_out_path(args, "adversary", "trace.jsonl"))

@@ -657,20 +657,26 @@ def cert_starpath_search(f, oracle, cert: Certificate, seed=None):
 
 @_framed
 def uniform_probe_baseline(f, oracle, target: str, seed=None,
-                           k: int | None = None, chunk: int = 256):
-    """Sample elements without replacement, `chunk` at a time; verify the
+                           k: int | None = None):
+    """Sample elements without replacement, 256 at a time; verify the
     target (fixed-point or k-star) locally.
 
     Exhausted only after probing all n elements; a budget that cuts the
     probing short is BudgetExceeded."""
+    if target not in ("fixed-point", "k-star"):
+        raise ParameterError(f"unsupported target {target!r}")
+    if target == "k-star":
+        if k is None:
+            raise ParameterError("k-star target needs k")
+        _at_least("k", k, 1)
     f.details = {"target": target}
     rng = np.random.default_rng(seed)
     n = oracle.n
     order = rng.permutation(n)
 
     def chunks():
-        for lo in range(0, n, chunk):
-            xs = f.clip(order[lo:lo + chunk])
+        for lo in range(0, n, 256):
+            xs = f.clip(order[lo:lo + 256])
             f.attempts += len(xs)
             yield xs
 
@@ -680,23 +686,19 @@ def uniform_probe_baseline(f, oracle, target: str, seed=None,
             if len(hits):
                 f.attempts -= len(xs) - int(hits[0]) - 1  # samples after the hit
                 return Witness("fixed-point", (int(xs[hits[0]]),))
-    elif target == "k-star":
-        if k is None:
-            raise ValueError("k-star target needs k")
-        for xs in chunks():
-            ds = oracle.query_degree_many(xs)
-            for j in np.flatnonzero(ds >= k):
-                v = int(xs[j])
-                d = int(ds[j])
-                f.need(2 * d)
-                nbrs = oracle.query_neighbor_many(np.full(d, v, dtype=np.int64),
-                                                  np.arange(d, dtype=np.int64))
-                nds = oracle.query_degree_many(nbrs)
-                pend = nbrs[nds == 1]
-                if len(pend) >= k:
-                    return Witness("k-star", (v, *(int(x) for x in pend[:k])))
-    else:
-        raise ValueError(f"unsupported target {target!r}")
+        return None
+    for xs in chunks():
+        ds = oracle.query_degree_many(xs)
+        for j in np.flatnonzero(ds >= k):
+            v = int(xs[j])
+            d = int(ds[j])
+            f.need(2 * d)
+            nbrs = oracle.query_neighbor_many(np.full(d, v, dtype=np.int64),
+                                              np.arange(d, dtype=np.int64))
+            nds = oracle.query_degree_many(nbrs)
+            pend = nbrs[nds == 1]
+            if len(pend) >= k:
+                return Witness("k-star", (v, *(int(x) for x in pend[:k])))
     return None
 
 

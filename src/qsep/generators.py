@@ -189,36 +189,32 @@ def _scale_table(n: int, params: ScaleParams, witness_overhead: int) -> ScaleTab
                       path_elements=path_elements, capacity=capacity)
 
 
-def _carve_blocks(sigma: np.ndarray, table: ScaleTable):
-    """Cut sigma's prefix into per-scale path blocks, reserve the witness
-    pool from its suffix. Returns (blocks, pool, spare) where blocks[j] is
-    an (a_j, 2^i_j) array, pool holds the witness-overhead reserve, and
-    spare is everything in between."""
+def _draw_layout(n, params, rng, witness_overhead):
+    """The layout draw the scale families and the adversary share: the
+    scale table, then the permutation sigma from rng, cut into per-scale
+    path blocks (blocks[j] is an (a_j, 2^i_j) array), the witness pool
+    (the witness-overhead reserve at sigma's end) and the spare elements
+    in between. Returns (table, sigma, blocks, pool, spare)."""
+    table = scale_table(n, params, witness_overhead=witness_overhead)
+    sigma = rng.permutation(n)
     blocks = []
     cursor = 0
-    for j in range(table.num_scales):
-        length = 1 << int(table.scales[j])
-        cnt = int(table.a[j])
-        blocks.append(sigma[cursor:cursor + cnt * length].reshape(cnt, length))
-        cursor += cnt * length
-    reserve = table.witness_overhead * int(table.b.max())
-    pool = sigma[len(sigma) - reserve:] if reserve else sigma[len(sigma):]
-    spare = sigma[cursor:len(sigma) - reserve]
-    return blocks, pool, spare
+    for i, a in zip(table.scales.tolist(), table.a.tolist()):
+        blocks.append(sigma[cursor:cursor + (a << i)].reshape(a, 1 << i))
+        cursor += a << i
+    pool_start = n - witness_overhead * int(table.b.max())
+    return table, sigma, blocks, sigma[pool_start:], sigma[cursor:pool_start]
 
 
 def _scale_layout(n, params, seed, witness_overhead, b_override, t_override):
-    """The layout draw the collision and claw families share: the scale
-    table, then the permutation sigma, then the good scale t (the rng is
-    returned for any later draws), the carved blocks, t's index and b_t."""
+    """_draw_layout, then the good scale t (the rng is returned for any
+    later draws), t's index and b_t."""
     rng = np.random.default_rng(seed)
-    table = scale_table(n, params, witness_overhead=witness_overhead)
-    sigma = rng.permutation(n)
+    table, sigma, blocks, pool, spare = _draw_layout(n, params, rng, witness_overhead)
     t = int(rng.integers(params.i_min, params.i_max + 1)) if t_override is None \
         else int(t_override)
     if not params.i_min <= t <= params.i_max:
         raise ParameterError(f"t = {t} outside scale window")
-    blocks, pool, spare = _carve_blocks(sigma, table)
     j_good = table.index_of(t)
     b_t = int(table.b[j_good]) if b_override is None else int(b_override)
     if not 0 <= b_t <= int(table.a[j_good]):

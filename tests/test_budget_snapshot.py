@@ -130,7 +130,7 @@ def setups() -> dict:
         "uniform-fixed-point": (fp, uniform_probe_baseline, ("fixed-point",),
                                 {"seed": 1}),
         "uniform-fixed-point-ring": (ring, uniform_probe_baseline,
-                                     ("fixed-point",), {"seed": 0, "chunk": 32}),
+                                     ("fixed-point",), {"seed": 0}),
         "uniform-k-star": (sp, uniform_probe_baseline, ("k-star",),
                            {"seed": 2, "k": 4}),
     }

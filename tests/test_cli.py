@@ -27,8 +27,9 @@ from qsep.detectors import corrupt_certificate
 from qsep.generators import FAMILIES, VerifyFailure
 from qsep.harness import DETECTORS, read_trials_csv
 from qsep.oracle import (KIND_CYCLE, KIND_FEEDER, KIND_NAMES, KIND_PATH,
-                         FunctionInstance, StructureMeta, read_certificate,
-                         read_instance, write_certificate, write_instance)
+                         FunctionInstance, StructureMeta, graph_from_edges,
+                         read_certificate, read_instance, write_certificate,
+                         write_instance)
 from qsep.svg import parse_chart
 
 
@@ -142,7 +143,10 @@ class TestGen:
           "--seed", "-2"), "--seed must be >= 0, got -2"),
         (("bench", "--battery", str(BATTERIES / "criterion6.json"), "--seed", "-1"),
          "--seed must be >= 0, got -1"),
-        (("adversary-test", "--n", "-5"), "--n must be >= 1, got -5")])
+        (("adversary-test", "--n", "-5"), "--n must be >= 1, got -5"),
+        # this exited 0 and wrote "probes": -5 into the summary
+        (("adversary-test", "--n", "64", "--probes", "-5"),
+         "--probes must be >= 0, got -5")])
     def test_bad_sizes_exit_2_without_traceback(self, tmp_path, capsys,
                                                 monkeypatch, flags, message):
         if "=" in flags[0]:
@@ -596,10 +600,13 @@ class TestRun:
         assert (rec["status"], rec["attempts"]) == ("Exhausted", 64)
         assert rec["queries"] > 16 * 1024
 
-    @pytest.mark.parametrize("flags", [("--target", "edge"),
-                                       ("--target", "k-star")])
+    @pytest.mark.parametrize("flags, message", [
+        (("--target", "edge"), "invalid choice: 'edge'"),
+        (("--target", "k-star"), "--target k-star needs --k"),
+        # this printed "valid": false for a witness with no leaves, exit 1
+        (("--target", "k-star", "--k", "0"), "k must be >= 1, got 0")])
     def test_bad_uniform_probe_target_exits_2(self, collision_files, capsys,
-                                              flags):
+                                              flags, message):
         inst, _ = collision_files
         capsys.readouterr()
         try:
@@ -607,8 +614,9 @@ class TestRun:
                          "uniform-probe", *flags])
         except SystemExit as e:   # argparse rejects a bad choice itself
             code = e.code
-        err = capsys.readouterr().err
-        assert code == 2 and "Traceback" not in err and "error:" in err
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "error:" in err and message in err
 
     @pytest.mark.parametrize("flags, message", [
         (("multiscale", "--scales", "3..a"), "expected A..B scale window, got '3..a'"),
@@ -661,6 +669,10 @@ SLOPE_BATTERY = {
          "det_kwargs": {"C": 2.0}, "ns": [4096, 16384, 65536], "trials": 3},
     ],
 }
+
+UNIFORM_SERIES = {"label": "a", "generator": "starpath-graph",
+                  "detector": "uniform-probe", "gen_kwargs": {"k": 4},
+                  "ns": [1024], "trials": 2}
 
 
 class TestBench:
@@ -941,6 +953,22 @@ class TestBench:
             "label": "a", "generator": "claw-graph", "detector": "cert-claw",
             "ns": [1024], "det_kwargs": {"max_attempts": -1}}]},
          "max_attempts must be >= 0, got -1"),
+        # uniform-probe's batch size is fixed: chunk 0 ended in a range()
+        # traceback, chunk -1 reported Exhausted after 0 queries
+        ({"kind": "slope", "series": [{
+            **UNIFORM_SERIES, "det_kwargs": {"target": "fixed-point", "chunk": 0}}]},
+         "series[0].det_kwargs names 'chunk', which uniform-probe does not take"),
+        # a bad target or a missing k ended in a ValueError traceback, and
+        # k 0 in a RuntimeError traceback on a witness with no leaves
+        ({"kind": "slope", "series": [{
+            **UNIFORM_SERIES, "det_kwargs": {"target": "edge"}}]},
+         "unsupported target 'edge'"),
+        ({"kind": "slope", "series": [{
+            **UNIFORM_SERIES, "det_kwargs": {"target": "k-star"}}]},
+         "k-star target needs k"),
+        ({"kind": "slope", "series": [{
+            **UNIFORM_SERIES, "det_kwargs": {"target": "k-star", "k": 0}}]},
+         "k must be >= 1, got 0"),
     ])
     def test_malformed_battery_spec_exits_2(self, tmp_path, capsys, edit,
                                             message, threads):
@@ -1266,6 +1294,19 @@ class TestAdversaryAndReport:
         assert (tmp_path / "adversary.trace.jsonl").exists()
         summary = json.loads((tmp_path / "adversary.summary.json").read_text())
         assert summary["consistent"] is True and "config_hash" in summary
+
+    def test_adversary_test_refutes_a_finalize_that_disagrees(
+            self, tmp_path, capsys, monkeypatch):
+        # an instance with no edges answers degree 0 where the session's
+        # paths answered 1 or 2
+        monkeypatch.setattr(qsep.adversary.AdversarySession, "finalize",
+                            lambda self: graph_from_edges(self.n, []))
+        code, lines, _ = run_cli(
+            capsys, "adversary-test", "--n", "1024", "--scales", "2..4",
+            "--seed", "5", "--probes", "400", "--out-dir", str(tmp_path))
+        assert code == 1 and last_json(lines)["consistent"] is False
+        summary = json.loads((tmp_path / "adversary.summary.json").read_text())
+        assert summary["consistent"] is False
 
     def test_report_aggregates_and_plots(self, tmp_path, capsys):
         spec = tmp_path / "slope.json"

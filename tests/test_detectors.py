@@ -1011,7 +1011,7 @@ class TestUniformProbe:
         samples = []
         for s in range(60):
             out = uniform_probe_baseline(CountedOracle(inst), "fixed-point",
-                                         seed=s, chunk=1)
+                                         seed=s)
             assert out.found and out.witness.vertices == (100,)
             samples.append(out.attempts)
         mean = np.mean(samples)
@@ -1027,18 +1027,18 @@ class TestUniformProbe:
 
     def test_unsupported_target_rejected(self):
         inst = FunctionInstance(n=8, succ=np.arange(8), meta=None, info={})
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             uniform_probe_baseline(CountedOracle(inst), "collision", seed=0)
         g = graph_from_edges(64, [(0, 1), (1, 2)])
         for target in ("edge", "wedge"):
-            with pytest.raises(ValueError, match="unsupported target"):
+            with pytest.raises(ParameterError, match="unsupported target"):
                 uniform_probe_baseline(CountedOracle(g), target, seed=1)
 
     def test_budget_exceeded_status(self):
         inst = FunctionInstance(n=4096, succ=np.roll(np.arange(4096), -1),
                                 meta=None, info={})
         out = uniform_probe_baseline(CountedOracle(inst, budget=100),
-                                     "fixed-point", seed=0, chunk=32)
+                                     "fixed-point", seed=0)
         assert out.status == "BudgetExceeded" and out.queries <= 100
 
     def test_budget_cut_is_not_exhausted(self):
@@ -1059,10 +1059,9 @@ class TestUniformProbe:
                                      "fixed-point", seed=1)
         assert out.found and out.witness.vertices == (last,)
         g = graph_from_edges(64, [])
-        for chunk in (64, 7):
-            out = uniform_probe_baseline(CountedOracle(g, budget=40), "k-star",
-                                         seed=1, k=4, chunk=chunk)
-            assert (out.status, out.queries) == ("BudgetExceeded", 40)
+        out = uniform_probe_baseline(CountedOracle(g, budget=40), "k-star",
+                                     seed=1, k=4)
+        assert (out.status, out.queries) == ("BudgetExceeded", 40)
 
 
 class TestBruteForce:
