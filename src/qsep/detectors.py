@@ -37,7 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-from qsep.generators import FAMILIES, ParameterError
+from qsep.generators import FAMILIES, ParameterError, _at_least
 from qsep.oracle import BudgetExceeded, Certificate, Witness, index_dtype
 
 FOUND = "Found"
@@ -119,12 +119,6 @@ def _framed(body):
 
 # ---------------------------------------------------------------------------
 # collision walkers
-
-
-def _at_least(name: str, value, lo: int) -> None:
-    """Refuse a count below lo; None, no limit, passes."""
-    if value is not None and value < lo:
-        raise ParameterError(f"{name} must be >= {lo}, got {value}")
 
 
 def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
@@ -705,6 +699,9 @@ def uniform_probe_baseline(f, oracle, target: str, seed=None,
 # ---------------------------------------------------------------------------
 # ground-truth search (no oracle, no counting)
 
+# the largest n exhaustive search takes on: verify's guard and the clique scan
+BRUTE_FORCE_MAX_N = 1 << 13
+
 
 def brute_force_find(instance, target: str, k: int | None = None,
                      h: int | None = None) -> list[Witness]:
@@ -743,7 +740,7 @@ def brute_force_find(instance, target: str, k: int | None = None,
     if target == "clique":
         if h is None:
             raise ValueError("clique target needs h")
-        if n > 1 << 13:
+        if n > BRUTE_FORCE_MAX_N:
             raise ValueError("instance too large for exhaustive clique search")
         degs = instance.degrees
         cands = [int(v) for v in np.flatnonzero(degs >= h - 1)]

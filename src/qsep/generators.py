@@ -117,10 +117,6 @@ class ScaleTable:
     path_elements: int        # sum of a_i * 2^i
     capacity: int             # path_elements + witness-overhead reserve
 
-    @property
-    def num_scales(self) -> int:
-        return len(self.scales)
-
     def index_of(self, t: int) -> int:
         return int(t) - int(self.scales[0])
 
@@ -412,8 +408,7 @@ def gen_fixedpoint_function(n: int, params: FixedPointParams,
     if h_spec != "fixed-point":
         raise ParameterError(f"unsupported H-spec {h_spec!r}; only 'fixed-point' "
                              "is wired up")
-    if params.T < 1:
-        raise ParameterError("T must be >= 1")
+    _at_least("T", params.T, 1)
     if n < 2:
         raise ParameterError(f"fixedpoint-fn needs n >= 2, got {n}")
     if not math.isfinite(params.alpha):
@@ -422,9 +417,8 @@ def gen_fixedpoint_function(n: int, params: FixedPointParams,
     q4 = n ** 0.25
     cycle_len = params.cycle_len if params.cycle_len is not None else int(n ** 0.75)
     feeder_len = params.feeder_len if params.feeder_len is not None else max(1, int(q4))
-    if cycle_len < 1 or feeder_len < 1:
-        raise ParameterError(f"cycle_len and feeder_len must be >= 1, got "
-                             f"{cycle_len} and {feeder_len}")
+    _at_least("cycle_len", cycle_len, 1)
+    _at_least("feeder_len", feeder_len, 1)
     lo = params.prime_lo if params.prime_lo is not None else q4 / 4
     hi = params.prime_hi if params.prime_hi is not None else q4 / 2
     n_raw = int(params.alpha * q4 / math.log2(n))
@@ -681,6 +675,12 @@ def check_type(where: str, value, annotation: str) -> None:
     """ParameterError unless `annotation`, such as "int | None", admits value."""
     if not any(type(value) in _FIELD_TYPES[t] for t in annotation.split(" | ")):
         raise ParameterError(f"{where} must be {annotation}, got {value!r}")
+
+
+def _at_least(name: str, value, lo: int) -> None:
+    """Refuse a count below lo; None, no limit, passes."""
+    if value is not None and value < lo:
+        raise ParameterError(f"{name} must be >= {lo}, got {value}")
 
 
 @dataclass(frozen=True)

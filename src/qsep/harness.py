@@ -615,7 +615,7 @@ class SlopeFit:
 def slope_fit(xs, ys) -> SlopeFit:
     """OLS fit of log(y) against log(x).
 
-    Needs at least three points spanning a factor of four in x.
+    ValueError unless at least three positive points span a factor of four in x.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)

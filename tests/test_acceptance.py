@@ -197,12 +197,12 @@ def test_criterion_3_online_offline_distribution(capsys):
 BATTERIES = Path(__file__).parents[1] / "batteries"
 
 
-def bench_battery(name, tmp_path):
+def bench_battery(name, tmp_path, threads=1):
     """Run batteries/<name>.json through `qsep bench` as a user would;
     return its exit code under --strict and the report it wrote."""
     out = tmp_path / name
     code = cli_main(["bench", "--battery", str(BATTERIES / f"{name}.json"),
-                     "--threads", "1", "--strict", "--out-dir", str(out)])
+                     "--threads", str(threads), "--strict", "--out-dir", str(out)])
     return code, json.loads(next(out.glob("*.report.json")).read_text())
 
 
@@ -211,7 +211,8 @@ C4_BATTERIES = ("criterion4-1000", "criterion4-2000", "criterion4-3000")
 
 def test_criterion_4_scale_count_separation(tmp_path, capsys):
     t0 = time.perf_counter()
-    codes, reports = zip(*(bench_battery(b, tmp_path) for b in C4_BATTERIES))
+    # two workers give the same rows and budgets as one (test_harness)
+    codes, reports = zip(*(bench_battery(b, tmp_path, threads=2) for b in C4_BATTERIES))
     all_ratios = [rep["report"]["ratios"] for rep in reports]
     mono = all(a < b for ratios in all_ratios for a, b in zip(ratios, ratios[1:]))
     xs = np.array([x for rep in reports for x in rep["report"]["xs"]], dtype=float)

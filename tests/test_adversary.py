@@ -200,14 +200,20 @@ class TestConsistency:
         assert rows[1]["I"] in (1, 2, 3)
 
 
-def test_demo_03_replays_without_mismatch():
-    demo = Path(__file__).parents[1] / "demos" / "03_lazy_adversary.py"
+# demos 01-03 write no files; each must exit 0 and print its line here
+# (02 calls both collision detectors, 03 replays the adversary)
+@pytest.mark.parametrize("demo, line", [
+    ("01_instance_anatomy.py", "collision cert:"),
+    ("02_certificate_vs_search.py", "observed rate"),
+    ("03_lazy_adversary.py", "mismatches = 0")], ids=["01", "02", "03"])
+def test_demo_runs(demo, line):
+    demo = Path(__file__).parents[1] / "demos" / demo
     src = str(Path(qsep.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert "mismatches = 0" in done.stdout
+    assert line in done.stdout
 
 
 class TestValidation:

@@ -119,8 +119,11 @@ class TestGen:
     # gen's cases, then the seed and size checks other commands share; a
     # leading NAME=value sets the environment, as in a shell
     @pytest.mark.parametrize("flags, message", [
-        (("fixedpoint-fn", "--n", "4096", "--cycle-len", "0"), "cycle_len"),
-        (("fixedpoint-fn", "--n", "4096", "--feeder-len", "0"), "feeder_len"),
+        (("fixedpoint-fn", "--n", "4096", "--T", "0"), "T must be >= 1, got 0"),
+        (("fixedpoint-fn", "--n", "4096", "--cycle-len", "0"),
+         "cycle_len must be >= 1, got 0"),
+        (("fixedpoint-fn", "--n", "4096", "--feeder-len", "0"),
+         "feeder_len must be >= 1, got 0"),
         (("collision-fn", "--n", "-4"), "--n must be >= 1, got -4"),
         (("collision-fn", "--n", "0"), "--n must be >= 1, got 0"),
         (("fixedpoint-fn", "--n", "1"), "n >= 2, got 1"),
@@ -602,7 +605,8 @@ class TestRun:
 
     @pytest.mark.parametrize("flags, message", [
         (("--target", "edge"), "invalid choice: 'edge'"),
-        (("--target", "k-star"), "--target k-star needs --k"),
+        # the detector's own check, reached once the instance is read
+        (("--target", "k-star"), "k-star target needs k"),
         # this printed "valid": false for a witness with no leaves, exit 1
         (("--target", "k-star", "--k", "0"), "k must be >= 1, got 0")])
     def test_bad_uniform_probe_target_exits_2(self, collision_files, capsys,
