@@ -11,11 +11,8 @@ file, or an instance or certificate file that breaks its format).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
-import inspect
-import math
 import os
 import sys
 import time
@@ -24,7 +21,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from qsep import generators
 from qsep.adversary import AdversarySession
 from qsep.detectors import BRUTE_FORCE_MAX_N, brute_force_find, corrupt_certificate
 # the generators stay importable here, where perfbench wraps them
@@ -35,19 +31,21 @@ from qsep.generators import (  # noqa: F401
     ScaleParams,
     VerifyFailure,
     _at_least,
-    check_type,
+    check_fields,
     gen_claw_graph,
     gen_collision_function,
     gen_fixedpoint_function,
     gen_star_graph,
     gen_starpath_graph,
+    keywords_of,
 )
-from qsep.harness import (
-    DETECTOR_KEYWORDS,
+# run_trials and slope_fit stay importable here, where perfbench wraps them
+from qsep.harness import (  # noqa: F401
     DETECTORS,
+    KEYWORDS,
     SeparationPoint,
-    TrialConfig,
-    _naming,
+    SlopeSeries,
+    _fit,
     _seed_int,
     _trial,
     canonical_json,
@@ -55,8 +53,8 @@ from qsep.harness import (
     read_trials_csv,
     run_trials,
     separation_experiment,
+    slope_experiment,
     slope_fit,
-    trial_budget,
     write_report_json,
     write_trials_csv,
 )
@@ -87,11 +85,13 @@ def _emit(args, record: dict) -> None:
     print(canonical_json(record))
 
 
-def _master_seed(args, default: int = 0) -> int:
-    """--seed, else $QSEP_SEED, else default; a seed given must be an
-    integer >= 0."""
+def _master_seed(args, spec_seed: int | None = None) -> int:
+    """--seed, else $QSEP_SEED, else a battery spec's master_seed, else 0;
+    a seed given, the spec's too, must be an integer >= 0."""
+    _at_least("master_seed", spec_seed, 0)
     name, seed = ("--seed", args.seed) if args.seed is not None else \
-        ("$QSEP_SEED", os.environ.get("QSEP_SEED") or default)
+        ("$QSEP_SEED", os.environ["QSEP_SEED"]) if os.environ.get("QSEP_SEED") \
+        else ("master_seed", spec_seed or 0)
     try:
         seed = int(seed)
     except ValueError:
@@ -130,15 +130,6 @@ def _out_path(args, prefix: str, name: str) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out / f"{args.prefix or prefix}.{name}"
-
-
-def _fit(ns, means):
-    """The log-log slope fit of means over ns, or None where slope_fit
-    refuses them."""
-    try:
-        return slope_fit(ns, means)
-    except ValueError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +181,7 @@ def _detector_kwargs(args) -> dict:
     # a detector flag applies to the detectors whose signature takes it
     kw = _given(args, "C", "k", "target", "max_attempts")
     for name in kw:
-        if name not in DETECTOR_KEYWORDS[args.detector]:
+        if name not in KEYWORDS[args.detector]:
             raise ParameterError(f"--{name.replace('_', '-')} does not apply "
                                  f"to {args.detector}")
     # --scales is multiscale's window, or the window a corrupted scale
@@ -242,15 +233,10 @@ def cmd_run(args) -> int:
 # bench
 
 
-def _bench_separation(spec: dict, args, master: int):
+def _bench_separation(kw: dict, args):
     """Run a separation battery; return its trial rows, report fields,
     chart (series and axes), record fields and warning count."""
-    fields = {f.name for f in dataclasses.fields(SeparationPoint)}
-    points = [SeparationPoint(**{k: v for k, v in p.items() if k in fields})
-              for p in spec["points"]]
-    given = {k: spec[k] for k in ("budget_factor", "pilot_trials") if k in spec}
-    rep = separation_experiment(points, trials=spec.get("trials", 20),
-                                master_seed=master, workers=args.threads, **given)
+    rep = separation_experiment(**kw, workers=args.threads)
 
     keys = ("x", "n", "budget", "cert_mean", "base_mean", "ratio")
     rows = [dict(zip(keys, row)) for row in zip(
@@ -268,169 +254,69 @@ def _bench_separation(spec: dict, args, master: int):
              {"title": "mean queries per point", "xlabel": "x",
               "ylabel": "queries", "logy": True})
     return (rep.rows, {"rows": rows, "report": rep.to_jsonable()}, chart,
-            {"points": len(points), "ratios": rep.ratios}, warn)
+            {"points": len(rep.xs), "ratios": rep.ratios}, warn)
 
 
-def _bench_slope(spec: dict, args, master: int):
+def _bench_slope(kw: dict, args):
     """Run a slope battery; return what _bench_separation returns."""
-    all_rows, summary, svg_series, fits, warn = [], [], [], {}, 0
-    for si, series in enumerate(spec["series"]):
-        label = series["label"]
-        det_kwargs = series.get("det_kwargs", {})
-        means = []
-        for ni, n in enumerate(series["ns"]):
-            cfg = TrialConfig(
-                generator=series["generator"], detector=series["detector"],
-                n=int(n), trials=series.get("trials", 10),
-                master_seed=master,
-                gen_kwargs=series.get("gen_kwargs", {}),
-                det_kwargs=det_kwargs,
-                budget=trial_budget(series["detector"], det_kwargs, int(n),
-                                    series.get("budget")),
-                point=si * 1000 + ni)
-            with _naming(f"series[{si}] (n {n})"):
-                stats, rows = run_trials(cfg, workers=args.threads)
-            all_rows.extend(rows)
-            means.append(stats.mean_queries)
-            warn += stats.trials - stats.successes
-            summary.append({
-                "label": label, "n": int(n), "trials": stats.trials,
-                "successes": stats.successes,
-                "mean_queries": stats.mean_queries,
-                "stderr_queries": stats.stderr_queries})
-            print(f"series label={label} n={n} "
-                  f"mean_queries={stats.mean_queries!r} "
-                  f"found={stats.successes}/{stats.trials}")
-        ns = [float(n) for n in series["ns"]]
-        fits[label] = None
-        f = _fit(ns, means)
-        if f is not None:
-            fits[label] = {"slope": f.slope, "intercept": f.intercept,
-                           "stderr": f.stderr, "r2": f.r2}
-            print(f"series label={label} slope={f.slope!r} r2={f.r2!r}")
-        svg_series.append((label, ns, means))
+    all_rows, summary, fits = slope_experiment(**kw, workers=args.threads)
+    svg_series = []
+    for s in kw["series"]:
+        mine = [r for r in summary if r["label"] == s.label]
+        for r in mine:
+            print(f"series label={s.label} n={r['n']} mean_queries={r['mean_queries']!r} "
+                  f"found={r['successes']}/{r['trials']}")
+        if fits[s.label] is not None:
+            print(f"series label={s.label} slope={fits[s.label]['slope']!r} "
+                  f"r2={fits[s.label]['r2']!r}")
+        svg_series.append((s.label, [float(n) for n in s.ns], [r["mean_queries"] for r in mine]))
     chart = (svg_series, {"title": "query scaling", "xlabel": "n",
                           "ylabel": "mean queries", "logx": True, "logy": True})
-    return (all_rows, {"rows": summary, "fits": fits}, chart,
-            {"rows": len(summary)}, warn)
+    warn = sum(r["trials"] - r["successes"] for r in summary)
+    return all_rows, {"rows": summary, "fits": fits}, chart, {"rows": len(summary)}, warn
 
 
-# per battery kind: its list of entries, the keys each entry needs, and
-# each keyword-argument object an entry may carry with the field naming
-# the generator or detector it goes to
-_BATTERY_KEYS = {
-    "separation": ("points", ("x", "n", "generator"),
-                   (("gen_kwargs", "generator"),
-                    ("cert_kwargs", "cert_detector"),
-                    ("baseline_kwargs", "baseline_detector"))),
-    "slope": ("series", ("label", "generator", "detector", "ns"),
-              (("gen_kwargs", "generator"), ("det_kwargs", "detector"))),
-}
+# per battery kind: the experiment that runs it, its list of entries and
+# the record each entry is read into
+_BATTERIES = {"separation": (separation_experiment, "points", SeparationPoint),
+              "slope": (slope_experiment, "series", SlopeSeries)}
 
 
-def _integer(lo: int):
-    return (lambda v: type(v) is int and v >= lo), f"an integer >= {lo}"
-
-
-def _named(table: dict, what: str):
-    return (lambda v: isinstance(v, str) and v in table), \
-        f"one of the {what}s {', '.join(sorted(table))}"
-
-
-# what a battery field must hold, at the top of the spec or in an entry
-_FIELD_RULES = {
-    "master_seed": _integer(0), "trials": _integer(0),
-    "pilot_trials": _integer(1), "n": _integer(1),
-    "budget": ((lambda v: v is None or type(v) is int and v >= 0),
-               "null or an integer >= 0"),
-    "budget_factor": ((lambda v: type(v) in (int, float) and 0 < v < math.inf),
-                      "a positive number"),
-    "x": ((lambda v: type(v) in (int, float) and math.isfinite(v)),
-          "a finite number"),
-    "label": ((lambda v: isinstance(v, str)), "a string"),
-    "ns": ((lambda v: isinstance(v, list) and len(v) > 0
-            and all(type(m) is int and m >= 1 for m in v)),
-           "a non-empty list of integers >= 1"),
-    "generator": _named(FAMILIES, "generator"),
-    **{key: _named(DETECTORS, "detector")
-       for key in ("detector", "cert_detector", "baseline_detector")},
-}
-
-
-def _check_fields(where: str, obj: dict) -> None:
-    for key, value in obj.items():
-        rule = _FIELD_RULES.get(key)
-        if rule is not None and not rule[0](value):
-            raise ParameterError(f"{where}{key} must be {rule[1]}, got {value!r}")
-
-
-# each detector's and generator's keywords; a generator's defaults are its record's
-_KEYWORDS = {**DETECTOR_KEYWORDS, **{
-    name: {key: inspect.signature(getattr(generators, f.generator)).parameters[key]
-           .replace(default=default) for key, default in f.keywords.items()}
-    for name, f in FAMILIES.items()}}
-
-
-def _check_kwargs(where: str, name: str, kwargs) -> None:
-    """kwargs must be an object naming only keywords the generator or
-    detector `name` takes, and every one it needs, each holding a value
-    its annotation admits, with a generator's params parsed."""
-    if not isinstance(kwargs, dict):
-        raise ParameterError(f"{where} must be a JSON object, got {kwargs!r}")
-    takes = _KEYWORDS[name]
-    unknown = [key for key in kwargs if key not in takes]
-    if unknown:
-        raise ParameterError(f"{where} names {', '.join(map(repr, unknown))}, "
-                             f"which {name} does not take")
-    missing = [key for key, p in takes.items()
-               if p.default is p.empty and key not in kwargs]
-    if missing:
-        raise ParameterError(f"{where} lacks {', '.join(map(repr, missing))}, "
-                             f"which {name} needs")
-    for key, value in kwargs.items():
-        if key != "params":
-            check_type(f"{where}.{key}", value, takes[key].annotation)
-    if name in FAMILIES:
-        FAMILIES[name].arguments(kwargs, f"{where}.params")
-
-
-def _check_battery(spec) -> str:
-    """Return the spec's kind, or raise ParameterError naming the first
-    field that is missing or malformed, before any trial runs."""
+def _check_battery(spec) -> tuple[str, dict]:
+    """The spec's kind and its experiment's keywords, each entry read into its
+    record; ParameterError naming the first missing, unknown or bad field."""
     if not isinstance(spec, dict):
         raise ParameterError("battery spec must be a JSON object")
     kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _BATTERY_KEYS:
+    if not isinstance(kind, str) or kind not in _BATTERIES:
         raise ParameterError(f"battery kind must be separation|slope, got {kind!r}")
-    key, needed, kwargs_of = _BATTERY_KEYS[kind]
-    entries = spec.get(key)
-    if not isinstance(entries, list) or not entries:
+    experiment, key, record = _BATTERIES[kind]
+    # past `kind` and `_` comments, the keys are the experiment's, save workers
+    kw = {k: v for k, v in spec.items() if k != "kind" and not k.startswith("_")}
+    takes = {k: p for k, p in keywords_of(experiment).items() if k != "workers"}
+    check_fields("", kw, takes, experiment.__name__)
+    if not isinstance(kw[key], list) or not kw[key]:
         raise ParameterError(f"a {kind} battery needs a non-empty {key!r} list")
-    _check_fields("", spec)
-    for j, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ParameterError(f"{key}[{j}] must be a JSON object")
-        missing = [k for k in needed if k not in entry]
-        if missing:
-            raise ParameterError(f"{key}[{j}] lacks {', '.join(map(repr, missing))}")
-        _check_fields(f"{key}[{j}].", entry)
-        for kw, owner in kwargs_of:
-            # a separation point's detectors default to SeparationPoint's
-            name = entry[owner] if owner in entry else getattr(SeparationPoint, owner)
-            _check_kwargs(f"{key}[{j}].{kw}", name, entry.get(kw, {}))
-    return kind
+    entries = []
+    for j, entry in enumerate(kw[key]):
+        check_fields(f"{key}[{j}]", entry, keywords_of(record), record.__name__)
+        try:
+            entries.append(record(**entry))
+        except ParameterError as e:
+            raise ParameterError(f"{key}[{j}].{e}") from None
+    return kind, {**kw, key: entries}
 
 
 def cmd_bench(args) -> int:
     _at_least("--threads", args.threads, 1)
     spec = read_json(args.battery)
-    kind = _check_battery(spec)
-    master = _master_seed(args, spec.get("master_seed", 0))
+    kind, kw = _check_battery(spec)
+    master = kw["master_seed"] = _master_seed(args, kw.get("master_seed"))
     h = config_hash({"battery": {k: v for k, v in spec.items()
                                  if not k.startswith("_")},
                      "master_seed": master})
     run = _bench_separation if kind == "separation" else _bench_slope
-    trial_rows, report, (series, axes), record, warn = run(spec, args, master)
+    trial_rows, report, (series, axes), record, warn = run(kw, args)
     write_trials_csv(_out_path(args, kind, "trials.csv"), trial_rows,
                      config_hash=h)
     write_report_json(_out_path(args, kind, "report.json"),

@@ -17,10 +17,11 @@ FAMILIES, at the end, holds one Family record per construction; `gen`,
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from math import isqrt
 
 import numpy as np
@@ -666,15 +667,44 @@ class VerifyFailure(Exception):
     verify's invariants."""
 
 
-# the types a params field's or keyword's annotation admits, as JSON gives them
+# the types a field's or keyword's annotation admits, as JSON gives them
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
-                "bool": (bool,), "None": (type(None),)}
+                "bool": (bool,), "None": (type(None),), "list": (list,)}
 
 
 def check_type(where: str, value, annotation: str) -> None:
     """ParameterError unless `annotation`, such as "int | None", admits value."""
     if not any(type(value) in _FIELD_TYPES[t] for t in annotation.split(" | ")):
         raise ParameterError(f"{where} must be {annotation}, got {value!r}")
+
+
+@functools.cache
+def keywords_of(fn):
+    """The parameters of fn, a function or a dataclass, by name (read-only)."""
+    return inspect.signature(fn).parameters
+
+
+def check_fields(where: str, obj, takes: dict, owner: str) -> None:
+    """ParameterError unless obj is a JSON object naming only keys of `takes`
+    (name -> inspect.Parameter of `owner`) and each key without a default,
+    each holding a value its annotation admits where that names JSON types
+    (a dict is its own check). `where` is obj's path, "" atop a battery spec."""
+    name = where or "battery spec"
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{name} must be a JSON object, got {obj!r}")
+    unknown = [key for key in obj if key not in takes]
+    if unknown:
+        raise ParameterError(f"{name} names {', '.join(map(repr, unknown))}, "
+                             f"which {owner} does not take")
+    missing = [key for key, p in takes.items() if p.default is p.empty and key not in obj]
+    if missing:
+        raise ParameterError(f"{name} lacks {', '.join(map(repr, missing))}, "
+                             f"which {owner} needs")
+    for key, value in obj.items():
+        annotation = takes[key].annotation
+        if isinstance(annotation, str) and \
+                all(t in _FIELD_TYPES for t in annotation.split(" | ")):
+            check_type(f"{where}.{key}" if where else key, value, annotation)
 
 
 def _at_least(name: str, value, lo: int) -> None:
@@ -707,21 +737,14 @@ class Family:
 
     def arguments(self, kw: dict, where: str = "params") -> dict:
         """The generator's keywords: the record's defaults, then kw, with
-        params built. ParameterError for a params field the class lacks or
-        a value of a type the field's annotation does not admit."""
+        params built from an object that check_fields accepts."""
         kw = {**self.keywords, **kw}
         given = kw.get("params")
         if self.params is None or isinstance(given, self.params):
             return kw
-        if not isinstance(given, (dict, type(None))):
-            raise ParameterError(f"{where} must be a JSON object, got {given!r}")
-        types = {f.name: f.type for f in fields(self.params)}
-        for key, value in (given or {}).items():
-            if key not in types:
-                raise ParameterError(f"{where} names {key!r}, which "
-                                     f"{self.params.__name__} does not take")
-            check_type(f"{where}.{key}", value, types[key])
-        return {**kw, "params": self.params(**(given or {}))}
+        given = {} if given is None else given
+        check_fields(where, given, keywords_of(self.params), self.params.__name__)
+        return {**kw, "params": self.params(**given)}
 
     def make(self, n: int, seed, **kw):
         """(instance, certificate) from the generator; instance.meta is

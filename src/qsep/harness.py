@@ -20,7 +20,6 @@ import contextlib
 import csv
 import functools
 import hashlib
-import inspect
 import math
 import os
 import threading
@@ -48,11 +47,15 @@ from qsep.generators import (  # noqa: F401
     FAMILIES,
     ParameterError,
     ScaleParams,
+    _at_least,
+    check_fields,
+    check_type,
     gen_claw_graph,
     gen_collision_function,
     gen_fixedpoint_function,
     gen_star_graph,
     gen_starpath_graph,
+    keywords_of,
 )
 from qsep.oracle import (
     KIND_CYCLE,
@@ -245,11 +248,28 @@ DETECTORS = {
 CERT_KINDS = {f.detector: f.kinds for f in FAMILIES.values()}
 
 # each detector's keywords past (oracle, cert, seed), read once from the
-# signatures, which perfbench's wrappers keep
-DETECTOR_KEYWORDS = {
-    name: {key: p for key, p in inspect.signature(fn).parameters.items()
-           if key not in ("oracle", "cert", "seed")}
-    for name, fn in DETECTORS.items()}
+# signatures, which perfbench's wrappers keep, and each generator's, with
+# its record's defaults
+KEYWORDS = {
+    **{name: {key: p for key, p in keywords_of(fn).items()
+              if key not in ("oracle", "cert", "seed")} for name, fn in DETECTORS.items()},
+    **{name: {key: keywords_of(globals()[f.generator])[key].replace(default=default)
+              for key, default in f.keywords.items()} for name, f in FAMILIES.items()}}
+
+
+def _check_lanes(record, *lanes) -> None:
+    """Each (name field, kwargs field) of record names a registered generator
+    or detector and holds an object of the keywords it takes, with a
+    generator's params parsed."""
+    for name_field, kwargs_field in lanes:
+        table = FAMILIES if name_field == "generator" else DETECTORS
+        name, kwargs = getattr(record, name_field), getattr(record, kwargs_field)
+        if not (isinstance(name, str) and name in table):
+            raise ParameterError(f"{name_field} must be one of the {name_field.split('_')[-1]}"
+                                 f"s {', '.join(sorted(table))}, got {name!r}")
+        check_fields(kwargs_field, kwargs, KEYWORDS[name], name)
+        if table is FAMILIES:
+            FAMILIES[name].arguments(kwargs, f"{kwargs_field}.params")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +349,7 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
 def trial_budget(detector: str, det_kwargs: dict, n: int, budget):
     """The budget as given; else 16 n for a detector that takes max_attempts
     but got none, a restarting walker that would never end without a witness."""
-    endless = "max_attempts" in DETECTOR_KEYWORDS[detector] \
+    endless = "max_attempts" in KEYWORDS[detector] \
         and det_kwargs.get("max_attempts") is None
     return 16 * n if budget is None and endless else budget
 
@@ -526,6 +546,13 @@ class SeparationPoint:
     baseline_detector: str = "multiscale"
     baseline_kwargs: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not math.isfinite(self.x):
+            raise ParameterError(f"x must be finite, got {self.x!r}")
+        _at_least("n", self.n, 1)
+        _check_lanes(self, ("generator", "gen_kwargs"), ("cert_detector", "cert_kwargs"),
+                     ("baseline_detector", "baseline_kwargs"))
+
 
 @dataclass
 class SeparationReport:
@@ -561,7 +588,7 @@ class SeparationReport:
         }
 
 
-def separation_experiment(points, trials: int, master_seed: int,
+def separation_experiment(points, trials: int = 20, master_seed: int = 0,
                           budget_factor: float = 50.0, pilot_trials: int = 6,
                           workers: int = 1) -> SeparationReport:
     """Paired query-cost comparison across a list of SeparationPoints.
@@ -573,6 +600,10 @@ def separation_experiment(points, trials: int, master_seed: int,
     a pilot without a Found row keeps the budget it ran under. A pilot trial
     is tagged trial + 2^30.
     """
+    _at_least("trials", trials, 0)
+    _at_least("pilot_trials", pilot_trials, 1)
+    if not 0 < budget_factor < math.inf:
+        raise ParameterError(f"budget_factor must be a finite number > 0, got {budget_factor!r}")
     budgets, pilot_found, cert_stats, base_stats, all_rows = [], [], [], [], []
     for idx, pt in enumerate(points):
         head = {"config": f"sep-{master_seed}-{idx}", "generator": pt.generator,
@@ -637,6 +668,71 @@ def slope_fit(xs, ys) -> SlopeFit:
     stderr = math.sqrt(sse / dof / varx) if dof > 0 else 0.0
     r2 = 1.0 - sse / sst if sst > 0 else 1.0
     return SlopeFit(slope, intercept, stderr, r2, len(xs))
+
+
+def _fit(ns, means):
+    """The log-log slope fit of means over ns, or None where slope_fit refuses them."""
+    try:
+        return slope_fit(ns, means)
+    except ValueError:
+        return None
+
+
+@dataclass
+class SlopeSeries:
+    """One line of a slope experiment: detector's mean query count on
+    generator's instances at each n of ns."""
+
+    label: str
+    generator: str
+    detector: str
+    ns: list
+    trials: int = 10
+    gen_kwargs: dict = field(default_factory=dict)
+    det_kwargs: dict = field(default_factory=dict)
+    budget: int | None = None
+
+    def __post_init__(self):
+        if not self.ns:
+            raise ParameterError("ns must be a non-empty list")
+        for i, n in enumerate(self.ns):
+            check_type(f"ns[{i}]", n, "int")
+            _at_least(f"ns[{i}]", n, 1)
+        _at_least("trials", self.trials, 0)
+        _at_least("budget", self.budget, 0)
+        _check_lanes(self, ("generator", "gen_kwargs"), ("detector", "det_kwargs"))
+
+
+def slope_experiment(series, master_seed: int = 0, workers: int = 1):
+    """Run each SlopeSeries at each of its ns, series j's i-th n as point
+    1000 j + i, under trial_budget; return the trial rows, a summary row per
+    series and n, and each label's _fit of mean queries over n. Two series
+    of one label are refused before any trial runs."""
+    labels = {}
+    for si, s in enumerate(series):
+        first = labels.setdefault(s.label, si)
+        if first != si:
+            raise ParameterError(
+                f"series[{first}] and series[{si}] share the label {s.label!r}")
+    rows, summary, fits = [], [], {}
+    for si, s in enumerate(series):
+        means = []
+        for ni, n in enumerate(s.ns):
+            cfg = TrialConfig(s.generator, s.detector, n, s.trials, master_seed,
+                              s.gen_kwargs, s.det_kwargs,
+                              trial_budget(s.detector, s.det_kwargs, n, s.budget),
+                              point=si * 1000 + ni)
+            with _naming(f"series[{si}] (n {n})"):
+                stats, trial_rows = run_trials(cfg, workers=workers)
+            rows.extend(trial_rows)
+            means.append(stats.mean_queries)
+            summary.append({"label": s.label, "n": n, "trials": stats.trials,
+                            "successes": stats.successes, "mean_queries": stats.mean_queries,
+                            "stderr_queries": stats.stderr_queries})
+        f = _fit([float(n) for n in s.ns], means)
+        fits[s.label] = None if f is None else {
+            "slope": f.slope, "intercept": f.intercept, "stderr": f.stderr, "r2": f.r2}
+    return rows, summary, fits
 
 
 # ---------------------------------------------------------------------------

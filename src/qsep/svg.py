@@ -2,7 +2,8 @@
 
 Every plotted point carries ``data-x``/``data-y`` attributes with the raw
 coordinates, so a chart doubles as a machine-readable record of the series
-it shows; ``parse_chart`` recovers them without an XML parser.
+it shows; ``parse_chart`` recovers them without an XML parser. Every text
+(title, axis labels, series names) is written XML-escaped.
 """
 
 from __future__ import annotations
@@ -14,6 +15,16 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 WIDTH, HEIGHT = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 34, 48
+
+# the characters XML text and attribute values may not hold raw, "&" first,
+# and their entities; html.escape would cost an import of html.entities
+_ENTITIES = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"))
+
+
+def _escape(text: str) -> str:
+    for char, entity in _ENTITIES:
+        text = text.replace(char, entity)
+    return text
 
 
 def _fmt(v: float) -> str:
@@ -53,8 +64,9 @@ def line_chart(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
     series: iterable of (name, xs, ys). All coordinates must be finite.
     A log-scaled axis that holds a coordinate <= 0 is drawn linear.
     """
-    series = [(str(name), [float(x) for x in xs], [float(y) for y in ys])
+    series = [(_escape(str(name)), [float(x) for x in xs], [float(y) for y in ys])
               for name, xs, ys in series]
+    title, xlabel, ylabel = _escape(title), _escape(xlabel), _escape(ylabel)
     if not series or any(len(xs) == 0 or len(xs) != len(ys)
                          for _, xs, ys in series):
         raise ValueError("each series needs matching, non-empty xs and ys")
@@ -156,6 +168,8 @@ def parse_chart(text: str) -> dict[str, tuple[list[float], list[float]]]:
     """Recover {series name: (xs, ys)} from a line_chart SVG."""
     series: dict[str, tuple[list[float], list[float]]] = {}
     for name, x, y in _POINT_RE.findall(text):
+        for char, entity in reversed(_ENTITIES):
+            name = name.replace(entity, char)
         xs, ys = series.setdefault(name, ([], []))
         xs.append(float(x))
         ys.append(float(y))

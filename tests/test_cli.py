@@ -25,7 +25,7 @@ import qsep
 from qsep.cli import _build_parser, _check_battery, _check_function_structures, main
 from qsep.detectors import corrupt_certificate
 from qsep.generators import FAMILIES, VerifyFailure
-from qsep.harness import DETECTORS, read_trials_csv
+from qsep.harness import DETECTORS, SeparationPoint, SlopeSeries, read_trials_csv
 from qsep.oracle import (KIND_CYCLE, KIND_FEEDER, KIND_NAMES, KIND_PATH,
                          FunctionInstance, StructureMeta, graph_from_edges,
                          read_certificate, read_instance, write_certificate,
@@ -823,7 +823,10 @@ class TestBench:
     @pytest.mark.parametrize("path", sorted(BATTERIES.glob("*.json")),
                              ids=lambda path: path.name)
     def test_committed_battery_passes_the_spec_check(self, path):
-        assert _check_battery(json.loads(path.read_text())) in ("separation", "slope")
+        kind, kw = _check_battery(json.loads(path.read_text()))
+        key, record = {"separation": ("points", SeparationPoint),
+                       "slope": ("series", SlopeSeries)}[kind]
+        assert kw[key] and all(type(entry) is record for entry in kw[key])
 
     def test_bad_battery_kind_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"
@@ -833,17 +836,43 @@ class TestBench:
         assert code == 2 and "separation|slope" in err
 
     @pytest.mark.parametrize("spec, message", [
-        ({"kind": "slope"}, "a slope battery needs a non-empty 'series' list"),
+        ({"kind": "slope"}, "battery spec lacks 'series', which slope_experiment needs"),
         ({"kind": "separation", "points": []},
          "a separation battery needs a non-empty 'points' list"),
         ({"kind": "separation", "points": {"x": 2}},
          "a separation battery needs a non-empty 'points' list"),
         ({"kind": "slope", "series": [{"label": "a", "generator": "fixedpoint-fn"}]},
-         "series[0] lacks 'detector', 'ns'"),
+         "series[0] lacks 'detector', 'ns', which SlopeSeries needs"),
         ({**SEP_BATTERY, "points": [*SEP_BATTERY["points"], {"x": 5, "n": 4096}]},
-         "points[3] lacks 'generator'"),
-        ({"kind": "slope", "series": [3]}, "series[0] must be a JSON object"),
+         "points[3] lacks 'generator', which SeparationPoint needs"),
+        ({"kind": "slope", "series": [3]}, "series[0] must be a JSON object, got 3"),
         (["slope"], "battery spec must be a JSON object"),
+        # a misspelled key at each level; the top level's and an entry's
+        # ran at the defaults, or with the keyword object left out
+        ({**SEP_BATTERY, "pilot_trails": 1, "budget_factr": 2},
+         "battery spec names 'pilot_trails', 'budget_factr', which "
+         "separation_experiment does not take"),
+        ({**SLOPE_BATTERY, "trials": 2},
+         "battery spec names 'trials', which slope_experiment does not take"),
+        ({**SEP_BATTERY, "points": [{**SEP_BATTERY["points"][0],
+                                     "cert_kwarg": {"batch": 1}}]},
+         "points[0] names 'cert_kwarg', which SeparationPoint does not take"),
+        ({**SLOPE_BATTERY, "series": [{**SLOPE_BATTERY["series"][0], "trial": 2,
+                                       "det_kwarg": {"C": 9.0}}]},
+         "series[0] names 'trial', 'det_kwarg', which SlopeSeries does not take"),
+        ({**SEP_BATTERY, "points": [{**SEP_BATTERY["points"][0],
+                                     "cert_kwargs": {"bacth": 1}}]},
+         "points[0].cert_kwargs names 'bacth', which cert-collision does not take"),
+        ({**SLOPE_BATTERY, "series": [{**SLOPE_BATTERY["series"][0],
+                                       "gen_kwargs": {"params": {"alpah": 0.2}}}]},
+         "series[0].gen_kwargs.params names 'alpah', which FixedPointParams does "
+         "not take"),
+        # two series of one label: the report kept the second one's fit only,
+        # and the chart one line
+        ({**SLOPE_BATTERY, "series": [{**SLOPE_BATTERY["series"][0], "label": "w"},
+                                      {**SLOPE_BATTERY["series"][0], "label": "w",
+                                       "det_kwargs": {"C": 3.0}}]},
+         "series[0] and series[1] share the label 'w'"),
     ])
     def test_incomplete_battery_spec_exits_2(self, tmp_path, capsys, spec,
                                              message):
@@ -865,14 +894,14 @@ class TestBench:
          "cert-collision, cert-fixedpoint, cert-star, cert-starpath, "
          "multiscale, uniform-probe, got 'bogus'"),
         ({"points": [{**SEP_BATTERY["points"][0], "n": "4096"}]},
-         "points[0].n must be an integer >= 1, got '4096'"),
-        ({"trials": "5"}, "trials must be an integer >= 0, got '5'"),
+         "points[0].n must be int, got '4096'"),
+        ({"trials": "5"}, "trials must be int, got '5'"),
         ({"kind": ["slope"]},
          "battery kind must be separation|slope, got ['slope']"),
-        ({"pilot_trials": 0}, "pilot_trials must be an integer >= 1, got 0"),
-        ({"master_seed": -1}, "master_seed must be an integer >= 0, got -1"),
+        ({"pilot_trials": 0}, "pilot_trials must be >= 1, got 0"),
+        ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
         ({"budget_factor": float("inf")},
-         "budget_factor must be a positive number, got inf"),
+         "budget_factor must be a finite number > 0, got inf"),
         ({"points": [{**SEP_BATTERY["points"][0], "baseline_kwargs": {}}]},
          "points[0].baseline_kwargs lacks 'i_min', 'i_max', which multiscale "
          "needs"),
@@ -888,11 +917,10 @@ class TestBench:
          "multiscale, uniform-probe, got 'bogus'"),
         ({"kind": "slope", "series": [{**SLOPE_BATTERY["series"][0],
                                        "trials": "3"}]},
-         "series[0].trials must be an integer >= 0, got '3'"),
+         "series[0].trials must be int, got '3'"),
         ({"kind": "slope", "series": [{**SLOPE_BATTERY["series"][0],
                                        "ns": [4096, "x"]}]},
-         "series[0].ns must be a non-empty list of integers >= 1, "
-         "got [4096, 'x']"),
+         "series[0].ns[1] must be int, got 'x'"),
         ({"kind": "slope", "series": [{**SLOPE_BATTERY["series"][0],
                                        "det_kwargs": {"C": 2.0, "k": 5}}]},
          "series[0].det_kwargs names 'k', which cert-fixedpoint does not take"),
@@ -977,14 +1005,23 @@ class TestBench:
     def test_malformed_battery_spec_exits_2(self, tmp_path, capsys, edit,
                                             message, threads):
         # each of these ended in a traceback with exit 1
+        base = SLOPE_BATTERY if edit.get("kind") == "slope" else SEP_BATTERY
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**SEP_BATTERY, **edit}))
+        path.write_text(json.dumps({**base, **edit}))
         code, lines, err = run_cli(capsys, "bench", "--battery", str(path),
                                    "--out-dir", str(tmp_path / "out"),
                                    "--threads", threads)
         assert code == 2 and lines == [] and "Traceback" not in err
         assert err.strip().splitlines() == [f"error: {message}"]
         assert not (tmp_path / "out").exists()
+
+    def test_spec_seed_is_checked_when_seed_overrides_it(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SEP_BATTERY, "master_seed": -1}))
+        code, lines, err = run_cli(capsys, "bench", "--battery", str(path), "--seed", "5",
+                                   "--out-dir", str(tmp_path / "out"))
+        assert code == 2 and lines == []
+        assert err.strip().splitlines() == ["error: master_seed must be >= 0, got -1"]
 
     @pytest.mark.parametrize("kind, entry", [("separation", "points[1]"),
                                              ("slope", "series[1]")])

@@ -33,7 +33,8 @@ from qsep import (
 )
 from qsep import harness
 from qsep.generators import FAMILIES, ParameterError
-from qsep.harness import SeparationPoint, _wilson, write_report_json
+from qsep.harness import (SeparationPoint, SlopeSeries, _wilson, slope_experiment,
+                           write_report_json)
 from qsep.oracle import FunctionInstance, _relabel_maps
 from recording_oracle import RecordingOracle
 
@@ -276,6 +277,95 @@ class TestSeparationExperiment:
         r1 = separation_experiment(points, trials=4, master_seed=5)
         r2 = separation_experiment(points, trials=4, master_seed=5)
         assert r1.rows == r2.rows and r1.budgets == r2.budgets
+
+
+POINT = {"x": 2, "n": 1024, "generator": "collision-fn",
+         "gen_kwargs": {"params": {"i_min": 2, "i_max": 4}},
+         "baseline_kwargs": {"i_min": 2, "i_max": 4}}
+SERIES = {"label": "walks", "generator": "fixedpoint-fn", "detector": "cert-fixedpoint",
+          "det_kwargs": {"C": 2.0}, "ns": [1024, 4096], "trials": 2}
+
+
+class TestRecords:
+    """A direct call meets the rules a battery spec does."""
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"n": 0}, "n must be >= 1, got 0"),
+        ({"x": math.nan}, "x must be finite, got nan"),
+        ({"generator": "collision"}, "generator must be one of the generators "
+         "claw-graph, collision-fn, fixedpoint-fn, star-graph, starpath-graph, "
+         "got 'collision'"),
+        ({"baseline_detector": "bogus"}, "baseline_detector must be one of the "
+         "detectors cert-claw, cert-collision, cert-fixedpoint, cert-star, "
+         "cert-starpath, multiscale, uniform-probe, got 'bogus'"),
+        ({"cert_kwargs": {"bacth": 1}},
+         "cert_kwargs names 'bacth', which cert-collision does not take"),
+        ({"baseline_kwargs": {"i_min": 2}},
+         "baseline_kwargs lacks 'i_max', which multiscale needs"),
+        ({"gen_kwargs": {"params": {"c": "x"}}},
+         "gen_kwargs.params.c must be float, got 'x'"),
+    ])
+    def test_separation_point_refuses(self, edit, message):
+        with pytest.raises(ParameterError) as e:
+            SeparationPoint(**{**POINT, **edit})
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"ns": []}, "ns must be a non-empty list"),
+        ({"ns": [1024, 0]}, "ns[1] must be >= 1, got 0"),
+        ({"ns": [1024.0]}, "ns[0] must be int, got 1024.0"),
+        ({"trials": -1}, "trials must be >= 0, got -1"),
+        ({"budget": -1}, "budget must be >= 0, got -1"),
+        ({"det_kwargs": {"C": 2.0, "k": 4}},
+         "det_kwargs names 'k', which cert-fixedpoint does not take"),
+    ])
+    def test_slope_series_refuses(self, edit, message):
+        with pytest.raises(ParameterError) as e:
+            SlopeSeries(**{**SERIES, **edit})
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"trials": -1}, "trials must be >= 0, got -1"),
+        ({"pilot_trials": 0}, "pilot_trials must be >= 1, got 0"),
+        ({"budget_factor": 0}, "budget_factor must be a finite number > 0, got 0"),
+        ({"budget_factor": math.inf}, "budget_factor must be a finite number > 0, got inf"),
+    ])
+    def test_separation_experiment_refuses_before_any_trial(self, monkeypatch, kw,
+                                                            message):
+        monkeypatch.setattr(harness, "_unit", None)
+        with pytest.raises(ParameterError) as e:
+            separation_experiment([SeparationPoint(**POINT)], **kw)
+        assert str(e.value) == message
+
+    def test_separation_experiment_defaults(self):
+        rep = separation_experiment([SeparationPoint(**{**POINT, "n": 256})])
+        assert [s.trials for s in rep.cert_stats + rep.base_stats] == [20, 20]
+        assert rep.rows[0]["seed"] == 0
+
+    def test_slope_experiment_refuses_a_repeated_label_before_any_trial(
+            self, monkeypatch):
+        monkeypatch.setattr(harness, "run_trials", None)
+        series = [SlopeSeries(**SERIES), SlopeSeries(**{**SERIES, "ns": [2048]})]
+        with pytest.raises(ParameterError) as e:
+            slope_experiment(series)
+        assert str(e.value) == "series[0] and series[1] share the label 'walks'"
+
+    def test_slope_experiment_runs_each_n_as_run_trials_does(self):
+        series = SlopeSeries(**{**SERIES, "label": "fp"})
+        rows, summary, fits = slope_experiment([series], master_seed=4)
+        expected = []
+        for i, n in enumerate(series.ns):
+            stats, trial_rows = run_trials(TrialConfig(
+                "fixedpoint-fn", "cert-fixedpoint", n, 2, 4,
+                det_kwargs={"C": 2.0}, point=i))
+            expected.extend(trial_rows)
+            assert summary[i] == {"label": "fp", "n": n, "trials": 2,
+                                  "successes": stats.successes,
+                                  "mean_queries": stats.mean_queries,
+                                  "stderr_queries": stats.stderr_queries}
+        assert rows == expected
+        # two points are too few for a fit
+        assert fits == {"fp": None}
 
 
 # ---------------------------------------------------------------------------

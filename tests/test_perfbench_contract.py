@@ -73,6 +73,26 @@ def test_gen_and_bench_generate_through_a_wrapped_name(tmp_path):
     assert 0 < calls[0] < calls[1]
 
 
+def test_slope_bench_runs_its_trials_through_a_wrapped_name(tmp_path):
+    # perfbench's harness.trials counts the rows of the run_trials it wraps
+    # in harness, so a slope battery's trial loop must call it by that name
+    spans = _load_spans()
+    ns = SimpleNamespace(**{m: importlib.import_module(f"qsep.{m}") for m in MODULES})
+    spec = tmp_path / "slope.json"
+    spec.write_text(json.dumps({"kind": "slope", "series": [
+        {"label": "walks", "generator": "fixedpoint-fn", "detector": "cert-fixedpoint",
+         "det_kwargs": {"C": 2.0}, "ns": [1024, 4096], "trials": 2}]}))
+    tracer = spans.Tracer()
+    inst = spans.Instrument(ns, spans.Recorder(), tracer)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert ns.cli.main(["bench", "--battery", str(spec), "--threads", "1",
+                                "--out-dir", str(tmp_path)]) == 0
+    finally:
+        inst.restore()
+    assert spans.layer_metrics(tracer)["harness.trials"][0] == 2 * 2
+
+
 def test_run_records_one_detector_call(tmp_path):
     # perfbench's cli-roundtrip records every detector call made through
     # harness.DETECTORS and checks its witness on the recording oracle's
