@@ -6,10 +6,10 @@ Second, the polynomial gap on the backbone construction: the certificate
 search grows like a fractional power of n while the uniform baseline stays
 essentially linear, so their curves diverge on a log-log plot.
 
-Both experiments are committed battery files, batteries/criterion4-1000.json
-and batteries/criterion6.json, and this demo runs them through `qsep bench`
-as the command line would, so every number here is a mean over seeded,
-relabeled trials of the trial harness. Trial CSVs, reports and SVG charts
+Both experiments are committed battery files, batteries/criterion4.json
+(run here at its own master seed, 1000) and batteries/criterion6.json, and
+this demo runs them through `qsep bench` as the command line would, so every
+number here is a mean over seeded, relabeled trials of the trial harness. Trial CSVs, reports and SVG charts
 land in demos/out/.
 """
 
@@ -35,7 +35,7 @@ def bench(battery, prefix):
 # The sweep's handicap scales with how many wrong scales it must clear,
 # and the per-scale cost spread needs a large n to rise above trial noise.
 print("scale-count separation at n = 2^20")
-rep = bench("criterion4-1000", "scales")
+rep = bench("criterion4", "scales")
 print("  sweep / certificate: "
       + ", ".join(f"s = {r['x']}: {r['ratio']:.2f}" for r in rep["rows"]))
 

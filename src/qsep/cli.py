@@ -178,21 +178,14 @@ def cmd_gen(args) -> int:
 
 
 def _detector_kwargs(args) -> dict:
-    # a detector flag applies to the detectors whose signature takes it
-    kw = _given(args, "C", "k", "target", "max_attempts")
+    # a detector flag applies where its signature takes it; --scales sets i_min, i_max
+    kw = _given(args, "C", "k", "target", "max_attempts", "scales")
     for name in kw:
-        if name not in KEYWORDS[args.detector]:
+        if ("i_min" if name == "scales" else name) not in KEYWORDS[args.detector]:
             raise ParameterError(f"--{name.replace('_', '-')} does not apply "
                                  f"to {args.detector}")
-    # --scales is multiscale's window, or the window a corrupted scale
-    # certificate draws its wrong scale from
-    scale_cert = args.detector in ("cert-collision", "cert-claw")
-    if args.scales is not None and args.detector != "multiscale" \
-            and not (scale_cert and args.corrupt_cert):
-        raise ParameterError(f"--scales does not apply to {args.detector}"
-                             + (" without --corrupt-cert" if scale_cert else ""))
     if args.detector == "multiscale":
-        kw["i_min"], kw["i_max"] = _parse_scales(args.scales or "2..8")
+        kw["i_min"], kw["i_max"] = _parse_scales(kw.pop("scales", "2..8"))
     if args.detector == "uniform-probe":
         kw.setdefault("target", "fixed-point")
     return kw
@@ -207,10 +200,7 @@ def cmd_run(args) -> int:
     if args.corrupt_cert:
         if cert is None:
             raise ParameterError("--corrupt-cert needs --cert")
-        window = _parse_scales(args.scales) if args.scales else None
-        cert = corrupt_certificate(
-            cert, seed=_sub_seed(seed, 2), scale_window=window,
-            index_range=inst.meta.extras.get("s") if inst.meta is not None else None)
+        cert = corrupt_certificate(cert, _sub_seed(seed, 2), getattr(inst.meta, "extras", None))
     outcome, valid = _trial(args.detector, inst, cert,
                             None if args.no_relabel else _sub_seed(seed, 0),
                             args.budget, det_kwargs, _sub_seed(seed, 1))
@@ -312,11 +302,12 @@ def cmd_bench(args) -> int:
     spec = read_json(args.battery)
     kind, kw = _check_battery(spec)
     master = kw["master_seed"] = _master_seed(args, kw.get("master_seed"))
+    run = _bench_separation if kind == "separation" else _bench_slope
+    trial_rows, report, (series, axes), record, warn = run(kw, args)
+    # hashed once the run has checked every value, so none is non-finite
     h = config_hash({"battery": {k: v for k, v in spec.items()
                                  if not k.startswith("_")},
                      "master_seed": master})
-    run = _bench_separation if kind == "separation" else _bench_slope
-    trial_rows, report, (series, axes), record, warn = run(kw, args)
     write_trials_csv(_out_path(args, kind, "trials.csv"), trial_rows,
                      config_hash=h)
     write_report_json(_out_path(args, kind, "report.json"),
@@ -580,8 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "(default: 16 n where --max-attempts applies but is unset)")
     r.add_argument("--corrupt-cert", action="store_true", dest="corrupt_cert")
     r.add_argument("--no-relabel", action="store_true", dest="no_relabel")
-    r.add_argument("--scales", default=None, help="window A..B (multiscale; "
-                   "cert-collision, cert-claw with --corrupt-cert)")
+    r.add_argument("--scales", default=None, help="multiscale's window A..B")
     r.add_argument("--k", type=int, default=None, help="uniform-probe star size")
     r.add_argument("--target", default=None, choices=("fixed-point", "k-star"),
                    help="uniform-probe target (default: fixed-point)")

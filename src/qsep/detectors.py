@@ -758,12 +758,12 @@ def brute_force_find(instance, target: str, k: int | None = None,
 # certificate corruption for robustness tests
 
 
-def corrupt_certificate(cert: Certificate, seed=None, scale_window=None,
-                        index_range=None) -> Certificate:
+def corrupt_certificate(cert: Certificate, seed=None, extras=None) -> Certificate:
     """Produce a well-formed certificate that is wrong for its instance, by
-    the corruption rule of the family whose certificates have its kind."""
+    the corruption rule of the family whose certificates have its kind,
+    drawing a wrong scale or index from the instance's meta `extras`."""
     family = next((f for f in FAMILIES.values() if cert.kind in f.kinds), None)
     if family is None:
         raise ValueError(f"unsupported certificate kind {cert.kind!r}")
     return Certificate(cert.kind, family.corrupt(
-        dict(cert.payload), np.random.default_rng(seed), scale_window, index_range))
+        dict(cert.payload), np.random.default_rng(seed), extras))

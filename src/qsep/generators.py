@@ -35,6 +35,7 @@ from qsep.oracle import (
     KIND_PATH,
     KIND_STAR,
     Certificate,
+    FileFormatError,
     FunctionInstance,
     MetaBuilder,
     graph_from_edges,
@@ -97,6 +98,8 @@ class ScaleParams:
             raise ParameterError("i_min must not exceed i_max")
         if not 1.0 < self.gamma < self.beta:
             raise ParameterError("need 1 < gamma < beta")
+        if not math.isfinite(self.beta):
+            raise ParameterError(f"beta must be a finite number, got {self.beta!r}")
         if not 0.0 < self.c < 0.5:
             raise ParameterError("need 0 < c < 1/2")
         if self.rho != "auto" and not (
@@ -306,7 +309,7 @@ def gen_collision_function(n: int, params: ScaleParams, seed,
         members=sigma, good_index=t, witness_locations=witness_locations,
         extras={**_scale_extras(table, t, b_t), "witness_offsets": m.tolist(),
                 "filler": filler})
-    return inst, Certificate("CollisionScale", {"t": t}), meta
+    return inst, FAMILIES["collision-fn"].certificate(meta), meta
 
 
 # claw family: same layout, undirected, witness paths keep both ends open
@@ -358,7 +361,7 @@ def gen_claw_graph(n: int, params: ScaleParams, seed,
         n, params, seed, _CLAW_OVERHEAD, b_override, t_override)
     inst = _claw_instance(n, table, blocks, pool, spare, t, b_t, "claw-graph", seed,
                           {**asdict(params), "rho_resolved": table.rho, "n": n})
-    return inst, Certificate("ClawScale", {"t": t}), inst.meta
+    return inst, FAMILIES["claw-graph"].certificate(inst.meta), inst.meta
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +415,10 @@ def gen_fixedpoint_function(n: int, params: FixedPointParams,
     _at_least("T", params.T, 1)
     if n < 2:
         raise ParameterError(f"fixedpoint-fn needs n >= 2, got {n}")
-    if not math.isfinite(params.alpha):
-        raise ParameterError(f"alpha must be a finite number, got {params.alpha!r}")
+    for name in ("alpha", "prime_lo", "prime_hi"):
+        value = getattr(params, name)
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"{name} must be a finite number, got {value!r}")
     rng = np.random.default_rng(seed)
     q4 = n ** 0.25
     cycle_len = params.cycle_len if params.cycle_len is not None else int(n ** 0.75)
@@ -509,8 +514,7 @@ def gen_fixedpoint_function(n: int, params: FixedPointParams,
     meta = _finish(inst, builder, "fixedpoint-fn", seed,
                    {**asdict(params), "h_spec": h_spec, "n": n},
                    witness_locations=witness_locations, extras=extras)
-    cert = Certificate("FixedPointPrimes", {"primes": sorted(ps[h] for h in hosts)})
-    return inst, cert, meta
+    return inst, FAMILIES["fixedpoint-fn"].certificate(meta), meta
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +603,7 @@ def gen_star_graph(n: int, h_spec: int | str, seed):
     }
     meta = _finish(inst, builder, "star-graph", seed, {"h": h, "n": n},
                    witness_locations=witness_locations, extras=extras)
-    cert = Certificate("StarDegrees",
-                       {"degrees": sorted(degrees[j] for j in host_stars)})
-    return inst, cert, meta
+    return inst, FAMILIES["star-graph"].certificate(meta), meta
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +657,7 @@ def gen_starpath_graph(n: int, k: int, seed):
     meta = _finish(inst, builder, "starpath-graph", seed, {"k": k, "n": n},
                    good_index=k_star, witness_locations=[(u, *map(int, pendants))],
                    extras={"k": k, "k_star": k_star, "sizes": sizes, "s": s})
-    return inst, Certificate("BackboneIndex", {"index": k_star, "k": k}), meta
+    return inst, FAMILIES["starpath-graph"].certificate(meta), meta
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +718,7 @@ def _at_least(name: str, value, lo: int) -> None:
 @dataclass(frozen=True)
 class Family:
     """One construction: how `gen` and `bench` build it, the certificates
-    its detector reads, and how `verify` and certificate corruption read it."""
+    its detector reads, and how its certificate and corruption read its meta."""
 
     name: str                 # its alias is the part before "-"
     generator: str            # looked up in this module at call time
@@ -724,12 +726,12 @@ class Family:
     keywords: dict            # the generator's keywords, with their defaults
     flags: tuple              # the `gen` flags it reads
     detector: str             # its certificate detector
-    kinds: tuple              # the certificate kinds detector and verify read
+    kinds: tuple              # the certificate kinds it reads; gen writes [0]
     target: tuple             # brute-force target, its plural, extras passed
     extras: tuple             # the meta extras verify reads
     verify: Callable          # extras -> (check lines, the payload implied)
     capacity: Callable        # (n, extras) -> gen's capacity line
-    corrupt: Callable         # (payload, rng, scale_window, index_range)
+    corrupt: Callable         # (payload, rng, extras) -> a wrong payload
 
     @property
     def alias(self) -> str:
@@ -751,6 +753,10 @@ class Family:
         the ground truth."""
         return globals()[self.generator](n, seed=seed, **self.arguments(kw))[:2]
 
+    def certificate(self, meta) -> Certificate:
+        """The certificate meta's extras imply: what gen writes and verify wants."""
+        return Certificate(self.kinds[0], self.verify(meta.extras)[1])
+
 
 def _verify_primes(e):
     ps = e["primes"]
@@ -758,7 +764,8 @@ def _verify_primes(e):
         raise VerifyFailure("prime-spacing", "primes are not distinct")
     if any(ln % p for p, ln in zip(ps, e["cycle_lens"])):
         raise VerifyFailure("prime-spacing", "cycle length not a multiple of its prime")
-    return [f"prime-spacing: ok ({len(ps)} cycles)"], {"primes": sorted(ps)}
+    return ([f"prime-spacing: ok ({len(ps)} cycles)"],
+            {"primes": sorted(ps[h] for h in e["hosts"])})
 
 
 def _verify_degrees(e):
@@ -784,14 +791,28 @@ def _primes_capacity(n, e) -> str:
 
 def _other(rng, lo, hi, value: int) -> int:
     """A uniform draw from the integers in [lo, hi] other than value."""
-    choices = [i for i in range(int(lo), int(hi) + 1) if i != value]
-    if not choices:
+    inside = int(lo <= value <= hi)
+    if hi - lo + 1 - inside < 1:
         raise ParameterError(f"[{lo}, {hi}] holds no value but {value}")
-    return choices[int(rng.integers(len(choices)))]
+    if hi - lo >= 1 << 62:  # beyond what rng.integers draws from
+        raise ParameterError(f"[{lo}, {hi}] is too wide to draw a value from")
+    pick = lo + int(rng.integers(hi - lo + 1 - inside))
+    return pick + 1 if inside and pick >= value else pick
 
 
-def _corrupt_scale(payload, rng, window, _):
-    t = int(payload["t"])
+def _meta_window(extras, key: str):
+    """[lo, hi] for a wrong value: the meta's "scales" ends, or 1..s, if given."""
+    if key not in (extras or {}):
+        return None
+    ends = [1, extras[key]] if key == "s" else extras[key]
+    if not (type(ends) is list and ends and all(type(v) is int for v in ends)):
+        what = "an integer" if key == "s" else "a list of integers"
+        raise FileFormatError(f"meta extras {key!r} must be {what}, got {extras[key]!r}")
+    return ends[0], ends[-1]
+
+
+def _corrupt_scale(payload, rng, extras):
+    t, window = int(payload["t"]), _meta_window(extras, "scales")
     return {**payload, "t": t + 1 if window is None else _other(rng, *window, t)}
 
 
@@ -808,9 +829,9 @@ def _corrupt_primes(payload, *_):
     return {"primes": shifted}
 
 
-def _corrupt_index(payload, rng, _, top):
+def _corrupt_index(payload, rng, extras):
     idx = int(payload["index"])
-    return {**payload, "index": _other(rng, 1, idx + 1 if top is None else top, idx)}
+    return {**payload, "index": _other(rng, *_meta_window(extras, "s") or (1, idx + 1), idx)}
 
 
 # the two scale kinds share the payload {"t"}, so either reads either family
@@ -824,13 +845,13 @@ FAMILIES = {f.name: f for f in (
            "cert-collision", _SCALE_KINDS, ("collision", "collisions", ()), ("t",),
            lambda e: ((), {"t": e["t"]}), _scale_capacity, _corrupt_scale),
     Family("claw-graph", "gen_claw_graph", ScaleParams, _SCALE_KEYWORDS,
-           _SCALE_FLAGS, "cert-claw", _SCALE_KINDS, ("claw", "claws", ()), ("t",),
+           _SCALE_FLAGS, "cert-claw", _SCALE_KINDS[::-1], ("claw", "claws", ()), ("t",),
            lambda e: ((), {"t": e["t"]}), _scale_capacity, _corrupt_scale),
     Family("fixedpoint-fn", "gen_fixedpoint_function", FixedPointParams,
            {"params": None, "h_spec": "fixed-point"},
            ("alpha", "cycle_len", "feeder_len", "T", "widen"), "cert-fixedpoint",
            ("FixedPointPrimes",), ("fixed-point", "fixed points", ()),
-           ("primes", "cycle_lens"), _verify_primes, _primes_capacity,
+           ("primes", "cycle_lens", "hosts"), _verify_primes, _primes_capacity,
            _corrupt_primes),
     Family("star-graph", "gen_star_graph", None, {"h_spec": "triangle"},
            ("h_spec",), "cert-star", ("StarDegrees",), ("clique", "cliques", ("h",)),

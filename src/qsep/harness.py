@@ -294,6 +294,12 @@ class TrialConfig:
     relabel: bool = True
     point: int = 0
 
+    def __post_init__(self):
+        for name, lo in (("n", 1), ("trials", 0), ("budget", 0), ("master_seed", 0),
+                         ("point", 0)):
+            _at_least(name, getattr(self, name), lo)
+        _check_lanes(self, ("generator", "gen_kwargs"), ("detector", "det_kwargs"))
+
     def config_hash(self) -> str:
         return config_hash(self)
 
@@ -574,7 +580,9 @@ class SeparationReport:
 
     @property
     def ratios(self):
-        return [b / c if c else math.inf
+        """Baseline over certificate mean per point; None where the
+        certificate mean is 0, so the ratio is undefined."""
+        return [b / c if c else None
                 for b, c in zip(self.base_means, self.cert_means)]
 
     def to_jsonable(self) -> dict:

@@ -618,7 +618,10 @@ def _jsonable(obj):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    """obj as sorted, compact JSON; a NaN or infinity, which strict JSON
+    parsers refuse, raises ValueError instead of being written."""
+    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def instance_to_jsonable(instance) -> dict:

@@ -22,27 +22,19 @@ from qsep import (
     ScaleParams,
     analytic_cert_expectation,
     brute_force_find,
-    cert_claw_search,
-    cert_collision_search,
-    cert_fixedpoint_search,
-    cert_star_search,
-    cert_starpath_search,
     collision_attempt_battery,
     corrupt_certificate,
     exact_cert_expectation,
     gen_claw_graph,
     gen_collision_function,
     gen_fixedpoint_function,
-    gen_star_graph,
-    gen_starpath_graph,
     meta_cert_expectation,
     slope_fit,
-    validate_witness,
 )
 from qsep.adversary import AdversarySession
 from qsep.cli import main as cli_main
+from qsep.generators import FAMILIES
 from qsep.harness import _trial
-from qsep.oracle import _unrelabel_witness
 
 
 GOLDEN_PATH = Path(__file__).with_name("acceptance_golden.json")
@@ -54,6 +46,14 @@ def matches_golden(criterion, quantities):
     trip. A change that moves one on purpose re-records the file."""
     golden = json.loads(GOLDEN_PATH.read_text())
     return json.loads(json.dumps(quantities)) == golden[f"criterion {criterion}"]
+
+
+def strict_json(text):
+    """json.loads, refusing the NaN and Infinity tokens that strict JSON
+    parsers refuse, so no output checked here may hold one."""
+    def refuse(token):
+        raise ValueError(f"non-finite {token} in JSON output")
+    return json.loads(text, parse_constant=refuse)
 
 
 def emit(capsys, criterion, ok, detail):
@@ -197,22 +197,25 @@ def test_criterion_3_online_offline_distribution(capsys):
 BATTERIES = Path(__file__).parents[1] / "batteries"
 
 
-def bench_battery(name, tmp_path, threads=1):
-    """Run batteries/<name>.json through `qsep bench` as a user would;
-    return its exit code under --strict and the report it wrote."""
-    out = tmp_path / name
+def bench_battery(name, tmp_path, threads=1, seed=None):
+    """Run batteries/<name>.json through `qsep bench` as a user would, at
+    --seed `seed` if given; return its exit code under --strict and the
+    report it wrote."""
+    out = tmp_path / f"{name}-{seed}"
     code = cli_main(["bench", "--battery", str(BATTERIES / f"{name}.json"),
-                     "--threads", str(threads), "--strict", "--out-dir", str(out)])
-    return code, json.loads(next(out.glob("*.report.json")).read_text())
+                     "--threads", str(threads), "--strict", "--out-dir", str(out),
+                     *(["--seed", str(seed)] if seed is not None else [])])
+    return code, strict_json(next(out.glob("*.report.json")).read_text())
 
 
-C4_BATTERIES = ("criterion4-1000", "criterion4-2000", "criterion4-3000")
+C4_SEEDS = (1000, 2000, 3000)
 
 
 def test_criterion_4_scale_count_separation(tmp_path, capsys):
     t0 = time.perf_counter()
     # two workers give the same rows and budgets as one (test_harness)
-    codes, reports = zip(*(bench_battery(b, tmp_path, threads=2) for b in C4_BATTERIES))
+    codes, reports = zip(*(bench_battery("criterion4", tmp_path, threads=2, seed=s)
+                           for s in C4_SEEDS))
     all_ratios = [rep["report"]["ratios"] for rep in reports]
     mono = all(a < b for ratios in all_ratios for a, b in zip(ratios, ratios[1:]))
     xs = np.array([x for rep in reports for x in rep["report"]["xs"]], dtype=float)
@@ -225,7 +228,7 @@ def test_criterion_4_scale_count_separation(tmp_path, capsys):
     ok = not any(codes) and mono and slope > 0 and r2 >= 0.8 and elapsed < 1800 and same
     emit(capsys, 4, ok,
          f"n=2^20, s in {tuple(reports[0]['report']['xs'])}, "
-         f"{len(reports)} batteries x {reports[0]['report']['cert'][0]['trials']} "
+         f"seeds {C4_SEEDS} x {reports[0]['report']['cert'][0]['trials']} "
          f"trials: ratios {[[round(r, 2) for r in rs] for rs in all_ratios]} "
          f"strictly increasing={mono}, pooled linear fit slope={slope:.3f}>0, "
          f"R^2={r2:.3f}>=0.8, bench --strict exits {list(codes)}, "
@@ -309,45 +312,30 @@ def test_criterion_6_graph_polynomial_separation(tmp_path, capsys):
 C7_N = 1024
 C7_SEEDS = 1000
 C7_PARAMS = ScaleParams(i_min=2, i_max=4, rho=0.25)
-C7_LANES = [
-    ("collision-fn",
-     lambda s: gen_collision_function(C7_N, C7_PARAMS, seed=s),
-     "collision", {}, cert_collision_search, {}),
-    ("claw-graph",
-     lambda s: gen_claw_graph(C7_N, C7_PARAMS, seed=s),
-     "claw", {}, cert_claw_search, {}),
-    ("fixedpoint-fn",
-     lambda s: gen_fixedpoint_function(C7_N, FixedPointParams(), seed=s),
-     "fixed-point", {}, cert_fixedpoint_search,
-     {"C": 2.0, "max_iterations": 8}),
-    ("star-graph",
-     lambda s: gen_star_graph(C7_N, "triangle", seed=s),
-     "clique", {"h": 3}, cert_star_search, {}),
-    ("starpath-graph",
-     lambda s: gen_starpath_graph(C7_N, 4, seed=s),
-     "k-star", {"k": 4}, cert_starpath_search, {}),
-]
+# the constructions' own keywords, generator's then detector's; the rest
+# run at their FAMILIES defaults
+C7_KWARGS = {"collision-fn": ({"params": C7_PARAMS}, {}),
+             "claw-graph": ({"params": C7_PARAMS}, {}),
+             "fixedpoint-fn": ({}, {"C": 2.0, "max_iterations": 8})}
 
 
 def test_criterion_7_brute_force_equivalence(capsys):
     t0 = time.perf_counter()
     count_mismatch = invalid = 0
     found_by_lane = {}
-    for name, gen, target, bkw, det, dkw in C7_LANES:
+    for name, family in FAMILIES.items():
+        gen_kw, det_kw = C7_KWARGS.get(name, ({}, {}))
+        target, _, keys = family.target
         found = 0
         for seed in range(C7_SEEDS):
-            inst, cert, meta = gen(seed)
-            if len(brute_force_find(inst, target, **bkw)) != \
-                    len(meta.witness_locations):
+            inst, cert = family.make(C7_N, seed, **gen_kw)
+            hits = brute_force_find(inst, target, **{k: inst.meta.extras[k] for k in keys})
+            if len(hits) != len(inst.meta.witness_locations):
                 count_mismatch += 1
                 continue
-            o = CountedOracle(inst, relabel_seed=seed, budget=60_000)
-            out = det(o, cert, seed=seed, **dkw)
-            if out.found:
-                found += 1
-                if not validate_witness(
-                        inst, _unrelabel_witness(o, out.witness)):
-                    invalid += 1
+            out, valid = _trial(family.detector, inst, cert, seed, 60_000, det_kw, seed)
+            found += out.found
+            invalid += valid is False
         found_by_lane[name] = found
     elapsed = time.perf_counter() - t0
     same = matches_golden(7, {"found_by_lane": found_by_lane})
@@ -365,26 +353,19 @@ C8_RUNS = 500
 
 
 def test_criterion_8_certificate_robustness(capsys):
-    invalid = found = 0
+    invalid = 0
     found_by_lane = {}
-    for name, gen, _target, _bkw, det, dkw in C7_LANES:
-        found_before = found
+    for name, family in FAMILIES.items():
+        gen_kw, det_kw = C7_KWARGS.get(name, ({}, {}))
+        found = 0
         for r in range(C8_RUNS):
-            inst, cert, _ = gen(2000 + r // 10)
-            kw = {}
-            if name in ("collision-fn", "claw-graph"):
-                kw["scale_window"] = (C7_PARAMS.i_min, C7_PARAMS.i_max)
-            if name == "starpath-graph":
-                kw["index_range"] = math.isqrt(C7_N)
-            bad = corrupt_certificate(cert, seed=r, **kw)
-            o = CountedOracle(inst, relabel_seed=r, budget=30_000)
-            out = det(o, bad, seed=r, **dkw)
-            if out.found:
-                found += 1
-                if not validate_witness(
-                        inst, _unrelabel_witness(o, out.witness)):
-                    invalid += 1
-        found_by_lane[name] = found - found_before
+            inst, cert = family.make(C7_N, 2000 + r // 10, **gen_kw)
+            bad = corrupt_certificate(cert, r, inst.meta.extras)
+            out, valid = _trial(family.detector, inst, bad, r, 30_000, det_kw, r)
+            found += out.found
+            invalid += valid is False
+        found_by_lane[name] = found
+    found = sum(found_by_lane.values())
     same = matches_golden(8, {"found_by_lane": found_by_lane})
     ok = invalid == 0 and same
     emit(capsys, 8, ok,
@@ -405,7 +386,7 @@ def _stdout_sans_wallms(capsys, outdir):
     for ln in lines:
         ln = ln.replace(outdir, "<out>")   # A/B dirs differ only here
         if ln.startswith("{"):
-            rec = json.loads(ln)
+            rec = strict_json(ln)
             rec.pop("wall-ms", None)
             out.append(json.dumps(rec, sort_keys=True))
         else:
@@ -414,22 +395,6 @@ def _stdout_sans_wallms(capsys, outdir):
 
 
 def test_criterion_9_command_determinism(tmp_path, capsys):
-    sep = {"kind": "separation", "master_seed": 11, "trials": 4,
-           "pilot_trials": 3,
-           "points": [
-               {"x": 2, "n": 4096, "generator": "collision-fn",
-                "gen_kwargs": {"params": {"i_min": 2, "i_max": 4, "c": 0.3}},
-                "baseline_kwargs": {"i_min": 2, "i_max": 4}},
-               {"x": 3, "n": 4096, "generator": "collision-fn",
-                "gen_kwargs": {"params": {"i_min": 2, "i_max": 5, "c": 0.3}},
-                "baseline_kwargs": {"i_min": 2, "i_max": 5}}]}
-    slope = {"kind": "slope", "master_seed": 3, "series": [
-        {"label": "walks", "generator": "fixedpoint-fn",
-         "detector": "cert-fixedpoint", "det_kwargs": {"C": 2.0},
-         "ns": [4096, 16384, 65536], "trials": 3}]}
-    (tmp_path / "sep.json").write_text(json.dumps(sep))
-    (tmp_path / "slope.json").write_text(json.dumps(slope))
-
     def commands(out):
         inst = f"{out}/collision-fn.instance.json"
         cert = f"{out}/collision-fn.certificate.json"
@@ -446,10 +411,10 @@ def test_criterion_9_command_determinism(tmp_path, capsys):
              "--k", "4", "--seed", "4", "--out-dir", out],
             ["run", "--instance", inst, "--cert", cert,
              "--detector", "cert-collision", "--seed", "3"],
-            ["bench", "--battery", str(tmp_path / "sep.json"),
+            ["bench", "--battery", str(BATTERIES / "criterion9-separation.json"),
              "--out-dir", out, "--threads", "1", "--plot",
              "--prefix", "sep"],
-            ["bench", "--battery", str(tmp_path / "slope.json"),
+            ["bench", "--battery", str(BATTERIES / "criterion9-slope.json"),
              "--out-dir", out, "--threads", "1", "--plot",
              "--prefix", "slope"],
             ["verify", "--instance", inst, "--cert", cert],

@@ -121,11 +121,11 @@ def setups() -> dict:
                                    {"seed": 1, "max_iterations": 8}),
         "cert-star": (star, cert_star_search, (stc,), {"seed": 1}),
         "cert-star-corrupt": (star, cert_star_search,
-                              (corrupt_certificate(stc),), {"seed": 1}),
+                              (corrupt_certificate(stc, None, star.meta.extras),),
+                              {"seed": 1}),
         "cert-starpath": (sp, cert_starpath_search, (spc,), {"seed": 5}),
         "cert-starpath-corrupt": (sp, cert_starpath_search,
-                                  (corrupt_certificate(spc, seed=3,
-                                                       index_range=64),),
+                                  (corrupt_certificate(spc, 3, sp.meta.extras),),
                                   {"seed": 3}),
         "uniform-fixed-point": (fp, uniform_probe_baseline, ("fixed-point",),
                                 {"seed": 1}),

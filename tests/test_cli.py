@@ -57,8 +57,14 @@ def run_cli(capsys, *argv):
     return code, captured.out.splitlines(), captured.err
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-finite {token} in a JSON record")
+
+
 def last_json(lines):
-    return json.loads(lines[-1])
+    """The command's JSON record, parsed strictly: NaN and Infinity, which
+    strict JSON parsers refuse, fail the test."""
+    return json.loads(lines[-1], parse_constant=_refuse_constant)
 
 
 def digest(path):
@@ -149,7 +155,10 @@ class TestGen:
         (("adversary-test", "--n", "-5"), "--n must be >= 1, got -5"),
         # this exited 0 and wrote "probes": -5 into the summary
         (("adversary-test", "--n", "64", "--probes", "-5"),
-         "--probes must be >= 0, got -5")])
+         "--probes must be >= 0, got -5"),
+        # this wrote "beta":Infinity into the instance header
+        (("collision-fn", "--n", "4096", "--beta", "inf"),
+         "beta must be a finite number, got inf")])
     def test_bad_sizes_exit_2_without_traceback(self, tmp_path, capsys,
                                                 monkeypatch, flags, message):
         if "=" in flags[0]:
@@ -253,7 +262,8 @@ class TestFamilyTable:
         assert code == 0 and last_json(lines)["ok"] is True
         assert lines[-2] == f"certificate: ok ({read_certificate(cert).kind})"
         bad = tmp_path / "bad.certificate.json"
-        write_certificate(corrupt_certificate(read_certificate(cert), seed=0), bad)
+        write_certificate(corrupt_certificate(read_certificate(cert), 0,
+                                              read_instance(inst).meta.extras), bad)
         code, lines, err = run_cli(capsys, "verify", "--instance", str(inst),
                                    "--cert", str(bad))
         assert code == 1 and "Traceback" not in err
@@ -300,8 +310,7 @@ class TestRun:
             code, lines, _ = run_cli(
                 capsys, "run", "--instance", str(inst), "--cert", str(cert),
                 "--detector", "cert-collision", "--seed", str(seed),
-                "--corrupt-cert", "--scales", "2..5",
-                "--max-attempts", "400")
+                "--corrupt-cert", "--max-attempts", "400")
             assert code == 0
             rec = last_json(lines)
             assert rec["status"] != "Found" or rec["valid"] is True
@@ -381,10 +390,15 @@ class TestRun:
                 ("multiscale", ("--target", "k-star"),
                  "--target does not apply to multiscale"),
                 ("cert-collision", ("--scales", "2..5"),
-                 "--scales does not apply to cert-collision without --corrupt-cert"),
+                 "--scales does not apply to cert-collision"),
                 ("uniform-probe", ("--scales", "2..5"),
                  "--scales does not apply to uniform-probe"),
-                # a corrupted certificate reads --scales only if it is a scale one
+                # --scales is multiscale's window alone: a corrupted
+                # certificate draws from the instance's own window
+                ("cert-collision", ("--corrupt-cert", "--scales", "2..5"),
+                 "--scales does not apply to cert-collision"),
+                ("cert-claw", ("--corrupt-cert", "--scales", "2..5"),
+                 "--scales does not apply to cert-claw"),
                 ("cert-fixedpoint", ("--corrupt-cert", "--scales", "2..5"),
                  "--scales does not apply to cert-fixedpoint"),
                 ("cert-starpath", ("--corrupt-cert", "--scales", "2..5"),
@@ -626,16 +640,63 @@ class TestRun:
         (("multiscale", "--scales", "3..a"), "expected A..B scale window, got '3..a'"),
         (("multiscale", "--scales", "3"), "expected A..B scale window, got '3'"),
         # the certificate's scale is 5, and a one-scale window holds no other
-        (("cert-collision", "--corrupt-cert", "--scales", "5..5"),
-         "[5, 5] holds no value but 5")])
-    def test_bad_scale_window_exits_2(self, collision_files, capsys, flags,
-                                      message):
-        inst, cert = collision_files
+        (("cert-collision", "--corrupt-cert"), "[5, 5] holds no value but 5")])
+    def test_bad_scale_window_exits_2(self, tmp_path, capsys, flags, message):
+        main(["gen", "--construction", "collision-fn", "--n", "4096",
+              "--scales", "5..5", "--seed", "7", "--out-dir", str(tmp_path)])
+        inst, cert = (tmp_path / f"collision-fn.{kind}.json"
+                      for kind in ("instance", "certificate"))
         capsys.readouterr()
         code, lines, err = run_cli(
             capsys, "run", "--instance", str(inst), "--cert", str(cert),
             "--detector", *flags, "--seed", "1")
         assert code == 2 and lines == [] and "Traceback" not in err
+        assert err.strip().splitlines() == [f"error: {message}"]
+
+    def test_corrupt_cert_draws_from_the_instance_window(self, tmp_path, capsys):
+        # the true scale is the window's top, so the next one up lies outside
+        main(["gen", "--construction", "collision-fn", "--n", "4096",
+              "--scales", "2..5", "--t-override", "5", "--seed", "7",
+              "--out-dir", str(tmp_path)])
+        inst, cert = (tmp_path / f"collision-fn.{kind}.json"
+                      for kind in ("instance", "certificate"))
+        meta = read_instance(inst).meta
+        assert read_certificate(cert).payload == {"t": 5}
+        for seed in range(12):
+            wrong = corrupt_certificate(read_certificate(cert), seed, meta.extras)
+            assert 2 <= wrong.payload["t"] <= 4
+        capsys.readouterr()
+        code, lines, err = run_cli(
+            capsys, "run", "--instance", str(inst), "--cert", str(cert),
+            "--detector", "cert-collision", "--corrupt-cert",
+            "--max-attempts", "200", "--seed", "1")
+        assert code == 0 and last_json(lines)["corrupted-cert"] is True
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("construction, flags, detector, key, value, message", [
+        ("starpath-graph", ("--n", "1024"), "cert-starpath", "s", "x",
+         "meta extras 's' must be an integer, got 'x'"),
+        ("collision-fn", ("--n", "1024", "--scales", "2..4"), "cert-collision",
+         "scales", ["2", "4"], "meta extras 'scales' must be a list of integers, "
+                               "got ['2', '4']"),
+        ("claw-graph", ("--n", "1024", "--scales", "2..4"), "cert-claw",
+         "scales", 3, "meta extras 'scales' must be a list of integers, got 3")])
+    def test_malformed_meta_window_under_corrupt_cert_exits_4(
+            self, tmp_path, capsys, construction, flags, detector, key, value,
+            message):
+        # a malformed backbone length ended in a ValueError traceback
+        main(["gen", "--construction", construction, *flags, "--seed", "1",
+              "--out-dir", str(tmp_path)])
+        inst, cert = (tmp_path / f"{construction}.{kind}.json"
+                      for kind in ("instance", "certificate"))
+        doc = json.loads(inst.read_text())
+        doc["meta"]["extras"][key] = value
+        inst.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code, lines, err = run_cli(
+            capsys, "run", "--instance", str(inst), "--cert", str(cert),
+            "--detector", detector, "--corrupt-cert", "--seed", "1")
+        assert code == 4 and lines == [] and "Traceback" not in err
         assert err.strip().splitlines() == [f"error: {message}"]
 
     def test_missing_instance_exits_4(self, tmp_path, capsys):
@@ -819,6 +880,23 @@ class TestBench:
         assert err.strip().splitlines() == [
             f"error: {spec}: 'utf-8' codec can't decode byte 0xff in position 0: "
             "invalid start byte"]
+
+    @pytest.mark.parametrize("edit", [
+        {"trials": 0},
+        {"trials": 2, "points": [{**SEP_BATTERY["points"][0],
+                                  "cert_kwargs": {"max_attempts": 0}}]}])
+    def test_undefined_ratio_is_null(self, tmp_path, capsys, edit):
+        # a certificate mean of 0 wrote Infinity, which strict parsers refuse
+        spec = tmp_path / "sep.json"
+        spec.write_text(json.dumps({**SEP_BATTERY, "points": SEP_BATTERY["points"][:1],
+                                    **edit}))
+        code, lines, _ = run_cli(capsys, "bench", "--battery", str(spec),
+                                 "--out-dir", str(tmp_path), "--threads", "1")
+        assert code == 0 and last_json(lines)["ratios"] == [None]
+        report = json.loads((tmp_path / "separation.report.json").read_text(),
+                            parse_constant=_refuse_constant)
+        assert report["report"]["ratios"] == [None]
+        assert report["rows"][0]["ratio"] is None
 
     @pytest.mark.parametrize("path", sorted(BATTERIES.glob("*.json")),
                              ids=lambda path: path.name)
@@ -1293,6 +1371,9 @@ class TestVerify:
          "meta extras must be a JSON object"),
         ("collision-fn", ("--scales", "2..4"), ("witness_locations", 0), [[1, 2]],
          "meta witness locations must be lists of integers"),
+        # the certificate's payload is the host cycles' primes
+        ("fixedpoint-fn", (), ("extras", "hosts"), None,
+         "meta extras lack 'hosts'"),
     ])
     def test_malformed_meta_exits_4(self, tmp_path, capsys, construction,
                                     flags, path, value, message):
@@ -1313,6 +1394,22 @@ class TestVerify:
         code, lines, err = run_cli(capsys, "verify", "--instance", str(inst))
         assert code == 4 and lines == [] and "Traceback" not in err
         assert err.strip().splitlines() == [f"error: {message}"]
+
+    def test_fixed_point_certificate_on_two_cycles_passes(self, tmp_path, capsys):
+        # with two cycles, verify compared the certificate's host prime with
+        # every cycle's prime, and refused the file gen had just written
+        code, lines, _ = run_cli(
+            capsys, "gen", "--construction", "fixedpoint-fn", "--n", "8192",
+            "--alpha", "3", "--widen-primes", "--cycle-len", "1024", "--seed", "1",
+            "--out-dir", str(tmp_path))
+        assert code == 0 and " cycles=2 " in lines[0]
+        code, lines, _ = run_cli(
+            capsys, "verify",
+            "--instance", str(tmp_path / "fixedpoint-fn.instance.json"),
+            "--cert", str(tmp_path / "fixedpoint-fn.certificate.json"))
+        assert code == 0 and last_json(lines)["ok"] is True
+        assert lines[-3:-1] == ["prime-spacing: ok (2 cycles)",
+                                "certificate: ok (FixedPointPrimes)"]
 
     def test_oversize_instance_exits_2(self, tmp_path, capsys):
         main(["gen", "--construction", "collision-fn", "--n", "16384",

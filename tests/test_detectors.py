@@ -40,9 +40,10 @@ from qsep.detectors import (
     FOUND,
     SearchOutcome,
 )
-from qsep.generators import ParameterError
+from qsep.generators import ParameterError, _other
 from qsep.oracle import (
     BudgetExceeded,
+    FileFormatError,
     FunctionInstance,
     _unrelabel_witness,
     graph_from_edges,
@@ -657,8 +658,8 @@ class TestFixedpointDetector:
         for s in range(16):
             inst, cert, _ = gen_fixedpoint_function(n, FixedPointParams(), seed=s)
             o = CountedOracle(inst, relabel_seed=s)
-            out = cert_fixedpoint_search(o, corrupt_certificate(cert, seed=s),
-                                         seed=s, C=C)
+            out = cert_fixedpoint_search(
+                o, corrupt_certificate(cert, s, inst.meta.extras), seed=s, C=C)
             found_and_valid(inst, o, out)
             queries.append(out.queries)
         assert np.mean(queries) > bound, (np.mean(queries), bound)
@@ -718,10 +719,10 @@ class TestStarpathDetector:
 
     def test_corrupted_index_never_yields_invalid_witness(self):
         inst, cert, _ = gen_starpath_graph(4096, 4, seed=29)
-        s_count = math.isqrt(4096)
         for seed in range(12):
-            bad = corrupt_certificate(cert, seed=seed, index_range=s_count)
+            bad = corrupt_certificate(cert, seed, inst.meta.extras)
             assert bad.payload["index"] != cert.payload["index"]
+            assert 1 <= bad.payload["index"] <= math.isqrt(4096)
             o = CountedOracle(inst, relabel_seed=seed,
                               budget=40 * math.isqrt(4096))
             out = cert_starpath_search(o, bad, seed=seed)
@@ -939,12 +940,12 @@ def _starpath_run(fn, inst, cert, seed, budget, relabel_seed):
     return out, hashlib.sha256(repr(o.transcript).encode()).hexdigest()
 
 
-def _starpath_certs(cert, s, seed):
+def _starpath_certs(inst, cert, s, seed):
     """The true certificate, a corrupted one, index 1, past the end of the
     backbone, and k = 2 and k = 0 (every vertex of degree >= 3 or >= 1
     then holds a star)."""
     yield cert
-    yield corrupt_certificate(cert, seed=seed, index_range=s)
+    yield corrupt_certificate(cert, seed, inst.meta.extras)
     for payload in ({"index": 1}, {"index": s + 3}, {"k": 2}, {"k": 0}):
         yield Certificate("BackboneIndex", {**cert.payload, **payload})
 
@@ -960,7 +961,7 @@ class TestStarpathDifferential:
         statuses = set()
         for gen_seed in range(3):
             inst, cert, _ = gen_starpath_graph(n, 4, seed=gen_seed)
-            for c in _starpath_certs(cert, s, gen_seed):
+            for c in _starpath_certs(inst, cert, s, gen_seed):
                 for budget in (None, 7, 50, 300):
                     for relabel_seed in (None, 11 + gen_seed):
                         det_seed = 100 * gen_seed + (budget or 0)
@@ -1106,30 +1107,82 @@ class TestBruteForce:
 
 class TestCorruptCertificate:
     def test_each_kind_changes_payload(self):
-        _, c1, _ = gen_collision_function(1024, ScaleParams(2, 4, rho=0.25), seed=1)
-        bad = corrupt_certificate(c1, seed=0, scale_window=(2, 4))
+        _, c1, m1 = gen_collision_function(1024, ScaleParams(2, 4, rho=0.25), seed=1)
+        bad = corrupt_certificate(c1, 0, m1.extras)
         assert bad.kind == c1.kind and bad.payload["t"] != c1.payload["t"]
         assert 2 <= bad.payload["t"] <= 4
 
-        _, c2, _ = gen_fixedpoint_function(4096, FixedPointParams(), seed=2)
-        bad = corrupt_certificate(c2, seed=0)
+        _, c2, m2 = gen_fixedpoint_function(4096, FixedPointParams(), seed=2)
+        bad = corrupt_certificate(c2, 0, m2.extras)
         assert bad.payload["primes"] != c2.payload["primes"]
         assert len(bad.payload["primes"]) == len(c2.payload["primes"])
 
-        _, c3, _ = gen_star_graph(1024, "triangle", seed=3)
-        bad = corrupt_certificate(c3, seed=0)
+        _, c3, m3 = gen_star_graph(1024, "triangle", seed=3)
+        bad = corrupt_certificate(c3, 0, m3.extras)
         assert bad.payload["degrees"] != c3.payload["degrees"]
 
-        _, c4, _ = gen_starpath_graph(1024, 4, seed=4)
-        bad = corrupt_certificate(c4, seed=0, index_range=32)
+        _, c4, m4 = gen_starpath_graph(1024, 4, seed=4)
+        bad = corrupt_certificate(c4, 0, m4.extras)
         assert bad.payload["index"] != c4.payload["index"]
-        assert bad.payload["k"] == 4
+        assert 1 <= bad.payload["index"] <= 32 and bad.payload["k"] == 4
+
+    def test_wrong_scale_stays_inside_the_instance_window(self):
+        # the true scale is the window's top; the next one up, drawn
+        # without the meta, lies outside it
+        inst, cert, _ = gen_collision_function(1024, ScaleParams(2, 5, rho=0.25),
+                                               seed=1, t_override=5)
+        assert cert.payload == {"t": 5}
+        drawn = {corrupt_certificate(cert, s, inst.meta.extras).payload["t"]
+                 for s in range(12)}
+        assert drawn <= {2, 3, 4} and len(drawn) > 1
+        assert corrupt_certificate(cert, 0).payload == {"t": 6}
+
+    def test_without_meta_the_index_is_drawn_up_to_one_past_it(self):
+        _, cert, _ = gen_starpath_graph(1024, 4, seed=4)
+        idx = cert.payload["index"]
+        for seed in range(8):
+            got = corrupt_certificate(cert, seed).payload["index"]
+            assert 1 <= got <= idx + 1 and got != idx
+
+    def test_draws_match_a_list_of_the_other_values(self):
+        # the wrong value is drawn by arithmetic; it must equal the draw
+        # from an explicit list of the window's other values
+        for lo, hi, value in [(2, 4, 3), (2, 4, 2), (2, 4, 4), (1, 64, 30),
+                              (2, 4, 9), (1, 1, 5)]:
+            for seed in range(20):
+                choices = [i for i in range(lo, hi + 1) if i != value]
+                rng = np.random.default_rng(seed)
+                want = choices[int(rng.integers(len(choices)))]
+                assert _other(np.random.default_rng(seed), lo, hi, value) == want
+
+    def test_a_window_too_wide_to_draw_from_is_refused(self):
+        # rng.integers takes no bound past int64, so a wider window is refused
+        cert = Certificate("BackboneIndex", {"index": 3, "k": 4})
+        for top in (1 << 62, 10 ** 30):
+            with pytest.raises(ParameterError, match="too wide to draw"):
+                corrupt_certificate(cert, 0, {"s": top + 1})
+        wide = corrupt_certificate(cert, 0, {"s": 1 << 62})
+        assert 1 <= wide.payload["index"] <= 1 << 62
 
     def test_single_scale_window_has_no_wrong_value(self):
-        _, cert, _ = gen_collision_function(1024, ScaleParams(3, 3, rho=0.25),
-                                            seed=1)
-        with pytest.raises(ValueError):
-            corrupt_certificate(cert, seed=0, scale_window=(3, 3))
+        _, cert, meta = gen_collision_function(1024, ScaleParams(3, 3, rho=0.25),
+                                               seed=1)
+        with pytest.raises(ParameterError, match=r"\[3, 3\] holds no value but 3"):
+            corrupt_certificate(cert, 0, meta.extras)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("scales", "x", "meta extras 'scales' must be a list of integers, got 'x'"),
+        ("scales", [], "meta extras 'scales' must be a list of integers, got []"),
+        ("scales", [2, 2.5], "meta extras 'scales' must be a list of integers, "
+                             "got [2, 2.5]"),
+        ("s", "x", "meta extras 's' must be an integer, got 'x'"),
+        ("s", True, "meta extras 's' must be an integer, got True")])
+    def test_malformed_meta_window_is_a_file_format_error(self, key, value, message):
+        cert = Certificate("CollisionScale" if key == "scales" else "BackboneIndex",
+                           {"t": 3} if key == "scales" else {"index": 3, "k": 4})
+        with pytest.raises(FileFormatError) as e:
+            corrupt_certificate(cert, 0, {key: value})
+        assert str(e.value) == message
 
 
 ALLOWED_SURFACE = {

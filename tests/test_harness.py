@@ -324,6 +324,29 @@ class TestRecords:
             SlopeSeries(**{**SERIES, **edit})
         assert str(e.value) == message
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"n": 0}, "n must be >= 1, got 0"),
+        ({"trials": -1}, "trials must be >= 0, got -1"),
+        ({"budget": -1}, "budget must be >= 0, got -1"),
+        ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
+        ({"point": -1}, "point must be >= 0, got -1"),
+        # an unknown name raised KeyError, an unknown keyword TypeError
+        ({"generator": "nope"}, "generator must be one of the generators "
+         "claw-graph, collision-fn, fixedpoint-fn, star-graph, starpath-graph, "
+         "got 'nope'"),
+        ({"detector": "nope"}, "detector must be one of the detectors cert-claw, "
+         "cert-collision, cert-fixedpoint, cert-star, cert-starpath, multiscale, "
+         "uniform-probe, got 'nope'"),
+        ({"det_kwargs": {"bogus": 1}},
+         "det_kwargs names 'bogus', which cert-collision does not take"),
+        ({"gen_kwargs": {"params": {"i_min": "x"}}},
+         "gen_kwargs.params.i_min must be int, got 'x'"),
+    ])
+    def test_trial_config_refuses(self, edit, message):
+        with pytest.raises(ParameterError) as e:
+            TrialConfig(**{**CFG.__dict__, **edit})
+        assert str(e.value) == message
+
     @pytest.mark.parametrize("kw, message", [
         ({"trials": -1}, "trials must be >= 0, got -1"),
         ({"pilot_trials": 0}, "pilot_trials must be >= 1, got 0"),
