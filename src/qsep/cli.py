@@ -49,6 +49,7 @@ from qsep.harness import (  # noqa: F401
     _seed_int,
     _trial,
     canonical_json,
+    check_size,
     config_hash,
     read_trials_csv,
     run_trials,
@@ -142,6 +143,7 @@ def cmd_gen(args) -> int:
                   if args.construction in (f.name, f.alias))
     construction, n = family.name, args.n
     _at_least("--n", n, 1)
+    check_size(n)
     # args.flags maps each construction flag's dest to its spelling
     given = _given(args, *args.flags)
     stray = [args.flags[dest] for dest in given if dest not in family.flags]
@@ -294,6 +296,9 @@ def _check_battery(spec) -> tuple[str, dict]:
             entries.append(record(**entry))
         except ParameterError as e:
             raise ParameterError(f"{key}[{j}].{e}") from None
+        except MemoryError as e:  # check_size's refusal
+            e.entry = f"{key}[{j}] ({e.entry})"
+            raise
     return kind, {**kw, key: entries}
 
 
@@ -421,6 +426,7 @@ def cmd_verify(args) -> int:
 
 def cmd_adversary_test(args) -> int:
     _at_least("--n", args.n, 1)
+    check_size(args.n)
     _at_least("--probes", args.probes, 0)
     seed = _master_seed(args)
     lo, hi = _parse_scales(args.scales or "2..4")

@@ -57,16 +57,6 @@ class SearchOutcome:
     def found(self) -> bool:
         return self.status == FOUND
 
-    def to_jsonable(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": None if self.witness is None else
-                {"kind": self.witness.kind, "vertices": list(self.witness.vertices)},
-            "queries": self.queries,
-            "attempts": self.attempts,
-            "details": self.details,
-        }
-
 
 class _Frame:
     """One detector call: the oracle, the count it started from, the

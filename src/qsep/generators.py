@@ -37,7 +37,7 @@ from qsep.oracle import (
     Certificate,
     FileFormatError,
     FunctionInstance,
-    MetaBuilder,
+    StructureMeta,
     graph_from_edges,
     index_dtype,
 )
@@ -59,10 +59,11 @@ def _seed_repr(seed):
     return int(seed) if isinstance(seed, (int, np.integer)) else None
 
 
-def _finish(inst, builder, construction, seed, parameters, **freeze):
-    """Freeze builder's structures onto inst, check that they partition
-    [n], and stamp inst.info. Every generator ends here; returns the meta."""
-    meta = inst.meta = builder.freeze(**freeze)
+def _finish(inst, runs, members, construction, seed, parameters, **fields):
+    """Set inst.meta to the structures that runs, a list of (kind, count,
+    length), take in order from members, check that they partition [n],
+    and stamp inst.info. Every generator ends here; returns the meta."""
+    meta = inst.meta = StructureMeta.from_runs(runs, members, **fields)
     if not meta.check_partition(inst.n):
         raise AssertionError("structure lists do not partition [n]")
     inst.info = {"construction": construction, "seed": _seed_repr(seed),
@@ -228,7 +229,7 @@ def _scale_extras(table, t, b_t) -> dict:
             "b": table.b.tolist(), "rho": table.rho, "t": t, "b_t": b_t}
 
 
-def _close_or_fix(nxt, sigma, p, builder, filler: str):
+def _close_or_fix(nxt, sigma, p, runs, filler: str):
     """Wire the unused elements sigma[p:]: fixed points, or 2-/3-cycles
     under filler="cycles". nxt is in position space (nxt[k] is the image
     of sigma[k]) and already holds nxt[k] = sigma[k + 1] for k < n - 1,
@@ -238,20 +239,20 @@ def _close_or_fix(nxt, sigma, p, builder, filler: str):
         return
     if filler == "fixed":
         nxt[p:] = sigma[p:]
-        builder.add_runs(KIND_ISOLATED, 1, rest)
+        runs.append((KIND_ISOLATED, 1, rest))
         return
     if rest == 1:
         # a lone element has no cycle partner; a fixed point is unavoidable
         warnings.warn("one leftover element became a fixed point", stacklevel=3)
         nxt[p] = sigma[p]
-        builder.add_runs(KIND_ISOLATED, 1, 1)
+        runs.append((KIND_ISOLATED, 1, 1))
         return
     if rest % 2:
         nxt[p + 2] = sigma[p]
-        builder.add_runs(KIND_CYCLE, 1, 3)
+        runs.append((KIND_CYCLE, 1, 3))
         p += 3
     nxt[p + 1::2] = sigma[p::2]
-    builder.add_runs(KIND_CYCLE, (len(sigma) - p) // 2, 2)
+    runs.append((KIND_CYCLE, (len(sigma) - p) // 2, 2))
 
 
 def gen_collision_function(n: int, params: ScaleParams, seed,
@@ -267,8 +268,8 @@ def gen_collision_function(n: int, params: ScaleParams, seed,
     All other paths close into cycles. Leftovers become fixed points, or
     2-/3-cycles under filler="cycles".
 
-    The structures tile sigma in order, so sigma is the frozen member
-    list, and succ is built in position space (nxt[k] is the image of
+    The structures tile sigma in order, so sigma is the meta's member
+    array, and succ is built in position space (nxt[k] is the image of
     sigma[k]) and scattered once.
     """
     if filler not in ("fixed", "cycles"):
@@ -281,7 +282,7 @@ def gen_collision_function(n: int, params: ScaleParams, seed,
     hit = witness_block[rows, m]
     nxt = np.empty(n, dtype=index_dtype(n))
     nxt[:-1] = sigma[1:]
-    builder = MetaBuilder()
+    runs = []
     p = 0
     for j, block in enumerate(blocks):
         # a row's last position maps to the row's first element, except in
@@ -290,13 +291,10 @@ def gen_collision_function(n: int, params: ScaleParams, seed,
         stop = p + count * length
         nxt[p + length - 1:stop:length] = block[:, 0]
         b = b_t if j == j_good else 0
-        if b:
-            nxt[p + length - 1:p + b * length:length] = hit
-            builder.add_runs(KIND_PATH, b, length)
-        if count > b:
-            builder.add_runs(KIND_CYCLE, count - b, length)
+        nxt[p + length - 1:p + b * length:length] = hit[:b]
+        runs += [(KIND_PATH, b, length), (KIND_CYCLE, count - b, length)]
         p = stop
-    _close_or_fix(nxt, sigma, p, builder, filler)
+    _close_or_fix(nxt, sigma, p, runs, filler)
     succ = np.empty(n, dtype=nxt.dtype)
     succ[sigma] = nxt
 
@@ -304,9 +302,9 @@ def gen_collision_function(n: int, params: ScaleParams, seed,
         [witness_block[rows, m - 1], witness_block[:, -1], hit], axis=1).tolist()))
     inst = FunctionInstance(n=n, succ=succ.astype(np.int64))
     meta = _finish(
-        inst, builder, "collision-fn", seed,
+        inst, runs, sigma, "collision-fn", seed,
         {**asdict(params), "rho_resolved": table.rho, "filler": filler, "n": n},
-        members=sigma, good_index=t, witness_locations=witness_locations,
+        good_index=t, witness_locations=witness_locations,
         extras={**_scale_extras(table, t, b_t), "witness_offsets": m.tolist(),
                 "filler": filler})
     return inst, FAMILIES["collision-fn"].certificate(meta), meta
@@ -325,29 +323,26 @@ def _claw_instance(n, table, blocks, pool, spare, t, b_t,
 
     Edge order is fixed (path edges scale by scale, then leaf edges), so
     the CSR layout is a deterministic function of the layout draw. The
-    online adversary resolves through this same builder.
+    online adversary resolves through this same function.
     """
-    builder = MetaBuilder()
-    chunks = []
-    for block in blocks:
-        chunks.append(_path_edges(block))
-        builder.add_blocks(KIND_PATH, block.reshape(-1), block.shape[1])
     wit = blocks[table.index_of(t)][:b_t]
     leaves = pool[:_CLAW_OVERHEAD * b_t].reshape(b_t, _CLAW_OVERHEAD)
     # a witness row's first end takes leaves 0 and 1, its last end 2 and 3
-    chunks.append(np.stack((wit[:, [0, 0, -1, -1]], leaves), 2).reshape(-1, 2))
-    inst = graph_from_edges(n, np.concatenate(chunks))
+    inst = graph_from_edges(n, np.concatenate([
+        *map(_path_edges, blocks),
+        np.stack((wit[:, [0, 0, -1, -1]], leaves), 2).reshape(-1, 2)]))
 
-    if b_t:
-        builder.add_blocks(KIND_GADGET, leaves.reshape(-1), _CLAW_OVERHEAD)
-    idle = np.concatenate([spare, pool[_CLAW_OVERHEAD * b_t:]])
-    if len(idle):
-        builder.add(KIND_ISOLATED, idle)
+    # members: the paths, the gadget leaves, then one structure of idle elements
+    idle = len(spare) + len(pool) - leaves.size
+    runs = [*((KIND_PATH, *block.shape) for block in blocks),
+            (KIND_GADGET, b_t, _CLAW_OVERHEAD), (KIND_ISOLATED, int(idle > 0), idle)]
+    members = np.concatenate([*map(np.ravel, blocks), leaves.ravel(), spare,
+                              pool[leaves.size:]])
     # two claws per witness row: (end, its path neighbour, its two leaves)
     claws = np.stack((wit[:, 0], wit[:, 1], leaves[:, 0], leaves[:, 1],
                       wit[:, -1], wit[:, -2], leaves[:, 2], leaves[:, 3]), 1)
     witness_locations = list(map(tuple, claws.reshape(-1, 4).tolist()))
-    _finish(inst, builder, construction, seed, parameters, good_index=t,
+    _finish(inst, runs, members, construction, seed, parameters, good_index=t,
             witness_locations=witness_locations,
             extras={**_scale_extras(table, t, b_t), "pool_size": len(pool)})
     return inst
@@ -452,22 +447,20 @@ def gen_fixedpoint_function(n: int, params: FixedPointParams,
 
     sigma = rng.permutation(n)
     succ = np.empty(n, dtype=np.int64)
-    builder = MetaBuilder()
+    runs = []   # cycles, feeders and leftover chunks tile sigma in order
     cursor = 0
     cycles = []
     for p, length, f_cnt in zip(ps, lens, feeders_per):
         cyc = sigma[cursor:cursor + length]
         cursor += length
         succ[cyc] = np.roll(cyc, -1)
-        builder.add(KIND_CYCLE, cyc)
+        runs += [(KIND_CYCLE, 1, length), (KIND_FEEDER, f_cnt, feeder_len)]
         cycles.append(cyc)
         feed = sigma[cursor:cursor + f_cnt * feeder_len].reshape(f_cnt, feeder_len)
         cursor += f_cnt * feeder_len
         if feeder_len > 1:
             succ[feed[:, :-1]] = feed[:, 1:]
         succ[feed[:, -1]] = cyc[np.arange(f_cnt) * p]
-        if f_cnt:
-            builder.add_blocks(KIND_FEEDER, feed.reshape(-1), feeder_len)
 
     # plant T fixed points on distinct cycles, one uniform cycle element each
     order = list(range(N))
@@ -494,10 +487,10 @@ def gen_fixedpoint_function(n: int, params: FixedPointParams,
             warnings.warn("one leftover element became a filler fixed point",
                           stacklevel=2)
             succ[chunk] = chunk
-            builder.add(KIND_ISOLATED, chunk)
+            runs.append((KIND_ISOLATED, 1, 1))
             continue
         succ[chunk] = np.roll(chunk, -1)
-        builder.add(KIND_CYCLE, chunk)
+        runs.append((KIND_CYCLE, 1, take))
 
     extras = {
         "primes": ps,
@@ -511,7 +504,7 @@ def gen_fixedpoint_function(n: int, params: FixedPointParams,
         "widened": hi_used != hi,
     }
     inst = FunctionInstance(n=n, succ=succ)
-    meta = _finish(inst, builder, "fixedpoint-fn", seed,
+    meta = _finish(inst, runs, sigma, "fixedpoint-fn", seed,
                    {**asdict(params), "h_spec": h_spec, "n": n},
                    witness_locations=witness_locations, extras=extras)
     return inst, FAMILIES["fixedpoint-fn"].certificate(meta), meta
@@ -579,10 +572,8 @@ def gen_star_graph(n: int, h_spec: int | str, seed):
     np.cumsum(deg_arr, out=stops[1:])
     star_edges = np.stack((np.repeat(centers, deg_arr), leaves), 1)
 
-    builder = MetaBuilder()
-    for j in range(s):
-        builder.add(KIND_STAR,
-                    np.concatenate([centers[j:j + 1], leaves[stops[j]:stops[j + 1]]]))
+    # each star's members: its center, then its leaves
+    members = np.insert(leaves, stops[:-1], centers)
 
     witness_locations = []
     host_stars = []
@@ -601,7 +592,8 @@ def gen_star_graph(n: int, h_spec: int | str, seed):
         "h": h,
         "host_stars": host_stars,
     }
-    meta = _finish(inst, builder, "star-graph", seed, {"h": h, "n": n},
+    meta = _finish(inst, [(KIND_STAR, 1, d + 1) for d in degrees], members,
+                   "star-graph", seed, {"h": h, "n": n},
                    witness_locations=witness_locations, extras=extras)
     return inst, FAMILIES["star-graph"].certificate(meta), meta
 
@@ -627,9 +619,10 @@ def gen_starpath_graph(n: int, k: int, seed):
     pendants = sigma[n - k:]
     structural = n - k  # everything except the fresh pendants
 
+    # the backbone, the hanging paths and the pendants tile sigma in order
+    runs = [(KIND_BACKBONE, 1, s + 1), (KIND_PATH, r, q + 1), (KIND_PATH, s - r, q),
+            (KIND_GADGET, 1, k)]
     sizes = [q + 1 if j < r else q for j in range(s)]
-    builder = MetaBuilder()
-    builder.add(KIND_BACKBONE, sigma[:s + 1])
     chunks = [_path_edges(sigma[:s + 1])]  # v_0 - v_1 - ... - v_s
 
     cursor = s + 1
@@ -637,8 +630,6 @@ def gen_starpath_graph(n: int, k: int, seed):
         path = sigma[cursor:cursor + sizes[j]]
         cursor += sizes[j]
         chunks.append(_path_edges(np.concatenate([backbone[j:j + 1], path])))
-        builder.add(KIND_PATH, path)
-    builder.add(KIND_GADGET, pendants)
 
     u = int(sigma[rng.integers(structural)])
     chunks.append(np.stack((np.full(k, u), pendants), 1))
@@ -654,7 +645,7 @@ def gen_starpath_graph(n: int, k: int, seed):
     else:
         k_star = 1 + int(np.searchsorted(np.cumsum(sizes), pos - s, side="left"))
 
-    meta = _finish(inst, builder, "starpath-graph", seed, {"k": k, "n": n},
+    meta = _finish(inst, runs, sigma, "starpath-graph", seed, {"k": k, "n": n},
                    good_index=k_star, witness_locations=[(u, *map(int, pendants))],
                    extras={"k": k, "k_star": k_star, "sizes": sizes, "s": s})
     return inst, FAMILIES["starpath-graph"].certificate(meta), meta

@@ -272,6 +272,25 @@ def _check_lanes(record, *lanes) -> None:
             FAMILIES[name].arguments(kwargs, f"{kwargs_field}.params")
 
 
+# The fewest bytes per element any command holds at its peak. Peak RSS
+# slopes between n = 2^19 and 2^21 on a 2-core VM: 42 (a slope series of
+# cert-collision), 62 (a separation point), 122 (adversary-test) and 183-332
+# (gen, which also builds the files' JSON).
+BYTES_PER_ELEMENT = 40
+
+
+def check_size(n: int) -> None:
+    """MemoryError, before anything is allocated, if n elements at
+    BYTES_PER_ELEMENT bytes each exceed this machine's physical memory.
+    Its entry names n, as _naming's does."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n * BYTES_PER_ELEMENT > have:
+        err = MemoryError(f"{n} elements take at least {n * BYTES_PER_ELEMENT} bytes, "
+                          f"more than the {have} bytes of physical memory")
+        err.entry = f"n {n}"
+        raise err
+
+
 # ---------------------------------------------------------------------------
 # trial running
 
@@ -396,8 +415,8 @@ def _trial(detector: str, instance, cert, rel_seed, budget, det_kwargs, seed,
 _SIDE_DRAW_MIN_N = 1 << 17
 
 
-def _generate(generator: str, n: int, gen_ss, rel_seed, gen_kwargs):
-    """FAMILIES[generator].make(n, rng(gen_ss), **gen_kwargs) on this thread.
+def _generate(generator: str, n: int, gen_ss, rel_seed, gen_args):
+    """FAMILIES[generator].make(n, rng(gen_ss), **gen_args) on this thread.
 
     For rel_seed not None and n >= _SIDE_DRAW_MIN_N, a side thread draws
     _relabel_maps(n, rel_seed) meanwhile and is joined before this returns,
@@ -408,7 +427,7 @@ def _generate(generator: str, n: int, gen_ss, rel_seed, gen_kwargs):
     raised here.
     """
     def make():
-        return FAMILIES[generator].make(n, np.random.default_rng(gen_ss), **gen_kwargs)
+        return FAMILIES[generator].make(n, np.random.default_rng(gen_ss), **gen_args)
 
     if rel_seed is None or n < _SIDE_DRAW_MIN_N:
         return make()
@@ -442,10 +461,12 @@ def _naming(entry: str):
         raise
 
 
-def _unit(head: dict, point: int, gen_kwargs: dict, relabel: bool, budget,
+def _unit(head: dict, point: int, gen_args: dict, relabel: bool, budget,
           lanes) -> list[dict]:
-    """Generate one instance and run each (detector, det_kwargs) lane on it,
-    all under `budget` and one relabeling; return a trial row per lane.
+    """Generate one instance from gen_args, the generator's arguments as
+    Family.arguments builds them once per point, and run each (detector,
+    det_kwargs) lane on it, all under `budget` and one relabeling; return a
+    trial row per lane.
     SeedSequence([head["seed"], point, head["trial"]]) spawns generator,
     relabel and lane seeds in that order; a spawn's first children do not
     depend on how many it makes, so a lane's seed is the same alone or paired."""
@@ -453,7 +474,7 @@ def _unit(head: dict, point: int, gen_kwargs: dict, relabel: bool, budget,
         [head["seed"], point, head["trial"]]).spawn(2 + len(lanes))
     rel_seed = _seed_int(rel_ss) if relabel else None
     instance, cert = _generate(head["generator"], head["n"], gen_ss, rel_seed,
-                               gen_kwargs)
+                               gen_args)
     scales = instance.meta.extras.get("scales")
     rows = []
     for (detector, det_kwargs), det_ss in zip(lanes, lane_ss):
@@ -528,8 +549,9 @@ def run_trials(config: TrialConfig, workers: int = 1):
     """Run config.trials independent seeded trials; returns (stats, rows)."""
     head = {"config": config.config_hash(), "generator": config.generator,
             "n": config.n, "seed": config.master_seed}
+    gen_args = FAMILIES[config.generator].arguments(config.gen_kwargs)
     rows = [row for row, in _map(_unit, [
-        ({**head, "trial": i}, config.point, config.gen_kwargs, config.relabel,
+        ({**head, "trial": i}, config.point, gen_args, config.relabel,
          config.budget, ((config.detector, config.det_kwargs),))
         for i in range(config.trials)], workers)]
     return TrialStats.from_rows(rows), rows
@@ -556,6 +578,7 @@ class SeparationPoint:
         if not math.isfinite(self.x):
             raise ParameterError(f"x must be finite, got {self.x!r}")
         _at_least("n", self.n, 1)
+        check_size(self.n)
         _check_lanes(self, ("generator", "gen_kwargs"), ("cert_detector", "cert_kwargs"),
                      ("baseline_detector", "baseline_kwargs"))
 
@@ -617,14 +640,15 @@ def separation_experiment(points, trials: int = 20, master_seed: int = 0,
         head = {"config": f"sep-{master_seed}-{idx}", "generator": pt.generator,
                 "n": pt.n, "seed": master_seed}
         cert_lane = (pt.cert_detector, pt.cert_kwargs)
+        gen_args = FAMILIES[pt.generator].arguments(pt.gen_kwargs)
         with _naming(f"points[{idx}] (n {pt.n})"):
-            pilot_rows = [_unit({**head, "trial": i + (1 << 30)}, idx, pt.gen_kwargs,
+            pilot_rows = [_unit({**head, "trial": i + (1 << 30)}, idx, gen_args,
                                 True, None, (cert_lane,))[0] for i in range(pilot_trials)]
             found = [r["queries"] for r in pilot_rows if r["status"] == FOUND]
             budget = max(1, math.ceil(budget_factor * float(np.mean(found)))) \
                 if found else trial_budget(*cert_lane, pt.n, None)
             lanes = (cert_lane, (pt.baseline_detector, pt.baseline_kwargs))
-            pairs = _map(_unit, [({**head, "trial": i}, idx, pt.gen_kwargs, True,
+            pairs = _map(_unit, [({**head, "trial": i}, idx, gen_args, True,
                                   budget, lanes) for i in range(trials)], workers)
         rows_c = [c for c, _ in pairs]
         rows_b = [b for _, b in pairs]
@@ -706,6 +730,7 @@ class SlopeSeries:
         for i, n in enumerate(self.ns):
             check_type(f"ns[{i}]", n, "int")
             _at_least(f"ns[{i}]", n, 1)
+            check_size(n)
         _at_least("trials", self.trials, 0)
         _at_least("budget", self.budget, 0)
         _check_lanes(self, ("generator", "gen_kwargs"), ("detector", "det_kwargs"))

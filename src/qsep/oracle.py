@@ -67,9 +67,11 @@ class StructureMeta:
 
     Structures are stored in columnar form: ``kinds[i]`` is a kind code,
     and the members of structure i are ``members[offsets[i]:offsets[i+1]]``
-    in walk order. ``witness_locations`` holds the planted witnesses as
-    element tuples; ``extras`` carries construction-specific values that
-    are not element ids (counts, primes, degrees, realized parameters).
+    in walk order. A generator describes them as runs over one member
+    array (``from_runs``). ``witness_locations`` holds the planted
+    witnesses as element tuples; ``extras`` carries construction-specific
+    values that are not element ids (counts, primes, degrees, realized
+    parameters).
     """
 
     kinds: np.ndarray
@@ -78,6 +80,21 @@ class StructureMeta:
     good_index: int | None = None
     witness_locations: list[tuple[int, ...]] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+
+    @staticmethod
+    def from_runs(runs, members, good_index=None, witness_locations=None,
+                  extras=None) -> "StructureMeta":
+        """runs lists (kind, count, length): count structures of length
+        members each, taken in order from members, which must hold them all
+        (an int64 members array is kept without a copy)."""
+        kinds, counts, lengths = np.array(runs, dtype=np.int64).reshape(-1, 3).T
+        offsets = np.zeros(int(counts.sum()) + 1, dtype=np.int64)
+        np.cumsum(np.repeat(lengths, counts), out=offsets[1:])
+        members = _as_index_array(members)
+        if offsets[-1] != len(members):
+            raise ValueError(f"structures hold {offsets[-1]} members, not {len(members)}")
+        return StructureMeta(np.repeat(kinds, counts).astype(np.int8), offsets, members,
+                             good_index, witness_locations or [], extras or {})
 
     @property
     def count(self) -> int:
@@ -169,58 +186,6 @@ class StructureMeta:
             good_index=d.get("good_index"),
             witness_locations=locations,
             extras=d.get("extras", {}),
-        )
-
-
-class MetaBuilder:
-    """Accumulates structures and freezes them into a StructureMeta."""
-
-    def __init__(self) -> None:
-        self._kinds: list[np.ndarray] = []
-        self._lengths: list[np.ndarray] = []
-        self._members: list[np.ndarray] = []
-
-    def add(self, kind: int, members) -> None:
-        m = _as_index_array(members)
-        self._kinds.append(np.full(1, kind, dtype=np.int8))
-        self._lengths.append(np.full(1, len(m), dtype=np.int64))
-        self._members.append(m)
-
-    def add_blocks(self, kind: int, flat, block_len: int) -> None:
-        """Many structures of equal length, concatenated in ``flat``."""
-        m = _as_index_array(flat)
-        if block_len <= 0 or len(m) % block_len:
-            raise ValueError("flat length must be a multiple of block_len")
-        self.add_runs(kind, len(m) // block_len, block_len)
-        self._members.append(m)
-
-    def add_runs(self, kind: int, count: int, block_len: int) -> None:
-        """count structures of block_len members each, taken in order from
-        the members array handed to freeze."""
-        self._kinds.append(np.full(count, kind, dtype=np.int8))
-        self._lengths.append(np.full(count, block_len, dtype=np.int64))
-
-    def freeze(self, good_index=None, witness_locations=None, extras=None,
-               members=None) -> StructureMeta:
-        """members, for structures declared by add_runs, holds them all in
-        order and is frozen without a copy."""
-        kinds = np.concatenate(self._kinds) if self._kinds else np.zeros(0, dtype=np.int8)
-        lengths = np.concatenate(self._lengths) if self._lengths else np.zeros(0, dtype=np.int64)
-        if members is None:
-            members = np.concatenate(self._members) if self._members \
-                else np.zeros(0, dtype=np.int64)
-        members = _as_index_array(members)
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        if offsets[-1] != len(members):
-            raise ValueError(f"structures hold {offsets[-1]} members, not {len(members)}")
-        return StructureMeta(
-            kinds=kinds,
-            offsets=offsets,
-            members=members,
-            good_index=good_index,
-            witness_locations=witness_locations or [],
-            extras=extras or {},
         )
 
 
@@ -428,8 +393,7 @@ def _relabel_maps(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     maps to the labels an oracle returns, so it stays int64. The inverse
     is scattered in index_dtype(n) and stored cast once to int64, so the
     oracle's gathers through it need no per-call cast."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    perm = rng.permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     inv = invert_permutation(perm).astype(np.int64)
     perm.flags.writeable = inv.flags.writeable = False
     return perm, inv

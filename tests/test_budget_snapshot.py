@@ -45,7 +45,7 @@ from qsep import (
     multiscale_collision_search,
     uniform_probe_baseline,
 )
-from qsep.oracle import FunctionInstance, Witness, canonical_json
+from qsep.oracle import FunctionInstance, Witness, _jsonable, canonical_json
 from recording_oracle import RecordingOracle
 
 SNAPSHOT = Path(__file__).with_name("budget_snapshot.json")
@@ -148,7 +148,7 @@ def _plain(obj):
 
 def summarize(result, oracle) -> dict:
     """The pinned record of one detector call."""
-    res = result if isinstance(result, dict) else result.to_jsonable()
+    res = result if isinstance(result, dict) else _jsonable(result)
     transcript = repr(oracle.transcript).encode()
     return {
         "result": json.loads(canonical_json(_plain(res))),

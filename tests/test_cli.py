@@ -1640,3 +1640,55 @@ class TestCliFuzz:
                 argv += [flag] if value is None else [flag, str(paths.get(value, value))]
             code, err = _quietly(argv)
             assert code in range(5) and "Traceback" not in err, (argv, code, err)
+
+
+class TestSizeGuard:
+    BIG = 1 << 40
+
+    def _commands(self, tmp_path):
+        sep = {**SEP_BATTERY, "points": [{**SEP_BATTERY["points"][0], "n": self.BIG}]}
+        slope = {**SLOPE_BATTERY, "series": [
+            {**SLOPE_BATTERY["series"][0], "ns": [4096, self.BIG]}]}
+        for name, spec in (("sep", sep), ("slope", slope)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+        big = str(self.BIG)
+        return {
+            "gen": (["gen", "--construction", "collision-fn", "--n", big], f"--n {big}"),
+            "adversary-test": (["adversary-test", "--n", big], f"--n {big}"),
+            "separation": (["bench", "--battery", str(tmp_path / "sep.json")],
+                           f"points[0] (n {big})"),
+            "slope": (["bench", "--battery", str(tmp_path / "slope.json")],
+                      f"series[0] (n {big})"),
+        }
+
+    @pytest.mark.parametrize("command", ["gen", "adversary-test", "separation", "slope"])
+    def test_a_size_beyond_physical_memory_is_refused_before_any_allocation(
+            self, tmp_path, capsys, monkeypatch, command):
+        # each layer that would allocate for an instance fails loudly if reached
+        for module, name in ((qsep.generators, "scale_table"),
+                             (qsep.generators, "gen_collision_function"),
+                             (qsep.cli, "AdversarySession"), (qsep.harness, "_unit"),
+                             (qsep.harness, "run_trials")):
+            monkeypatch.setattr(module, name, None)
+        argv, at = self._commands(tmp_path)[command]
+        code, lines, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "out"))
+        assert code == 2 and lines == []
+        assert err.startswith(f"error: not enough memory for {at}: {self.BIG} elements "
+                              "take at least ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "separation"])
+    def test_an_allocation_that_fails_names_its_size(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        def fail(*_, **__):
+            raise MemoryError("cannot allocate")
+        monkeypatch.setattr(qsep.generators, "gen_collision_function", fail)
+        (tmp_path / "sep.json").write_text(json.dumps(SEP_BATTERY))
+        argv, at = {
+            "gen": (["gen", "--construction", "collision-fn", "--n", "1024"], "--n 1024"),
+            "separation": (["bench", "--battery", str(tmp_path / "sep.json")],
+                           "points[0] (n 4096)")}[command]
+        code, lines, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "out"))
+        assert code == 2 and lines == []
+        assert err.splitlines() == [f"error: not enough memory for {at}: cannot allocate"]

@@ -23,7 +23,8 @@ from qsep import (
     scale_table,
     write_instance,
 )
-from qsep.generators import primes_in_range, star_degree_set
+from qsep.adversary import AdversarySession
+from qsep.generators import FAMILIES, primes_in_range, star_degree_set
 from qsep.oracle import canonical_json, instance_to_jsonable
 
 
@@ -488,3 +489,97 @@ def test_generated_instance_files_byte_deterministic(tmp_path):
         write_instance(gen(77), p1)
         write_instance(gen(77), p2)
         assert p1.read_bytes() == p2.read_bytes(), name
+
+
+# --- every construction's bytes ----------------------------------------------
+
+def _family_cases():
+    """(construction, n, seed, keywords) through Family.make over every
+    construction: small and odd n, both fillers, b_override=0, clique
+    sizes 0, 2 and 5, k = 4, 6 and 9, fixed point with N >= 2 widened and
+    with 1 leftover element,
+    and calls that must raise."""
+    small = {"i_min": 2, "i_max": 4}
+    for n, seed, filler, kw in itertools.product(
+            (64, 1025, 4099), (0, 3), ("fixed", "cycles"),
+            ({}, {"b_override": 0})):
+        yield "collision-fn", n, seed, {"params": small, "filler": filler, **kw}
+    for n, seed, kw in itertools.product((64, 1031, 4096), (0, 3),
+                                         ({}, {"b_override": 0}, {"t_override": 4})):
+        yield "claw-graph", n, seed, {"params": small, **kw}
+    yield "collision-fn", 1 << 14, 1, {}
+    yield "claw-graph", 1 << 14, 1, {}
+    for n, seed in itertools.product((64, 1000, 4097, 1 << 14), (0, 5)):
+        yield "fixedpoint-fn", n, seed, {}
+        yield "fixedpoint-fn", n, seed, {"params": {
+            "feeder_len": 1, "cycle_len": 7, "widen": True}}
+    for n in (16, 17, 40):   # 1, 2 and 25 leftover elements
+        yield "fixedpoint-fn", n, 0, {"params": {
+            "prime_lo": 2, "prime_hi": 4, "cycle_len": 9, "feeder_len": 2}}
+    for seed, T in itertools.product((1, 2), (1, 2)):
+        yield "fixedpoint-fn", 8192, seed, {"params": {
+            "alpha": 3.0, "widen": True, "cycle_len": 1024, "T": T}}
+    for n, seed, h in itertools.product((64, 1001, 4096, 1 << 14), (0, 7),
+                                        ("triangle", 0, 2, 5)):
+        yield "star-graph", n, seed, {"h_spec": h}
+    for n, seed, k in itertools.product((64, 1001, 4099, 1 << 14), (0, 7), (4, 6, 9)):
+        yield "starpath-graph", n, seed, {"k": k}
+    yield "collision-fn", 1024, 0, {"params": small, "filler": "bogus"}
+    yield "collision-fn", 20, 0, {"params": small}
+    yield "claw-graph", 1024, 0, {"params": small, "t_override": 9}
+    yield "claw-graph", 1024, 0, {"params": small, "b_override": -1}
+    yield "fixedpoint-fn", 8192, 0, {"params": {"alpha": 3.0, "cycle_len": 1024}}
+    yield "fixedpoint-fn", 4096, 0, {"params": {"T": 2}}
+    yield "fixedpoint-fn", 1, 0, {}
+    yield "fixedpoint-fn", 64, 0, {"params": {"cycle_len": 0, "widen": True}}
+    yield "star-graph", 64, 0, {"h_spec": 1}
+    yield "star-graph", 64, 0, {"h_spec": 9}
+    yield "star-graph", 64, 0, {"h_spec": "square"}
+    yield "starpath-graph", 64, 0, {"k": 3}
+    yield "starpath-graph", 10, 0, {"k": 4}
+
+
+def _adversary_cases():
+    """(n, params, seed, probes): sessions finalized after 0 to 40 probes
+    of uniform elements, some resolving early and some not."""
+    for j in range(50):
+        n, par = ((256, ScaleParams(2, 4)), (1024, ScaleParams(2, 4)),
+                  (4096, ScaleParams(2, 6)))[j % 3]
+        yield n, par, 100 + j, (0, 1, 5, 40)[j % 4]
+
+
+def _digest_instance(h, inst, cert) -> None:
+    meta = inst.meta
+    h.update(canonical_json(instance_to_jsonable(inst)).encode())
+    h.update(canonical_json(cert.to_jsonable()).encode() if cert else b"-")
+    h.update(f"{meta.kinds.dtype} {meta.offsets.dtype} {meta.members.dtype}".encode())
+
+
+def test_every_construction_bytes_pinned():
+    h = hashlib.sha256()
+    for name, n, seed, kw in _family_cases():
+        h.update(repr((name, n, seed, sorted(kw.items()))).encode())
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                inst, cert = FAMILIES[name].make(n, seed, **kw)
+        except ParameterError as err:
+            h.update(f"{type(err).__name__}: {err}".encode())
+            continue
+        assert inst.meta.check_partition(n)
+        _digest_instance(h, inst, cert)
+    for n, par, seed, probes in _adversary_cases():
+        h.update(repr((n, par, seed, probes)).encode())
+        session = AdversarySession(n, par, seed)
+        for v in np.random.default_rng(seed).integers(n, size=probes).tolist():
+            if session.probe_degree(v):
+                session.probe_neighbor(v, 0)
+        _digest_instance(h, session.finalize(), None)
+        h.update(canonical_json(session.trace).encode())
+    assert h.hexdigest() == EVERY_CONSTRUCTION_DIGEST
+
+
+# sha256 over _family_cases and _adversary_cases of each instance's and
+# certificate's canonical JSON, the meta arrays' dtypes, each error's type
+# and message, and each session's trace; it moves only if seeded output moves
+EVERY_CONSTRUCTION_DIGEST = "ecad02c5e6f25724e976f463accaa8e11e829b20c7300d0728c579bf9151dcd7"

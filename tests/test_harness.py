@@ -31,8 +31,8 @@ from qsep import (
     slope_fit,
     write_trials_csv,
 )
-from qsep import harness
-from qsep.generators import FAMILIES, ParameterError
+from qsep import generators, harness
+from qsep.generators import FAMILIES, ParameterError, check_fields
 from qsep.harness import (SeparationPoint, SlopeSeries, _wilson, slope_experiment,
                            write_report_json)
 from qsep.oracle import FunctionInstance, _relabel_maps
@@ -359,6 +359,21 @@ class TestRecords:
         with pytest.raises(ParameterError) as e:
             separation_experiment([SeparationPoint(**POINT)], **kw)
         assert str(e.value) == message
+
+    def test_params_are_checked_once_per_point(self, monkeypatch):
+        checks = []
+
+        def counting(where, obj, takes, owner):
+            checks.append(owner)
+            return check_fields(where, obj, takes, owner)
+        point = SeparationPoint(**{**POINT, "n": 256})
+        config = TrialConfig(**{**CFG.__dict__, "n": 256, "trials": 3,
+                                "gen_kwargs": POINT["gen_kwargs"]})
+        monkeypatch.setattr(generators, "check_fields", counting)
+        separation_experiment([point], trials=3, pilot_trials=2)
+        assert checks == ["ScaleParams"]
+        run_trials(config)
+        assert checks == ["ScaleParams"] * 2
 
     def test_separation_experiment_defaults(self):
         rep = separation_experiment([SeparationPoint(**{**POINT, "n": 256})])
