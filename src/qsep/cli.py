@@ -158,11 +158,12 @@ def cmd_gen(args) -> int:
     config = {"command": "gen", "construction": construction, "n": n,
               "seed": seed, "parameters": inst.info.get("parameters", {})}
     h = config_hash(config)
-    docs = {"instance": instance_to_jsonable(inst),
+    instance = instance_to_jsonable(inst)
+    docs = {"instance": instance,
             "certificate": cert.to_jsonable(),
             "meta": {"format": "qsep-meta", "version": 1,
                      "construction": construction, "n": n, "seed": seed,
-                     "meta": meta.to_jsonable()}}
+                     "meta": instance["meta"]}}
     paths = {kind: _out_path(args, construction, f"{kind}.json") for kind in docs}
     for kind, doc in docs.items():
         write_json(paths[kind], {**doc, "config_hash": h})

@@ -282,6 +282,7 @@ def multiscale_collision_search(f, oracle, i_min: int, i_max: int, seed=None,
     step per walk per round; the walk at scale i restarts after 2^i
     steps."""
     _at_least("i_min", i_min, 0)
+    _at_least("i_max", i_max, i_min)
     scales = list(range(int(i_min), int(i_max) + 1))
     f.details = {"scales": scales}
     return _shared_walk(f, oracle, [1 << i for i in scales],
@@ -393,6 +394,7 @@ def cert_fixedpoint_search(f, oracle, cert: Certificate, seed=None, C: float = 2
     """
     if isinstance(C, bool) or not (isinstance(C, (int, float)) and 0 < C < math.inf):
         raise ParameterError(f"C must be a finite number > 0, got {C!r}")
+    _at_least("max_iterations", max_iterations, 0)
     primes = [int(p) for p in cert.payload["primes"]]
     rng = np.random.default_rng(seed)
     n = oracle.n

@@ -274,7 +274,7 @@ def _check_lanes(record, *lanes) -> None:
 
 # The fewest bytes per element any command holds at its peak. Peak RSS
 # slopes between n = 2^19 and 2^21 on a 2-core VM: 42 (a slope series of
-# cert-collision), 62 (a separation point), 122 (adversary-test) and 183-332
+# cert-collision), 62 (a separation point), 122 (adversary-test) and 143-287
 # (gen, which also builds the files' JSON).
 BYTES_PER_ELEMENT = 40
 

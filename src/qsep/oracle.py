@@ -415,7 +415,9 @@ class CountedOracle:
     drawn from ``relabel_seed``, the one ``relabel(instance, relabel_seed)``
     applies. Oracles given the same n and relabel_seed share one read-only
     pair of maps. Algorithms must treat the oracle as the only window onto
-    the instance.
+    the instance. Every query is checked (model, label, neighbour index),
+    charged and relabelled in one path, so a refused query costs nothing;
+    no query method calls another, so a subclass may wrap each by name.
     """
 
     def __init__(self, instance, relabel_seed: int | None = None,
@@ -445,100 +447,84 @@ class CountedOracle:
         """Queries the budget still pays for, never negative; None if unbounded."""
         return None if self.budget is None else max(0, self.budget - self._count)
 
-    def _check_range(self, xs: np.ndarray, what: str) -> None:
-        """Reject a batch with any label outside [0, n). xs is contiguous
-        int64, so one max over its uint64 view covers both ends: negatives
-        wrap to values >= 2^63."""
-        if xs.view(np.uint64).max() >= self.n:
-            raise ValueError(f"{what} out of range")
-
     def _charge(self, k: int = 1) -> None:
         if self.budget is not None and self._count + k > self.budget:
             raise BudgetExceeded(f"budget {self.budget} reached at count {self._count}")
         self._count += k
 
+    def _label(self, x, query: str):
+        """The instance's label for visible label x in a query of kind query
+        ("function", "degree" or "neighbor"); refuses the other model's
+        query (ModelMismatchError), then a label outside [0, n)."""
+        if (query == "function") != (self.model == "function"):
+            raise ModelMismatchError(f"{query} query on a {self.model} oracle")
+        x = int(x)
+        if not 0 <= x < self.n:
+            raise ValueError(f"{'element' if query == 'function' else 'vertex'} {x} out of range")
+        return x if self._in is None else self._in[x]
+
+    def _labels(self, xs, query: str) -> np.ndarray:
+        """Batch form of _label over xs as contiguous int64; it also refuses
+        a batch that is not one-dimensional. One max over the uint64 view
+        checks both ends of the range: negatives wrap to values >= 2^63."""
+        if (query == "function") != (self.model == "function"):
+            raise ModelMismatchError(f"{query} query on a {self.model} oracle")
+        xs = _as_index_array(xs)
+        if xs.ndim != 1:
+            raise ValueError(f"a batch must be one-dimensional, got shape {xs.shape}")
+        if len(xs) and xs.view(np.uint64).max() >= self.n:
+            raise ValueError(f"{'element' if query == 'function' else 'vertex'} out of range")
+        return xs if self._in is None else self._in[xs]
+
+    def _visible(self, yi):
+        """An instance label, or an array of them, as the caller sees it."""
+        return yi if self._out is None else self._out[yi]
+
     # -- function queries ---------------------------------------------------
 
     def query_function(self, x: int) -> int:
-        if self.model != "function":
-            raise ModelMismatchError("function query on a graph oracle")
-        x = int(x)
-        if not 0 <= x < self.n:
-            raise ValueError(f"element {x} out of range")
+        xi = self._label(x, "function")
         self._charge()
-        xi = self._in[x] if self._in is not None else x
-        yi = self._succ[xi]
-        return int(self._out[yi] if self._out is not None else yi)
+        return int(self._visible(self._succ[xi]))
 
     def query_function_many(self, xs) -> np.ndarray:
         """Batch form of query_function; counts len(xs) queries."""
-        if self.model != "function":
-            raise ModelMismatchError("function query on a graph oracle")
-        xs = _as_index_array(xs)
-        if len(xs) == 0:
-            return xs
-        self._check_range(xs, "element")
-        self._charge(len(xs))
-        xi = self._in[xs] if self._in is not None else xs
-        yi = self._succ[xi]
-        return self._out[yi] if self._out is not None else yi
+        xi = self._labels(xs, "function")
+        self._charge(len(xi))
+        return self._visible(self._succ[xi])
 
     # -- graph queries ------------------------------------------------------
 
     def query_degree(self, v: int) -> int:
-        if self.model != "graph":
-            raise ModelMismatchError("degree query on a function oracle")
-        v = int(v)
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
+        vi = self._label(v, "degree")
         self._charge()
-        vi = self._in[v] if self._in is not None else v
         return int(self._indptr[vi + 1] - self._indptr[vi])
 
     def query_neighbor(self, v: int, i: int) -> int:
-        if self.model != "graph":
-            raise ModelMismatchError("neighbor query on a function oracle")
-        v, i = int(v), int(i)
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        vi = self._in[v] if self._in is not None else v
+        vi, i = self._label(v, "neighbor"), int(i)
         d = int(self._indptr[vi + 1] - self._indptr[vi])
         if not 0 <= i < d:
             raise IndexError(f"neighbor index {i} out of range for degree {d}")
         self._charge()
-        wi = self._indices[self._indptr[vi] + i]
-        return int(self._out[wi] if self._out is not None else wi)
+        return int(self._visible(self._indices[self._indptr[vi] + i]))
 
     def query_degree_many(self, vs) -> np.ndarray:
         """Batch form of query_degree; counts len(vs) queries."""
-        if self.model != "graph":
-            raise ModelMismatchError("degree query on a function oracle")
-        vs = _as_index_array(vs)
-        if len(vs) == 0:
-            return vs
-        self._check_range(vs, "vertex")
-        self._charge(len(vs))
-        vi = self._in[vs] if self._in is not None else vs
+        vi = self._labels(vs, "degree")
+        self._charge(len(vi))
         return self._indptr[vi + 1] - self._indptr[vi]
 
     def query_neighbor_many(self, vs, is_) -> np.ndarray:
         """Batch form of query_neighbor; counts len(vs) queries."""
-        if self.model != "graph":
-            raise ModelMismatchError("neighbor query on a function oracle")
-        vs = _as_index_array(vs)
+        vi = self._labels(vs, "neighbor")
         is_ = _as_index_array(is_)
-        if vs.shape != is_.shape:
+        if is_.shape != vi.shape:
             raise ValueError("vs and is_ must have matching shapes")
-        if len(vs) == 0:
-            return vs
-        self._check_range(vs, "vertex")
-        vi = self._in[vs] if self._in is not None else vs
         ds = self._indptr[vi + 1] - self._indptr[vi]
         if (is_ < 0).any() or (is_ >= ds).any():
             raise IndexError("neighbor index out of range")
-        self._charge(len(vs))
-        wi = self._indices[self._indptr[vi] + is_]
-        return self._out[wi] if self._out is not None else wi
+        self._charge(len(vi))
+        return self._visible(self._indices[self._indptr[vi] + is_])
 
 
 def _unrelabel_witness(oracle: CountedOracle, w: Witness) -> Witness:

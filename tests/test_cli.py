@@ -639,6 +639,8 @@ class TestRun:
     @pytest.mark.parametrize("flags, message", [
         (("multiscale", "--scales", "3..a"), "expected A..B scale window, got '3..a'"),
         (("multiscale", "--scales", "3"), "expected A..B scale window, got '3'"),
+        # this ran no scale and reported Exhausted after 0 queries
+        (("multiscale", "--scales", "5..2"), "i_max must be >= 5, got 2"),
         # the certificate's scale is 5, and a one-scale window holds no other
         (("cert-collision", "--corrupt-cert"), "[5, 5] holds no value but 5")])
     def test_bad_scale_window_exits_2(self, tmp_path, capsys, flags, message):
@@ -1063,6 +1065,14 @@ class TestBench:
             "label": "a", "generator": "claw-graph", "detector": "cert-claw",
             "ns": [1024], "det_kwargs": {"max_attempts": -1}}]},
          "max_attempts must be >= 0, got -1"),
+        # an empty scale window and a negative iteration cap: each was
+        # Exhausted after 0 queries, and the window printed ratios [0.0]
+        ({"points": [{**SEP_BATTERY["points"][0],
+                      "baseline_kwargs": {"i_min": 4, "i_max": 2}}]},
+         "i_max must be >= 4, got 2"),
+        ({"kind": "slope", "series": [{**SLOPE_BATTERY["series"][0],
+                                       "det_kwargs": {"C": 2.0, "max_iterations": -3}}]},
+         "max_iterations must be >= 0, got -3"),
         # uniform-probe's batch size is fixed: chunk 0 ended in a range()
         # traceback, chunk -1 reported Exhausted after 0 queries
         ({"kind": "slope", "series": [{

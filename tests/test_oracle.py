@@ -113,6 +113,80 @@ def test_budget_enforced():
     assert oracle.remaining() == 0
 
 
+# every vertex of the 8-cycle has degree 2, under any relabelling
+_CONTRACT = {"function": FunctionInstance(n=8, succ=(np.arange(8) + 1) % 8),
+             "graph": graph_from_edges(8, np.array([(v, (v + 1) % 8) for v in range(8)]))}
+_LABELS = {"function": "element", "graph": "vertex"}
+_MODELS = {"query_function": "function", "query_degree": "graph",
+           "query_neighbor": "graph"}
+
+
+def _refusals():
+    """(method, oracle model, label, index, error, message) for each way a
+    query is refused: the other model's oracle, a label out of range, a
+    neighbour index out of range, and a budget one query short."""
+    for base, model in _MODELS.items():
+        query, other = base.split("_")[1], "graph" if model == "function" else "function"
+        noun, nbr = _LABELS[model], base == "query_neighbor"
+        for method in (base, base + "_many"):
+            many = method != base
+            yield method, other, -1, -1, ModelMismatchError, \
+                f"{query} query on a {other} oracle"
+            for label in (-1, 8) + ((-(1 << 63),) if many else ()):
+                yield method, model, label, -1, ValueError, \
+                    f"{noun} out of range" if many else f"{noun} {label} out of range"
+            for index in ((-1, 2) if nbr else ()):
+                yield method, model, 0, index, IndexError, "neighbor index out of range" \
+                    if many else f"neighbor index {index} out of range for degree 2"
+            yield method, model, 0, 0, BudgetExceeded, \
+                f"budget {3 if many else 1} reached at count 1"
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 7])
+@pytest.mark.parametrize("method, model, label, index, error, message", list(_refusals()))
+def test_refusal_contract(method, model, label, index, error, message, relabel_seed):
+    """Each refused query raises exactly this error and charges nothing.
+    Every oracle here has spent one query of a budget one short of the
+    call, a refused model comes with a bad label and index, and a refused
+    label with a bad index, so the refusals are checked in the order
+    model, label, index, budget. A batch holds
+    the label and the index in its middle lane."""
+    many = method.endswith("_many")
+    o = CountedOracle(_CONTRACT[model], relabel_seed=relabel_seed, budget=3 if many else 1)
+    (o.query_function if model == "function" else o.query_degree)(0)
+    args = ([1, label, 2], [1, index, 0]) if many else (label, index)
+    args = args if method.startswith("query_neighbor") else args[:1]
+    with pytest.raises(Exception) as e:
+        getattr(o, method)(*(np.array(a) for a in args) if many else args)
+    assert (type(e.value), str(e.value)) == (error, message)
+    assert (o.count, o.remaining()) == (1, 2 if many else 0)
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 7])
+@pytest.mark.parametrize("method, shape", [("query_function_many", (2, 4)),
+                                           ("query_degree_many", (2, 3)),
+                                           ("query_neighbor_many", (2, 2))])
+def test_batch_must_be_one_dimensional(method, shape, relabel_seed):
+    # a (2, 4) batch answered 8 queries and charged 2, one per row
+    model = "function" if method == "query_function_many" else "graph"
+    o = CountedOracle(_CONTRACT[model], relabel_seed=relabel_seed, budget=2)
+    args = (np.zeros(shape, dtype=np.int64),) * (2 if "neighbor" in method else 1)
+    with pytest.raises(ValueError) as e:
+        getattr(o, method)(*args)
+    assert str(e.value) == f"a batch must be one-dimensional, got shape {shape}"
+    assert (o.count, o.remaining()) == (0, 2)
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 7])
+def test_empty_batch_answers_empty_int64(relabel_seed):
+    fn = CountedOracle(_CONTRACT["function"], relabel_seed=relabel_seed, budget=0)
+    graph = CountedOracle(_CONTRACT["graph"], relabel_seed=relabel_seed, budget=0)
+    for out in (fn.query_function_many([]), graph.query_degree_many([]),
+                graph.query_neighbor_many([], [])):
+        assert out.dtype == np.int64 and out.shape == (0,)
+    assert fn.count == graph.count == 0
+
+
 def test_query_many_matches_singles_and_is_all_or_nothing():
     rng = np.random.default_rng(0)
     succ = rng.integers(0, 32, size=32).astype(np.int64)
