@@ -4,14 +4,15 @@ Every routine here sees the instance only through the oracle's query
 surface, so the reported query counts are the true cost. A Found
 outcome always carries a witness in the oracle's visible labeling.
 
-Collision-walk bookkeeping: a predecessor map stores, per element, the
-edge over which it was first reached (None for a walk start). Arriving
-at a recorded element over a different edge certifies a collision;
-arriving over the same edge, or at a recorded start, just ends the walk
-(cycle closure). The certificate walker and the multi-scale walker are
-one shared-map walker with a step cap per lane (2^t on each of `batch`
-lanes, or 2^i on one lane per scale i): every walk of every lane reads
-and extends the same map. The per-attempt battery gives every attempt a
+Collision-walk bookkeeping: a predecessor array stores, per element,
+the element over which it was first reached (-2 for a walk start, -1
+while unseen). Arriving at a recorded element over a different edge
+certifies a collision; arriving over the same edge, or at a recorded
+start, just ends the walk (cycle closure). The certificate walker and
+the multi-scale walker are one shared-record walker with a step cap per
+lane (2^t on each of `batch` lanes, or 2^i on one lane per scale i):
+every walk of every lane reads and extends the same array, one gather
+per lockstep round. The per-attempt battery gives every attempt a
 fresh record instead, which is what the exact enumerator models: its
 trajectory row, filtered by a preimage record all lanes share (about 5n
 bytes), since a repeat at a later element y has answered two distinct
@@ -216,47 +217,61 @@ def collision_attempt_battery(oracle, t: int, attempts: int, seed=None,
     }
 
 
-_MISSING = object()
-
-
 def _shared_walk(f, oracle, caps, rng, max_attempts):
     """One walk per lane, lane k restarting at a fresh uniform element
     after caps[k] steps or a terminal arrival. Each round queries every
     live lane, in lane order, in one call; all walks share one
-    predecessor map, so cross-walk arrivals certify collisions too."""
+    predecessor array of n entries (4n bytes below n = 2^31, however
+    far the walks go), so cross-walk arrivals certify collisions too.
+    An entry is -1 while unseen, -2 for a walk start, else the element
+    that first answered it. One gather reads the array for a round; a
+    lane reads the round's own new records first, from a dict scattered
+    into the array before the next gather. A respawn records its start
+    only where nothing is recorded.
+
+    Restarts are drawn 64 at a time and taken in draw order, the values
+    of one draw each, so up to 63 go unused and a Generator passed as the
+    seed ends further on. No lab path reads it afterwards: the harness
+    builds one per lane, and `run` passes an int."""
     _at_least("max_attempts", max_attempts, 0)
     n = oracle.n
-    pred: dict = {}
-    get = pred.get
+    pred = np.full(n, -1, dtype=index_dtype(n))
+    new: dict = {}
+    draws: list = []
     front = [0] * len(caps)
     left = [0] * len(caps)
 
     def spawn(lane: int) -> bool:
         if max_attempts is not None and f.attempts >= max_attempts:
             return False
-        x = int(rng.integers(n))
+        if not draws:
+            draws.extend(reversed(rng.integers(0, n, size=64).tolist()))
+        x = draws.pop()
         f.attempts += 1
         front[lane] = x
         left[lane] = caps[lane]
-        pred.setdefault(x, None)
+        if x not in new and pred[x] == -1:
+            new[x] = -2
         return True
 
     live = [lane for lane in range(len(caps)) if spawn(lane)]
     while live:
+        pred[list(new)] = list(new.values())
+        new.clear()
         paid = f.clip(live)
-        ys = oracle.query_function_many([front[k] for k in paid]).tolist()
+        ys = oracle.query_function_many([front[k] for k in paid])
         live = []
-        for lane, y in zip(paid, ys):
+        for lane, y, prev in zip(paid, ys.tolist(), pred[ys].tolist()):
             u = front[lane]
-            prev = get(y, _MISSING)
-            if prev is _MISSING:
-                pred[y] = u
+            prev = new.get(y, prev)
+            if prev == -1:
+                new[y] = u
                 if left[lane] > 1:
                     left[lane] -= 1
                     front[lane] = y
                     live.append(lane)
                     continue
-            elif prev is not None and prev != u:
+            elif prev != -2 and prev != u:
                 return Witness("collision", (u, prev, y))
             if spawn(lane):
                 live.append(lane)
@@ -267,7 +282,7 @@ def _shared_walk(f, oracle, caps, rng, max_attempts):
 def cert_collision_search(f, oracle, cert: Certificate, seed=None,
                           batch: int = 16, max_attempts: int | None = None):
     """Walk forward up to 2^t steps per attempt at the certified scale t,
-    `batch` lanes at a time, sharing the predecessor map across attempts."""
+    `batch` lanes at a time, sharing the predecessor array across attempts."""
     _at_least("batch", batch, 1)
     t = int(cert.payload["t"])
     f.details = {"t": t}

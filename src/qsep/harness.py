@@ -273,9 +273,10 @@ def _check_lanes(record, *lanes) -> None:
 
 
 # The fewest bytes per element any command holds at its peak. Peak RSS
-# slopes between n = 2^19 and 2^21 on a 2-core VM: 42 (a slope series of
-# cert-collision), 62 (a separation point), 122 (adversary-test) and 143-287
-# (gen, which also builds the files' JSON).
+# slopes between n = 2^19 and 2^21 on a 2-core VM, in one process: 82 (a
+# slope series of cert-collision), 75 (a separation point, whose walkers
+# hold 4n bytes each for their predecessor array, however far they walk),
+# 123 (adversary-test) and 143-288 (gen, which also builds the files' JSON).
 BYTES_PER_ELEMENT = 40
 
 

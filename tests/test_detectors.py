@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -508,6 +510,12 @@ def _walker_configs(n):
                {"seed": n + sum(window)})
 
 
+def _seed_drawing(n, draws):
+    """The first seed whose first uniform draws from [n] are `draws`."""
+    return next(s for s in itertools.count()
+                if np.random.default_rng(s).integers(0, n, len(draws)).tolist() == draws)
+
+
 class TestWalkerDifferential:
     """The shared-map walker against the two walkers it replaced: the
     same outcome and transcript at every budget, except where a clipped
@@ -543,6 +551,66 @@ class TestWalkerDifferential:
                 assert (want.status, got.status, mended) == \
                     (EXHAUSTED, BUDGET_EXCEEDED, want), (kw, budget)
                 assert got.queries == budget < q, (kw, budget)
+
+    def _hand_built(self, succ, draws, new, ref, args, kw):
+        """Compare the walkers on succ, seeded so the restarts are `draws`,
+        and return the shared walker's unbudgeted run."""
+        inst = FunctionInstance(n=len(succ), succ=np.array(succ), meta=None, info={})
+        kw = {"max_attempts": None, **kw, "seed": _seed_drawing(len(succ), draws)}
+        self._compare(inst, new, ref, args, kw, None)
+        return _walk_run(new, inst, None, None, args, kw)
+
+    def test_second_lane_on_a_fresh_answer_certifies(self):
+        # lanes at 0 and 1 both answer 2 in round one: lane 0 records it,
+        # and lane 1 must read that record before the round's scatter
+        out, _ = self._hand_built(
+            [2, 2, 0], [0, 1], cert_collision_search, _reference_cert_collision,
+            (Certificate("CollisionScale", {"t": 3}),), {"batch": 2})
+        assert (out.status, out.witness, out.queries) == \
+            (FOUND, Witness("collision", (1, 0, 2)), 2)
+
+    def test_later_lane_reaching_a_fresh_start_is_terminal(self):
+        # lane 0 (cap 1) answers 1 and respawns at 3; lane 1 then answers
+        # 3, a start recorded in the same round, so it respawns (at 0)
+        # instead of walking on from 3
+        out, tr = self._hand_built(
+            [1, 2, 3, 0], [0, 2, 3, 0], multiscale_collision_search,
+            _reference_multiscale, (0, 1), {"max_attempts": 4})
+        assert (out.status, out.queries, out.attempts) == (EXHAUSTED, 4, 4)
+        assert tr == [(0, 1), (2, 3), (3, 0), (0, 1)]
+
+    @pytest.mark.parametrize("draws", [[0, 1, 3], [0, 2, 1, 3]],
+                             ids=["same-round", "earlier-round"])
+    def test_respawn_on_a_recorded_element_keeps_its_record(self, draws):
+        # 0 -> 1 records 1 with predecessor 0; a respawn at 1 (in the same
+        # round, or after 2 -> 3) must keep that record, so 3 -> 1 certifies
+        out, _ = self._hand_built(
+            [1, 2, 3, 1], draws, multiscale_collision_search,
+            _reference_multiscale, (0, 0), {})
+        assert (out.status, out.witness, out.queries) == \
+            (FOUND, Witness("collision", (3, 0, 1)), len(draws))
+
+    @pytest.mark.parametrize("n", [1, 3, 1 << 12, 1 << 20, (1 << 32) + 5])
+    def test_block_draws_equal_scalar_draws(self, n):
+        # the walker draws restarts 64 at a time and relies on this
+        blocks, scalars = np.random.default_rng(n), np.random.default_rng(n)
+        got = [x for _ in range(3) for x in blocks.integers(0, n, size=64).tolist()]
+        assert got == [int(scalars.integers(n)) for _ in range(192)]
+
+    def test_record_memory_is_flat_in_n(self):
+        # the record is one array of n entries (4n bytes), whatever the
+        # number of elements the walks reach
+        inst, _, _ = gen_collision_function(1 << 16, ScaleParams(2, 10), seed=1,
+                                            b_override=0)
+        o = CountedOracle(inst, relabel_seed=3, budget=50_000)
+        tracemalloc.start()
+        try:
+            multiscale_collision_search(o, 2, 10, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert o.count > 0
+        assert peak < 16 * inst.n, peak / inst.n
 
     def test_clipped_last_round_is_budget_exceeded(self):
         # multiscale at budget 2,776 needs one query more than it may spend
